@@ -13,6 +13,7 @@ from pathlib import Path
 
 from . import datagen
 from .errors import (
+    MalformedInput,
     MissingStartKind,
     StartKindMismatch,
     TitanError,
@@ -40,8 +41,23 @@ def _uint64(value: str) -> int:
     return seed
 
 
+def _read_bytes(path: str) -> bytes:
+    try:
+        return Path(path).read_bytes()
+    except IsADirectoryError as exc:
+        raise MalformedInput(f"{path}: is a directory, not a file") from exc
+
+
+def _read_text(path: str) -> str:
+    try:
+        return _read_bytes(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                             f"{exc.start})") from exc
+
+
 def _load_graph(snapshot: str) -> KnowledgeGraph:
-    return KnowledgeGraph.load_snapshot(Path(snapshot).read_text("utf-8"))
+    return KnowledgeGraph.load_snapshot(_read_text(snapshot))
 
 
 def _census_lines(graph: KnowledgeGraph) -> list[str]:
@@ -55,7 +71,7 @@ def _census_lines(graph: KnowledgeGraph) -> list[str]:
 def cmd_ingest(args) -> int:
     objects = []
     for bundle_path in args.bundles:
-        objects.extend(parse_stix_bundle(Path(bundle_path).read_bytes()))
+        objects.extend(parse_stix_bundle(_read_bytes(bundle_path)))
     registry = build_default_registry(include_subtechniques=not args.no_subtechniques)
     graph = build_graph(objects, registry, BuildOptions(
         drop_revoked=not args.keep_revoked, lenient=not args.strict))
@@ -77,12 +93,16 @@ def cmd_census(args) -> int:
             print(line)
         return 0
     expected: dict[str, int] = {}
-    for raw in Path(args.expected).read_text("utf-8").splitlines():
+    for lineno, raw in enumerate(_read_text(args.expected).splitlines(), 1):
         raw = raw.strip()
         if not raw or raw.startswith("#"):
             continue
-        key, value = raw.split("\t")
-        expected[key] = int(value)
+        try:
+            key, value = raw.split("\t")
+            expected[key] = int(value)
+        except ValueError as exc:
+            raise MalformedInput(f"{args.expected} line {lineno}: expected "
+                                 f"kind<TAB>count, got {raw!r}") from exc
     print(f"{'kind':<18}{'actual':>8}{'expected':>10}{'delta%':>8}")
     for key, actual_count in actual.items():
         if key not in expected:
@@ -174,7 +194,7 @@ def cmd_ask(args) -> int:
     if args.planner == "mock":
         if not args.dataset:
             raise TitanError("the mock planner needs --dataset to build its index")
-        samples = datagen.load_dataset(Path(args.dataset).read_text("utf-8"))
+        samples = datagen.load_dataset(_read_text(args.dataset))
         planner = MockPlanner(samples, registry)
     else:
         planner = RemotePlanner(EndpointConfig.from_env(), registry)
@@ -191,7 +211,7 @@ def cmd_gen(args) -> int:
     graph = _load_graph(args.snapshot)
     registry = build_default_registry()
     if args.templates:
-        document = Path(args.templates).read_text("utf-8")
+        document = _read_text(args.templates)
     else:
         document = datagen.default_template_text()
     templates = datagen.load_templates(document, registry)
@@ -212,24 +232,40 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _prediction(path: str, lineno: int, line: str) -> dict:
+    """One predictions line: a JSON object whose "path" and "cot", when
+    present, are strings or null."""
+    try:
+        pred = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise MalformedInput(f"{path} line {lineno}: not JSON ({exc.msg})") from exc
+    if not isinstance(pred, dict):
+        raise MalformedInput(f"{path} line {lineno}: expected a JSON object, "
+                             f"got {type(pred).__name__}")
+    for field in ("path", "cot"):
+        if not isinstance(pred.get(field), (str, type(None))):
+            raise MalformedInput(f"{path} line {lineno}: {field!r} is not a string")
+    return pred
+
+
 def cmd_eval(args) -> int:
     registry = build_default_registry()
-    references = datagen.load_dataset(Path(args.dataset).read_text("utf-8"))
-    pred_lines = [line for line in
-                  Path(args.predictions).read_text("utf-8").splitlines() if line.strip()]
+    references = datagen.load_dataset(_read_text(args.dataset))
+    pred_lines = [(lineno, line) for lineno, line in
+                  enumerate(_read_text(args.predictions).splitlines(), 1) if line.strip()]
     if len(pred_lines) != len(references):
         raise TitanError(f"predictions ({len(pred_lines)}) and dataset "
                          f"({len(references)}) have different lengths")
     records = []
-    for index, (ref, line) in enumerate(zip(references, pred_lines)):
-        pred = json.loads(line)
+    for index, (ref, (lineno, line)) in enumerate(zip(references, pred_lines)):
+        pred = _prediction(args.predictions, lineno, line)
         ref_program = parse_path(ref.path, registry)
         em = em_raw = 0
         pred_program = None
         try:
-            pred_program = parse_path(pred["path"], registry)
-        except (TitanError, KeyError):
-            pass
+            pred_program = parse_path(pred.get("path") or "", registry)
+        except TitanError:
+            pass  # a missing, null or unparseable path scores as a miss
         if pred_program is not None:
             em = exact_match(pred_program, ref_program)
             em_raw = raw_match(pred_program, ref_program)

@@ -10,6 +10,11 @@ class TitanError(Exception):
     """Base class for all titan_kg errors."""
 
 
+class MalformedInput(TitanError):
+    """An input file cannot be read, or one of its lines has the wrong form;
+    the message names the file and, where there is one, the line."""
+
+
 # --- ontology ---------------------------------------------------------------
 
 class UnknownRelation(TitanError):

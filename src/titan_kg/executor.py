@@ -17,7 +17,7 @@ from .errors import (
     SelectNameUnresolved,
     StartKindMismatch,
 )
-from .kg import KnowledgeGraph, Node, _norm_name
+from .kg import KnowledgeGraph, Node
 from .pathlang import (
     ExecCommon,
     ExecDifference,
@@ -112,16 +112,18 @@ def step_filter(graph: KnowledgeGraph, frontier: Frontier, keyword: str) -> Fron
 
 def step_select(graph: KnowledgeGraph, frontier: Frontier,
                 names: tuple[str, ...]) -> Frontier:
-    """Split a single-branch frontier into one branch per named entity."""
+    """Split a single-branch frontier into one branch per named entity.
+
+    A name resolves like :meth:`KnowledgeGraph.find_by_name`, restricted
+    to the frontier.  Both are in (kind, name, id) order, so each branch
+    keeps the frontier's order.
+    """
     if len(frontier.branches) != 1:
         raise OperatorPlacementError("select applies to a single-branch frontier")
-    current = frontier.branches[0]
+    current = set(frontier.branches[0])
     branches = []
     for name in names:
-        wanted = _norm_name(name)
-        hits = [nid for nid in current
-                if _norm_name(graph.node(nid).name) == wanted
-                or any(_norm_name(a) == wanted for a in graph.node(nid).aliases)]
+        hits = [nid for nid in graph.find_by_name(name) if nid in current]
         if not hits:
             raise SelectNameUnresolved(
                 f"select name {name!r} matches nothing in the current frontier")

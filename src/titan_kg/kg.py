@@ -214,26 +214,31 @@ class KnowledgeGraph:
         self._edges: tuple[tuple[str, str, str], ...] = tuple(sorted(edge_set))
         self.skipped = skipped
 
-        by_key = lambda nid: self._nodes[nid].sort_key
+        # Every id's position in (kind, name, id) order; every id sort
+        # keys on this rank.
+        self._order: tuple[str, ...] = tuple(
+            sorted(self._nodes, key=lambda nid: self._nodes[nid].sort_key))
+        self._rank: dict[str, int] = {nid: i for i, nid in enumerate(self._order)}
+        by_rank = self._rank.__getitem__
         out: dict[tuple[str, str], list[str]] = {}
         for src, rel, dst in self._edges:
             out.setdefault((src, rel), []).append(dst)
         self._out: dict[tuple[str, str], tuple[str, ...]] = {
-            key: tuple(sorted(set(dsts), key=by_key)) for key, dsts in out.items()
+            key: tuple(sorted(set(dsts), key=by_rank)) for key, dsts in out.items()
         }
-        self._by_kind: dict[EntityKind, tuple[str, ...]] = {}
-        for kind in EntityKind:
-            ids = [nid for nid, n in self._nodes.items() if n.kind is kind]
-            self._by_kind[kind] = tuple(sorted(ids, key=by_key))
-        self._name_index: dict[str, tuple[str, ...]] = {}
-        collect: dict[str, set[str]] = {}
-        for nid, node in self._nodes.items():
-            for candidate in (node.name, *node.aliases):
-                key = _norm_name(candidate)
+        # Walking the nodes in rank order keeps both indexes sorted.
+        by_kind: dict[EntityKind, list[str]] = {kind: [] for kind in EntityKind}
+        by_name: dict[str, list[str]] = {}
+        for nid in self._order:
+            node = self._nodes[nid]
+            by_kind[node.kind].append(nid)
+            for key in {_norm_name(c) for c in (node.name, *node.aliases)}:
                 if key:
-                    collect.setdefault(key, set()).add(nid)
-        self._name_index = {key: tuple(sorted(ids, key=by_key))
-                            for key, ids in collect.items()}
+                    by_name.setdefault(key, []).append(nid)
+        self._by_kind: dict[EntityKind, tuple[str, ...]] = {
+            kind: tuple(ids) for kind, ids in by_kind.items()}
+        self._name_index: dict[str, tuple[str, ...]] = {
+            key: tuple(ids) for key, ids in by_name.items()}
         self._max_name_words = max((len(k.split()) for k in self._name_index), default=1)
 
     # --- lookups ---
@@ -266,14 +271,14 @@ class KnowledgeGraph:
         return len(self._edges)
 
     def sort_ids(self, ids: Iterable[str]) -> tuple[str, ...]:
-        return tuple(sorted(set(ids), key=lambda nid: self._nodes[nid].sort_key))
+        """Distinct ids in (kind, name, id) order."""
+        return tuple(sorted(set(ids), key=self._rank.__getitem__))
 
     # --- snapshot interface ---
 
     def export_snapshot(self) -> str:
         lines = [SNAPSHOT_HEADER]
-        by_key = lambda nid: self._nodes[nid].sort_key
-        for nid in sorted(self._nodes, key=by_key):
+        for nid in self._order:
             n = self._nodes[nid]
             lines.append("NODE\t{}\t{}\t{}\t{}\t{}\t{}".format(
                 n.id, n.kind.value,

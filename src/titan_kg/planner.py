@@ -13,7 +13,9 @@ import os
 import re
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Protocol
 
 import requests
@@ -28,6 +30,9 @@ logger = logging.getLogger(__name__)
 
 _PATH_BLOCK = re.compile(r"<PATH>.*?</PATH>", re.S)
 _ENTITY_BLOCK = re.compile(r"<ENTITY>(.*?)</ENTITY>", re.S)
+# Client errors that can pass on their own (request timeout, rate limit);
+# every other 4xx reply fails the request without a retry.
+_RETRY_4XX = frozenset({408, 429})
 
 
 @dataclass(frozen=True)
@@ -90,16 +95,14 @@ def parse_planner_output(
     return cot, program, entities
 
 
-def _token_overlap(a: set[str], b: set[str]) -> float:
-    """Bag-of-tokens similarity: |a ∩ b| / |a ∪ b| (0 when both empty)."""
-    if not a and not b:
-        return 0.0
-    return len(a & b) / len(a | b)
-
-
 class MockPlanner:
     """Looks questions up in a dataset; unknown questions get the nearest
-    indexed question by token overlap, flagged ``guessed=True``."""
+    indexed question by token overlap, flagged ``guessed=True``.
+
+    Nearest means the highest Jaccard similarity of the token sets; ties,
+    and the case where no indexed question shares a token, go to the
+    first indexed question in sorted normalized order.
+    """
 
     def __init__(self, samples: Iterable[Sample],
                  registry: RelationRegistry | None = None):
@@ -107,26 +110,40 @@ class MockPlanner:
         self._index: dict[str, Sample] = {}
         for sample in samples:
             self._index.setdefault(self._norm(sample.question), sample)
-        self._bags = [(set(q.split()), q) for q in sorted(self._index)]
+        self._keys = sorted(self._index)
+        self._sizes: list[int] = []
+        # token -> positions in self._keys of the questions holding it
+        self._postings: dict[str, list[int]] = {}
+        for i, key in enumerate(self._keys):
+            tokens = set(key.split())
+            self._sizes.append(len(tokens))
+            for token in tokens:
+                self._postings.setdefault(token, []).append(i)
 
     @staticmethod
     def _norm(question: str) -> str:
         return " ".join(question.casefold().split())
+
+    def _nearest(self, tokens: set[str]) -> int:
+        """Position in ``self._keys`` of the question nearest ``tokens``."""
+        shared = Counter(chain.from_iterable(
+            self._postings.get(token, ()) for token in tokens))
+        n, sizes = len(tokens), self._sizes
+        best, best_score = 0, 0.0
+        for i, c in shared.items():
+            score = c / (n + sizes[i] - c)
+            if score > best_score or (score == best_score and i < best):
+                best, best_score = i, score
+        return best
 
     def plan(self, request: PlannerRequest) -> PlannerResponse:
         key = self._norm(request.question)
         sample = self._index.get(key)
         guessed = sample is None
         if sample is None:
-            bag = set(key.split())
-            best_score, best_key = -1.0, None
-            for candidate_bag, candidate_key in self._bags:
-                score = _token_overlap(bag, candidate_bag)
-                if score > best_score:
-                    best_score, best_key = score, candidate_key
-            if best_key is None:
+            if not self._keys:
                 return PlannerResponse(raw_text="", cot=None, path=None, guessed=True)
-            sample = self._index[best_key]
+            sample = self._index[self._keys[self._nearest(set(key.split()))]]
 
         path = parse_path(sample.path, self._registry)
         if request.mode == "cot":
@@ -204,6 +221,11 @@ class RemotePlanner:
                 with self._gate:
                     reply = self._session.post(url, json=body, headers=headers,
                                                timeout=self._config.timeout)
+                if 400 <= reply.status_code < 500 and reply.status_code not in _RETRY_4XX:
+                    # The same request would be refused again.
+                    raise PlannerUnavailable(
+                        f"planner endpoint refused the request: HTTP "
+                        f"{reply.status_code} {reply.reason}")
                 reply.raise_for_status()
                 payload = reply.json()
                 break

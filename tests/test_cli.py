@@ -206,3 +206,65 @@ def test_missing_file_is_one_line_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("FileNotFoundError: ")
+
+
+def _one_line_error(capsys, prefix):
+    captured = capsys.readouterr()
+    assert captured.err.startswith(prefix), captured.err
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
+def _eval_with_predictions(snapshot, tmp_path, first_line):
+    outdir = tmp_path / "dataset"
+    assert main(["gen", "--snapshot", str(snapshot), "--seed", "3",
+                 "--out", str(outdir)]) == 0
+    test_file = outdir / "test.jsonl"
+    rows = test_file.read_text("utf-8").splitlines()
+    lines = [first_line] + ['{"path": "<PATH> uses_malware </PATH>"}'] * (len(rows) - 1)
+    predictions = tmp_path / "preds.jsonl"
+    predictions.write_text("\n".join(lines) + "\n", "utf-8")
+    return main(["eval", "--dataset", str(test_file), "--predictions", str(predictions)])
+
+
+def test_eval_null_or_missing_path_scores_as_miss(snapshot, tmp_path, capsys):
+    assert _eval_with_predictions(snapshot, tmp_path, '{"path": null, "cot": null}') == 0
+    assert "overall" in capsys.readouterr().out
+
+
+def test_eval_prediction_not_json_is_one_line_error(snapshot, tmp_path, capsys):
+    assert _eval_with_predictions(snapshot, tmp_path, "{not json") == 1
+    err = _one_line_error(capsys, "MalformedInput: ")
+    assert "preds.jsonl line 1" in err
+
+
+@pytest.mark.parametrize("line", ['["a list"]', '{"path": 5}', '{"cot": ["x"]}'])
+def test_eval_prediction_not_object_is_one_line_error(snapshot, tmp_path, capsys, line):
+    assert _eval_with_predictions(snapshot, tmp_path, line) == 1
+    err = _one_line_error(capsys, "MalformedInput: ")
+    assert "preds.jsonl line 1" in err
+
+
+def test_census_snapshot_directory_is_one_line_error(tmp_path, capsys):
+    code = main(["census", "--snapshot", str(tmp_path)])
+    assert code == 1
+    err = _one_line_error(capsys, "MalformedInput: ")
+    assert str(tmp_path) in err
+
+
+def test_census_expected_line_without_tab_is_one_line_error(snapshot, tmp_path, capsys):
+    expected = tmp_path / "expected.tsv"
+    expected.write_text("# kind<TAB>count\nmalware\t4\nasset 2\n", "utf-8")
+    code = main(["census", "--snapshot", str(snapshot), "--expected", str(expected)])
+    assert code == 1
+    err = _one_line_error(capsys, "MalformedInput: ")
+    assert "expected.tsv line 3" in err
+
+
+def test_snapshot_not_utf8_is_one_line_error(tmp_path, capsys):
+    snap = tmp_path / "binary.snap"
+    snap.write_bytes(b"TITAN-SNAPSHOT\t1\n\xff\xfe\n")
+    assert main(["census", "--snapshot", str(snap)]) == 1
+    err = _one_line_error(capsys, "MalformedInput: ")
+    assert "binary.snap" in err

@@ -14,6 +14,7 @@ from titan_kg.executor import (
     step_select,
     step_traverse,
 )
+from titan_kg.kg import KnowledgeGraph, Node
 from titan_kg.ontology import EntityKind
 from titan_kg.pathlang import parse_path, validate_program
 
@@ -219,3 +220,41 @@ def test_select_without_operator_unions_branches(fixture_graph, registry):
     result = _run(fixture_graph, registry,
                   "is_malware_type → select Sys10 MarkiRAT → uses_attack_pattern")
     assert _answer_ids(result) == {AP1, AP2}
+
+
+def test_select_name_ignores_case_and_whitespace(fixture_graph):
+    frontier = Frontier((fixture_graph.nodes_of_kind(EntityKind.MALWARE),))
+    out = step_select(fixture_graph, frontier, ("  sys10 ", "MARKIRAT"))
+    assert out.branches == ((SYS10,), (MARKIRAT,))
+    frontier = Frontier((fixture_graph.nodes_of_kind(EntityKind.INTRUSION_SET),))
+    out = step_select(fixture_graph, frontier, ("voodoo   BEAR", "apt34"))
+    assert out.branches == ((G1,), (G2,))
+
+
+def _twin_graph():
+    # malware--b carries the name "Twin" only as an alias, so it sorts
+    # before malware--a in (kind, name, id) order.
+    return KnowledgeGraph([
+        Node(id="malware--a", name="Twin", kind=EntityKind.MALWARE),
+        Node(id="malware--b", name="Alpha", kind=EntityKind.MALWARE, aliases=("twin",)),
+        Node(id="malware--c", name="Other", kind=EntityKind.MALWARE),
+        Node(id="tool--t", name="Twin", kind=EntityKind.TOOL),
+        Node(id="tool--l", name="Lonely", kind=EntityKind.TOOL),
+    ], [])
+
+
+def test_select_keeps_only_frontier_nodes():
+    graph = _twin_graph()
+    frontier = Frontier((graph.sort_ids(["malware--a", "malware--c"]),))
+    out = step_select(graph, frontier, ("Twin", "Other"))
+    assert out.branches == (("malware--a",), ("malware--c",))
+    with pytest.raises(SelectNameUnresolved):
+        step_select(graph, frontier, ("Twin", "Lonely"))
+
+
+def test_select_shared_name_keeps_frontier_order():
+    graph = _twin_graph()
+    frontier = Frontier((graph.nodes_of_kind(EntityKind.MALWARE),))
+    assert frontier.branches[0] == ("malware--b", "malware--c", "malware--a")
+    out = step_select(graph, frontier, ("TWIN", "other"))
+    assert out.branches == (("malware--b", "malware--a"), ("malware--c",))

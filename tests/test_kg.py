@@ -6,6 +6,7 @@ from titan_kg.errors import MalformedBundle, UnknownSignature
 from titan_kg.kg import (
     BuildOptions,
     KnowledgeGraph,
+    Node,
     build_graph,
     link_entities,
     node_census,
@@ -258,3 +259,28 @@ def test_realistic_bundle_with_distractor_objects(registry):
     assert graph.out("malware--m", "uses_attack_pattern") == ("attack-pattern--new",)
     # revoked-by and edges into dropped nodes land in the skip report
     assert len(graph.skipped) == 2
+
+
+def test_sort_ids_matches_sort_key_order(fixture_graph):
+    import random
+
+    nodes = [Node(id=f"malware--{i}", name=name, kind=EntityKind.MALWARE)
+             for i, name in enumerate(["beta", "Beta", "ALPHA", "alpha", "Gamma", "beta"])]
+    nodes += [Node(id="tool--0", name="Alpha", kind=EntityKind.TOOL),
+              Node(id="tool--1", name="alpha", kind=EntityKind.TOOL)]
+    graph = KnowledgeGraph(nodes, [])
+    for g in (graph, fixture_graph):
+        ids = [nid for kind in EntityKind for nid in g.nodes_of_kind(kind)]
+        shuffled = ids + ids[:3]
+        random.Random(7).shuffle(shuffled)
+        expected = tuple(sorted(set(ids), key=lambda n: g.node(n).sort_key))
+        assert g.sort_ids(shuffled) == expected
+    assert graph.sort_ids(["malware--1", "malware--0", "malware--5"]) == (
+        "malware--0", "malware--1", "malware--5")
+
+
+def test_snapshot_nodes_in_sort_key_order(fixture_graph):
+    node_ids = [line.split("\t")[1] for line in fixture_graph.export_snapshot().splitlines()
+                if line.startswith("NODE\t")]
+    assert node_ids == sorted(node_ids, key=lambda n: fixture_graph.node(n).sort_key)
+    assert len(node_ids) == FIXTURE_NODES

@@ -4,7 +4,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from titan_kg.datagen import DatasetConfig, generate_dataset
+from titan_kg.datagen import DatasetConfig, Sample, generate_dataset
 from titan_kg.errors import PlannerUnavailable, UnparseablePlan
 from titan_kg.pathlang import render_path
 from titan_kg.planner import (
@@ -115,6 +115,64 @@ def test_mock_nearest_question_by_token_overlap(small_dataset, registry):
     assert abs(overlap(perturbed, picked[0].question) - best_score) < 1e-12
 
 
+def _sample(question, path):
+    return Sample(question=question, cot=f"Reasoning for {question}. {path}",
+                  path=path, start_entities=(), answers=(), template_id="t",
+                  bucket="L1", operators=())
+
+
+def test_mock_tie_goes_to_first_sorted_question(registry):
+    # Both indexed questions share one token with the query (score 1/3);
+    # the first in sorted normalized order wins, not the first inserted.
+    planner = MockPlanner([
+        _sample("Alpha Gamma", "<PATH> uses_malware </PATH>"),
+        _sample("alpha   BETA", "<PATH> uses_attack_pattern </PATH>"),
+    ], registry)
+    response = planner.plan(PlannerRequest(question="alpha delta"))
+    assert response.guessed is True
+    assert render_path(response.path, "token") == "<PATH> uses_attack_pattern </PATH>"
+
+
+def test_mock_no_shared_token_returns_first_sorted_question(registry):
+    planner = MockPlanner([
+        _sample("gamma delta", "<PATH> uses_malware </PATH>"),
+        _sample("alpha beta", "<PATH> uses_attack_pattern </PATH>"),
+    ], registry)
+    response = planner.plan(PlannerRequest(question="zeta"))
+    assert response.guessed is True
+    assert render_path(response.path, "token") == "<PATH> uses_attack_pattern </PATH>"
+    assert response.cot == "Reasoning for alpha beta. <PATH> uses_attack_pattern </PATH>"
+
+
+def test_mock_nearest_matches_linear_jaccard_scan(small_dataset, registry):
+    planner = MockPlanner(small_dataset.train, registry)
+    index = {}
+    for sample in small_dataset.train:
+        index.setdefault(" ".join(sample.question.casefold().split()), sample)
+    bags = [(set(key.split()), index[key]) for key in sorted(index)]
+
+    def nearest(question):
+        key = " ".join(question.casefold().split())
+        if key in index:
+            return index[key], False
+        query = set(key.split())
+        best_score, best = -1.0, None
+        for bag, sample in bags:
+            score = len(query & bag) / len(query | bag)
+            if score > best_score:
+                best_score, best = score, sample
+        return best, True
+
+    assert small_dataset.test
+    for sample in small_dataset.test:
+        response = planner.plan(PlannerRequest(question=sample.question))
+        expected, guessed = nearest(sample.question)
+        assert response.guessed is guessed
+        assert response.cot == expected.cot, sample.question
+        assert render_path(response.path, "token") == expected.path
+        assert response.start_entities == expected.start_entities
+
+
 def test_mock_empty_index_yields_no_path(registry):
     planner = MockPlanner([], registry)
     response = planner.plan(PlannerRequest(question="anything"))
@@ -208,6 +266,25 @@ def test_remote_planner_retries_then_succeeds(stub_server, registry):
     planner = RemotePlanner(_config(base_url, retries=2), registry)
     response = planner.plan(PlannerRequest(question="q"))
     assert response.path is not None
+    assert len(handler.requests_seen) == 2
+
+
+def test_remote_planner_does_not_retry_client_errors(stub_server, registry):
+    handler, base_url = stub_server
+    handler.replies.append((400, {"error": "bad request"}))
+    handler.replies.append((200, _chat_reply("<PATH> uses_malware </PATH>")))
+    planner = RemotePlanner(_config(base_url, retries=2), registry)
+    with pytest.raises(PlannerUnavailable):
+        planner.plan(PlannerRequest(question="q"))
+    assert len(handler.requests_seen) == 1
+
+
+def test_remote_planner_retries_rate_limit(stub_server, registry):
+    handler, base_url = stub_server
+    handler.replies.append((429, {"error": "slow down"}))
+    handler.replies.append((200, _chat_reply("<PATH> uses_malware </PATH>")))
+    planner = RemotePlanner(_config(base_url, retries=2), registry)
+    assert planner.plan(PlannerRequest(question="q")).path is not None
     assert len(handler.requests_seen) == 2
 
 
