@@ -56,6 +56,14 @@ def _read_text(path: str) -> str:
                              f"{exc.start})") from exc
 
 
+def _load_dataset(path: str) -> list[datagen.Sample]:
+    text = _read_text(path)
+    try:
+        return datagen.load_dataset(text)
+    except MalformedInput as exc:
+        raise MalformedInput(f"{path} {exc}") from exc
+
+
 def _load_graph(snapshot: str) -> KnowledgeGraph:
     return KnowledgeGraph.load_snapshot(_read_text(snapshot))
 
@@ -194,7 +202,7 @@ def cmd_ask(args) -> int:
     if args.planner == "mock":
         if not args.dataset:
             raise TitanError("the mock planner needs --dataset to build its index")
-        samples = datagen.load_dataset(_read_text(args.dataset))
+        samples = _load_dataset(args.dataset)
         planner = MockPlanner(samples, registry)
     else:
         planner = RemotePlanner(EndpointConfig.from_env(), registry)
@@ -250,7 +258,7 @@ def _prediction(path: str, lineno: int, line: str) -> dict:
 
 def cmd_eval(args) -> int:
     registry = build_default_registry()
-    references = datagen.load_dataset(_read_text(args.dataset))
+    references = _load_dataset(args.dataset)
     pred_lines = [(lineno, line) for lineno, line in
                   enumerate(_read_text(args.predictions).splitlines(), 1) if line.strip()]
     if len(pred_lines) != len(references):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Iterable, Protocol
 
-from .errors import TemplateSchemaError, TitanError
+from .errors import MalformedInput, TemplateSchemaError, TitanError
 from .executor import execute
 from .kg import KnowledgeGraph
 from .ontology import KIND_BY_TOKEN, EntityKind, RelationRegistry, build_default_registry
@@ -448,7 +448,18 @@ def dataset_to_jsonl(samples: Iterable[Sample]) -> str:
 
 
 def load_dataset(text: str) -> list[Sample]:
-    return [Sample.from_json(line) for line in text.splitlines() if line.strip()]
+    """Samples of a JSONL dataset; a bad line raises MalformedInput naming it."""
+    samples = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        try:
+            if line.strip():
+                samples.append(Sample.from_json(line))
+        except json.JSONDecodeError as exc:
+            raise MalformedInput(f"line {lineno}: not JSON ({exc.msg})") from exc
+        except (KeyError, AttributeError, TypeError) as exc:
+            raise MalformedInput(f"line {lineno}: not a dataset sample "
+                                 f"({type(exc).__name__}: {exc})") from exc
+    return samples
 
 
 class ParaphraseClient(Protocol):

@@ -89,7 +89,3 @@ class UnparseablePlan(TitanError):
     def __init__(self, message: str, raw_text: str = ""):
         super().__init__(message)
         self.raw_text = raw_text
-
-
-class RemoteUnavailable(TitanError):
-    """An optional remote text service (e.g. paraphraser) failed."""

@@ -9,7 +9,8 @@ same answers and the same trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     OperatorArityError,
@@ -38,15 +39,27 @@ class Frontier:
     """Ordered branch sets of node ids; one branch until a select splits it."""
 
     branches: tuple[tuple[str, ...], ...]
-    labels: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)
 class StepRecord:
+    """One executed step: its branch sizes, plus what ``edges`` derives from."""
+
     step: PathStep
     input_sizes: tuple[int, ...]
     output_sizes: tuple[int, ...]
-    edges: tuple[Edge, ...] = ()
+    inputs: tuple[tuple[str, ...], ...] = field(repr=False)
+    graph: KnowledgeGraph = field(repr=False, compare=False)
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """A traverse step's distinct (src, rel, dst) edges in sorted order,
+        derived when first read; empty for every other step."""
+        if not isinstance(self.step, Traverse):
+            return ()
+        rel = self.step.rel
+        return tuple(sorted({(nid, rel, dst) for branch in self.inputs
+                             for nid in branch for dst in self.graph.out(nid, rel)}))
 
 
 @dataclass(frozen=True)
@@ -75,30 +88,11 @@ class ExecutionResult:
         return "\n".join(lines) + "\n"
 
 
-def _traverse_branch(graph: KnowledgeGraph, branch: tuple[str, ...],
-                     rel: str) -> tuple[tuple[str, ...], list[Edge]]:
-    edges: list[Edge] = []
-    out: set[str] = set()
-    for nid in branch:
-        for dst in graph.out(nid, rel):
-            edges.append((nid, rel, dst))
-            out.add(dst)
-    return graph.sort_ids(out), edges
-
-
-def step_traverse(graph: KnowledgeGraph, frontier: Frontier, rel: str) -> Frontier:
-    branches = tuple(_traverse_branch(graph, b, rel)[0] for b in frontier.branches)
-    return Frontier(branches, frontier.labels)
-
-
 def _node_matches(node: Node, keyword: str) -> bool:
-    if keyword in node.name.lower():
-        return True
-    if any(keyword in alias.lower() for alias in node.aliases):
-        return True
-    if any(keyword in tag for tag in node.tags):
-        return True
-    return keyword in node.description.lower()
+    return (keyword in node.name.lower()
+            or any(keyword in alias.lower() for alias in node.aliases)
+            or any(keyword in tag for tag in node.tags)
+            or keyword in node.description.lower())
 
 
 def step_filter(graph: KnowledgeGraph, frontier: Frontier, keyword: str) -> Frontier:
@@ -107,7 +101,7 @@ def step_filter(graph: KnowledgeGraph, frontier: Frontier, keyword: str) -> Fron
     branches = tuple(
         tuple(nid for nid in branch if _node_matches(graph.node(nid), needle))
         for branch in frontier.branches)
-    return Frontier(branches, frontier.labels)
+    return Frontier(branches)
 
 
 def step_select(graph: KnowledgeGraph, frontier: Frontier,
@@ -128,16 +122,15 @@ def step_select(graph: KnowledgeGraph, frontier: Frontier,
             raise SelectNameUnresolved(
                 f"select name {name!r} matches nothing in the current frontier")
         branches.append(tuple(hits))
-    return Frontier(tuple(branches), labels=names)
+    return Frontier(tuple(branches))
 
 
 def step_exec_common(frontier: Frontier) -> Frontier:
     """Collapse branches to their intersection."""
     if len(frontier.branches) < 2:
         raise OperatorArityError("exec_common needs at least two branches")
-    rest = [set(b) for b in frontier.branches[1:]]
-    kept = tuple(nid for nid in frontier.branches[0]
-                 if all(nid in other for other in rest))
+    common = set.intersection(*map(set, frontier.branches[1:]))
+    kept = tuple(nid for nid in frontier.branches[0] if nid in common)
     return Frontier((kept,))
 
 
@@ -145,9 +138,7 @@ def step_exec_difference(frontier: Frontier) -> Frontier:
     """Collapse branches to: first branch minus the union of the others."""
     if len(frontier.branches) < 2:
         raise OperatorArityError("exec_difference needs at least two branches")
-    union_rest: set[str] = set()
-    for branch in frontier.branches[1:]:
-        union_rest.update(branch)
+    union_rest = set().union(*frontier.branches[1:])
     kept = tuple(nid for nid in frontier.branches[0] if nid not in union_rest)
     return Frontier((kept,))
 
@@ -181,19 +172,12 @@ def execute(
     frontier = Frontier((start_ids,))
     trace: list[StepRecord] = []
     for step in typed_program.steps:
-        sizes_in = tuple(len(b) for b in frontier.branches)
-        edges: tuple[Edge, ...] = ()
+        inputs = frontier.branches
         if isinstance(step, TypeSeed):
             pass  # the frontier is already the kind extent
         elif isinstance(step, Traverse):
-            new_branches = []
-            collected: list[Edge] = []
-            for branch in frontier.branches:
-                out, branch_edges = _traverse_branch(graph, branch, step.rel)
-                new_branches.append(out)
-                collected.extend(branch_edges)
-            frontier = Frontier(tuple(new_branches), frontier.labels)
-            edges = tuple(sorted(set(collected)))
+            frontier = Frontier(tuple(graph.successors(branch, step.rel)
+                                      for branch in inputs))
         elif isinstance(step, Filter):
             frontier = step_filter(graph, frontier, step.keyword)
         elif isinstance(step, Select):
@@ -205,9 +189,9 @@ def execute(
         else:
             raise TypeError(f"not a path step: {step!r}")
         trace.append(StepRecord(
-            step=step, input_sizes=sizes_in,
+            step=step, input_sizes=tuple(len(b) for b in inputs),
             output_sizes=tuple(len(b) for b in frontier.branches),
-            edges=edges,
+            inputs=inputs, graph=graph,
         ))
 
     if len(frontier.branches) == 1:
@@ -215,10 +199,7 @@ def execute(
     else:
         # A select not followed by an operator leaves several branches;
         # the answer set is their union.
-        merged: set[str] = set()
-        for branch in frontier.branches:
-            merged.update(branch)
-        answer_ids = graph.sort_ids(merged)
+        answer_ids = graph.sort_ids(set().union(*frontier.branches))
 
     return ExecutionResult(
         answers=tuple(graph.node(nid) for nid in answer_ids),

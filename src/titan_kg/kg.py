@@ -214,18 +214,18 @@ class KnowledgeGraph:
         self._edges: tuple[tuple[str, str, str], ...] = tuple(sorted(edge_set))
         self.skipped = skipped
 
-        # Every id's position in (kind, name, id) order; every id sort
-        # keys on this rank.
+        # Every id's rank in (kind, name, id) order (the keys end in the
+        # unique id, so they sort as they are); an id sort is an int sort.
         self._order: tuple[str, ...] = tuple(
-            sorted(self._nodes, key=lambda nid: self._nodes[nid].sort_key))
+            key[2] for key in sorted(node.sort_key for node in self._nodes.values()))
         self._rank: dict[str, int] = {nid: i for i, nid in enumerate(self._order)}
-        by_rank = self._rank.__getitem__
-        out: dict[tuple[str, str], list[str]] = {}
+        # relation -> source id -> ascending target ranks.
+        self._out: dict[str, dict[str, list[int]]] = {}
         for src, rel, dst in self._edges:
-            out.setdefault((src, rel), []).append(dst)
-        self._out: dict[tuple[str, str], tuple[str, ...]] = {
-            key: tuple(sorted(set(dsts), key=by_rank)) for key, dsts in out.items()
-        }
+            self._out.setdefault(rel, {}).setdefault(src, []).append(self._rank[dst])
+        for by_src in self._out.values():
+            for ranks in by_src.values():
+                ranks.sort()
         # Walking the nodes in rank order keeps both indexes sorted.
         by_kind: dict[EntityKind, list[str]] = {kind: [] for kind in EntityKind}
         by_name: dict[str, list[str]] = {}
@@ -253,7 +253,13 @@ class KnowledgeGraph:
         return self._by_kind[kind]
 
     def out(self, node_id: str, rel: str) -> tuple[str, ...]:
-        return self._out.get((node_id, rel), ())
+        return self.successors((node_id,), rel)
+
+    def successors(self, ids: Iterable[str], rel: str) -> tuple[str, ...]:
+        """Distinct targets of ``rel`` edges from ``ids``, in (kind, name, id) order."""
+        adjacency = self._out.get(rel, {})
+        ranks: set[int] = set().union(*(adjacency.get(nid, ()) for nid in ids))
+        return tuple(map(self._order.__getitem__, sorted(ranks)))
 
     def find_by_name(self, name: str) -> tuple[str, ...]:
         """Node ids whose name or alias equals ``name`` (case-insensitive)."""
@@ -272,7 +278,8 @@ class KnowledgeGraph:
 
     def sort_ids(self, ids: Iterable[str]) -> tuple[str, ...]:
         """Distinct ids in (kind, name, id) order."""
-        return tuple(sorted(set(ids), key=self._rank.__getitem__))
+        rank = self._rank
+        return tuple(map(self._order.__getitem__, sorted({rank[nid] for nid in ids})))
 
     # --- snapshot interface ---
 

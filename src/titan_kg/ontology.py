@@ -166,9 +166,6 @@ class RelationRegistry:
     def aliases(self) -> dict[str, str]:
         return dict(self._aliases)
 
-    def is_canonical(self, token: str) -> bool:
-        return token in self._names
-
     def signature_of(self, source_kind: EntityKind, token: str) -> RelationSignature:
         """Unique signature for (source kind, canonical token)."""
         sig = self._by_key.get((source_kind, token))

@@ -6,8 +6,6 @@ deployment can swap it without touching request logic.
 
 from .ontology import RelationRegistry
 
-PROMPT_VERSION = "v1"
-
 PLANNER_SYSTEM_PROMPT_V1 = """\
 You turn cyber threat intelligence questions into executable graph paths.
 

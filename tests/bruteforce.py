@@ -72,10 +72,13 @@ def _same_name(node: dict, name: str) -> bool:
     return any(" ".join(a.casefold().split()) == wanted for a in node["aliases"])
 
 
-def brute_execute(nodes: dict, edges: list, steps: list, start_ids=None) -> set:
+def brute_execute(nodes: dict, edges: list, steps: list, start_ids=None,
+                  walked: list | None = None) -> set:
     """Final answer ids of a path, computed naively.
 
     Every traversal rescans the full edge list; branches are plain sets.
+    When ``walked`` is a list, each relation step appends the set of
+    (src, rel, dst) edges it followed from any branch.
     Raises ValueError for an unresolvable select name.
     """
     if steps and steps[0][0] == "seed":
@@ -90,6 +93,9 @@ def brute_execute(nodes: dict, edges: list, steps: list, start_ids=None) -> set:
         op = step[0]
         if op == "rel":
             rel = step[1]
+            if walked is not None:
+                walked.append({(src, r, dst) for (src, r, dst) in edges
+                               if r == rel and any(src in b for b in branches)})
             branches = [
                 {dst for (src, r, dst) in edges if r == rel and src in branch}
                 for branch in branches

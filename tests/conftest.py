@@ -3,6 +3,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from titan_kg.datagen import load_templates
 from titan_kg.kg import BuildOptions, build_graph, parse_stix_bundle
@@ -11,6 +12,12 @@ from titan_kg.ontology import build_default_registry
 from scalegen import build_scale_bundle
 
 FIXTURE_BUNDLE = Path(__file__).parent / "fixtures" / "fixture_bundle.json"
+
+# Property tests draw the same examples on every run, keep no example
+# database, and set no per-example deadline, so the suite stays reproducible
+# on a loaded machine.
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

@@ -56,6 +56,36 @@ def test_exec_fig_l4_path(snapshot, capsys):
     assert "path\t<PATH> attributed_to_intrusion_set" in captured.out
 
 
+def test_exec_prints_full_trace(snapshot, capsys):
+    code = main(["exec", "--snapshot", str(snapshot),
+                 "--path", "attributed_to → uses_malware → uses_attack_pattern → mitigated_by",
+                 "--start", "Unitronics Defacement Campaign"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == (
+        "path\t<PATH> attributed_to_intrusion_set <SEP> uses_malware <SEP> "
+        "uses_attack_pattern <SEP> mitigated_by_course_of_action </PATH>\n"
+        "answers\t2\n"
+        "  course-of-action\tBehavior Prevention on Endpoint\tcourse-of-action--0002\n"
+        "  course-of-action\tUser Training\tcourse-of-action--0001\n"
+        "start\t1\tcampaign--0001\n"
+        "trace\n"
+        "  step 1\tattributed_to_intrusion_set\tin=1\tout=1\tedges=1\n"
+        "    Unitronics Defacement Campaign --attributed_to_intrusion_set--> Sandworm Team\n"
+        "  step 2\tuses_malware\tin=1\tout=2\tedges=2\n"
+        "    Sandworm Team --uses_malware--> Sys10\n"
+        "    Sandworm Team --uses_malware--> MarkiRAT\n"
+        "  step 3\tuses_attack_pattern\tin=2\tout=2\tedges=3\n"
+        "    Sys10 --uses_attack_pattern--> Spearphishing Attachment\n"
+        "    Sys10 --uses_attack_pattern--> Process Injection\n"
+        "    MarkiRAT --uses_attack_pattern--> Process Injection\n"
+        "  step 4\tmitigated_by_course_of_action\tin=2\tout=2\tedges=2\n"
+        "    Spearphishing Attachment --mitigated_by_course_of_action--> User Training\n"
+        "    Process Injection --mitigated_by_course_of_action--> "
+        "Behavior Prevention on Endpoint\n"
+    )
+
+
 def test_exec_unknown_start_is_one_line_error(snapshot, capsys):
     code = main(["exec", "--snapshot", str(snapshot),
                  "--path", "uses_attack_pattern", "--start", "NoSuchThing"])
@@ -244,6 +274,30 @@ def test_eval_prediction_not_object_is_one_line_error(snapshot, tmp_path, capsys
     assert _eval_with_predictions(snapshot, tmp_path, line) == 1
     err = _one_line_error(capsys, "MalformedInput: ")
     assert "preds.jsonl line 1" in err
+
+
+@pytest.mark.parametrize("line", ["{not json", '{"question": "q"}'])
+def test_ask_malformed_dataset_is_one_line_error(snapshot, tmp_path, capsys, line):
+    dataset = tmp_path / "bad.jsonl"
+    dataset.write_text(line + "\n", "utf-8")
+    code = main(["ask", "--snapshot", str(snapshot), "--question", "q",
+                 "--planner", "mock", "--dataset", str(dataset)])
+    assert code == 1
+    err = _one_line_error(capsys, "MalformedInput: ")
+    assert "bad.jsonl line 1" in err
+
+
+@pytest.mark.parametrize("line", ["{not json", '{"question": "q"}'])
+def test_eval_malformed_dataset_is_one_line_error(tmp_path, capsys, line):
+    dataset = tmp_path / "bad.jsonl"
+    dataset.write_text('{"question": "a", "path": "is_malware_type"}\n' + line + "\n",
+                       "utf-8")
+    predictions = tmp_path / "preds.jsonl"
+    predictions.write_text('{"path": "is_malware_type"}\n' * 2, "utf-8")
+    code = main(["eval", "--dataset", str(dataset), "--predictions", str(predictions)])
+    assert code == 1
+    err = _one_line_error(capsys, "MalformedInput: ")
+    assert "bad.jsonl line 2" in err
 
 
 def test_census_snapshot_directory_is_one_line_error(tmp_path, capsys):

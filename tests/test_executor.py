@@ -12,7 +12,6 @@ from titan_kg.executor import (
     step_exec_difference,
     step_filter,
     step_select,
-    step_traverse,
 )
 from titan_kg.kg import KnowledgeGraph, Node
 from titan_kg.ontology import EntityKind
@@ -77,20 +76,19 @@ def test_filter_path_fig_fixture(fixture_graph, registry):
 
 
 def test_traverse_step_union_and_order(fixture_graph):
-    frontier = Frontier(((SYS10,),))
-    out = step_traverse(fixture_graph, frontier, "uses_attack_pattern")
+    out = fixture_graph.successors((SYS10,), "uses_attack_pattern")
     # Sorted by (kind, name, id): "Process Injection" < "Spearphishing ...".
-    assert out.branches == ((AP2, AP1),)
+    assert out == (AP2, AP1)
 
 
 def test_traverse_empty_frontier(fixture_graph):
-    out = step_traverse(fixture_graph, Frontier(((),)), "uses_attack_pattern")
-    assert out.branches == ((),)
+    out = fixture_graph.successors((), "uses_attack_pattern")
+    assert out == ()
 
 
 def test_traverse_reverse_direction(fixture_graph):
-    out = step_traverse(fixture_graph, Frontier(((AP1,),)), "used_by_malware")
-    assert set(out.branches[0]) == {SYS10}
+    out = fixture_graph.successors((AP1,), "used_by_malware")
+    assert set(out) == {SYS10}
 
 
 def test_filter_keeps_tagged_nodes(fixture_graph):
@@ -120,7 +118,6 @@ def test_select_orders_branches_by_name_order(fixture_graph):
     frontier = Frontier((fixture_graph.nodes_of_kind(EntityKind.MALWARE),))
     out = step_select(fixture_graph, frontier, ("Sys10", "MarkiRAT"))
     assert out.branches == ((SYS10,), (MARKIRAT,))
-    assert out.labels == ("Sys10", "MarkiRAT")
 
 
 def test_select_alias_resolution(fixture_graph):
@@ -185,9 +182,9 @@ def test_inverse_round_trip_property(fixture_graph, registry):
     for src, rel, _ in fixture_graph.all_edges():
         kind = fixture_graph.node(src).kind
         inverse = registry.inverse_of(kind, rel)
-        frontier = step_traverse(fixture_graph, Frontier(((src,),)), rel)
-        back = step_traverse(fixture_graph, frontier, inverse)
-        assert src in back.branches[0], (src, rel)
+        frontier = fixture_graph.successors((src,), rel)
+        back = fixture_graph.successors(frontier, inverse)
+        assert src in back, (src, rel)
 
 
 def test_trace_records_steps_and_edges(fixture_graph, registry):
@@ -258,3 +255,28 @@ def test_select_shared_name_keeps_frontier_order():
     assert frontier.branches[0] == ("malware--b", "malware--c", "malware--a")
     out = step_select(graph, frontier, ("TWIN", "other"))
     assert out.branches == (("malware--b", "malware--a"), ("malware--c",))
+
+
+def test_result_text_pins_trace_edges(fixture_graph, registry):
+    result = _run(fixture_graph, registry,
+                  "is_malware_type → select Sys10 MarkiRAT → uses_attack_pattern → exec_difference")
+    head = (
+        "answers\t1\n"
+        "  attack-pattern\tSpearphishing Attachment\tattack-pattern--0001\n"
+        "start\t4\tmalware--0003 malware--0004 malware--0002 malware--0001\n"
+        "trace\n"
+        "  step 1\tis_malware_type\tin=4\tout=4\tedges=0\n"
+        "  step 2\tselect Sys10 MarkiRAT\tin=4\tout=1,1\tedges=0\n"
+        "  step 3\tuses_attack_pattern\tin=1,1\tout=2,1\tedges=3\n"
+    )
+    tail = "  step 4\texec_difference\tin=2,1\tout=1\tedges=0\n"
+    assert result.to_text(fixture_graph) == head + (
+        "    Sys10 --uses_attack_pattern--> Spearphishing Attachment\n"
+        "    Sys10 --uses_attack_pattern--> Process Injection\n"
+        "    MarkiRAT --uses_attack_pattern--> Process Injection\n"
+    ) + tail
+    assert result.to_text() == head + (
+        "    malware--0001 --uses_attack_pattern--> attack-pattern--0001\n"
+        "    malware--0001 --uses_attack_pattern--> attack-pattern--0002\n"
+        "    malware--0002 --uses_attack_pattern--> attack-pattern--0002\n"
+    ) + tail
