@@ -19,7 +19,7 @@ from .errors import (
     TitanError,
     UnparseablePlan,
 )
-from .eval import EvalRecord, aggregate_report, bleu, exact_match, raw_match, rouge_1, rouge_l
+from .eval import aggregate_report, score_predictions
 from .executor import ExecutionResult, execute
 from .kg import (
     BuildOptions,
@@ -257,39 +257,10 @@ def _prediction(path: str, lineno: int, line: str) -> dict:
 
 
 def cmd_eval(args) -> int:
-    registry = build_default_registry()
     references = _load_dataset(args.dataset)
-    pred_lines = [(lineno, line) for lineno, line in
-                  enumerate(_read_text(args.predictions).splitlines(), 1) if line.strip()]
-    if len(pred_lines) != len(references):
-        raise TitanError(f"predictions ({len(pred_lines)}) and dataset "
-                         f"({len(references)}) have different lengths")
-    records = []
-    for index, (ref, (lineno, line)) in enumerate(zip(references, pred_lines)):
-        pred = _prediction(args.predictions, lineno, line)
-        ref_program = parse_path(ref.path, registry)
-        em = em_raw = 0
-        pred_program = None
-        try:
-            pred_program = parse_path(pred.get("path") or "", registry)
-        except TitanError:
-            pass  # a missing, null or unparseable path scores as a miss
-        if pred_program is not None:
-            em = exact_match(pred_program, ref_program)
-            em_raw = raw_match(pred_program, ref_program)
-        pred_cot = pred.get("cot") or ""
-        has_text = bool(pred_cot and ref.cot)
-        records.append(EvalRecord(
-            bucket=ref.bucket, operators=frozenset(ref.operators),
-            em=em, em_raw=em_raw,
-            rouge_l=rouge_l(pred_cot, ref.cot) if has_text else None,
-            rouge_1=rouge_1(pred_cot, ref.cot) if has_text else None,
-            bleu=bleu(pred_cot, ref.cot) if has_text else None,
-            sample_index=index,
-            predicted_path=(render_path(pred_program, "token")
-                            if pred_program is not None else ""),
-            reference_path=render_path(ref_program, "token"),
-        ))
+    predictions = [_prediction(args.predictions, lineno, line) for lineno, line in
+                   enumerate(_read_text(args.predictions).splitlines(), 1) if line.strip()]
+    records = score_predictions(references, predictions, build_default_registry())
     report = aggregate_report(records)
     print(report.to_text(), end="")
     if args.out:

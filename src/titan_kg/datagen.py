@@ -20,9 +20,9 @@ import json
 import logging
 import random
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Protocol
+from typing import Iterable
 
 from .errors import MalformedInput, TemplateSchemaError, TitanError
 from .executor import execute
@@ -96,16 +96,20 @@ class Sample:
 
     @classmethod
     def from_json(cls, line: str) -> "Sample":
+        """One dataset line; a field of the wrong JSON type raises TypeError."""
         rec = json.loads(line)
         bucket = rec.get("bucket") or {}
-        return cls(
-            question=rec["question"], cot=rec.get("cot", ""), path=rec["path"],
-            start_entities=tuple(rec.get("start_entities", ())),
-            answers=tuple(rec.get("answers", ())),
-            template_id=rec.get("template_id", ""),
-            bucket=bucket.get("length", ""),
-            operators=tuple(bucket.get("operators", ())),
-        )
+        texts = {"question": rec["question"], "cot": rec.get("cot", ""), "path": rec["path"],
+                 "template_id": rec.get("template_id", ""), "bucket": bucket.get("length", "")}
+        lists = {"start_entities": rec.get("start_entities", []),
+                 "answers": rec.get("answers", []), "operators": bucket.get("operators", [])}
+        for name, value in texts.items():
+            if not isinstance(value, str):
+                raise TypeError(f"{name!r} is not a string")
+        for name, value in lists.items():
+            if not (isinstance(value, list) and set(map(type, value)) <= {str}):
+                raise TypeError(f"{name!r} is not a list of strings")
+        return cls(**texts, **{name: tuple(value) for name, value in lists.items()})
 
 
 @dataclass(frozen=True)
@@ -460,22 +464,3 @@ def load_dataset(text: str) -> list[Sample]:
             raise MalformedInput(f"line {lineno}: not a dataset sample "
                                  f"({type(exc).__name__}: {exc})") from exc
     return samples
-
-
-class ParaphraseClient(Protocol):
-    def paraphrase(self, text: str) -> str: ...
-
-
-def paraphrase_hook(sample: Sample, client: ParaphraseClient | None = None) -> Sample:
-    """Optionally reword the question; identity when no client is set.
-
-    The path and answers never change.  A failing client degrades to
-    identity with a warning instead of aborting generation.
-    """
-    if client is None:
-        return sample
-    try:
-        return replace(sample, question=client.paraphrase(sample.question))
-    except Exception as exc:
-        logger.warning("paraphrase client failed (%s); keeping original question", exc)
-        return sample

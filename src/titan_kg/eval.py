@@ -12,7 +12,11 @@ import math
 import string
 from collections import Counter
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
+from .datagen import Sample
+from .errors import TitanError
+from .ontology import RelationRegistry
 from .pathlang import (
     ExecCommon,
     ExecDifference,
@@ -21,6 +25,7 @@ from .pathlang import (
     Select,
     Traverse,
     TypeSeed,
+    parse_path,
     render_path,
 )
 
@@ -66,15 +71,20 @@ def raw_match(pred: PathProgram, ref: PathProgram) -> int:
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, 1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+    """Length of the longest common subsequence of two token lists.
+
+    Bit-parallel (Allison & Dix 1986; Hyyrö 2004): bit i of ``row`` is
+    position i of ``a``, and each token of ``b`` updates the whole row with
+    a few integer operations.  The set bits of the final row count the LCS.
+    """
+    masks: dict[str, int] = {}
+    for i, token in enumerate(a):
+        masks[token] = masks.get(token, 0) | (1 << i)
+    row = 0
+    for token in b:
+        x = masks.get(token, 0) | row
+        row = x & ~(x - ((row << 1) | 1))
+    return row.bit_count()
 
 
 def rouge_l(candidate: str, reference: str) -> float:
@@ -141,9 +151,41 @@ class EvalRecord:
     rouge_l: float | None = None
     rouge_1: float | None = None
     bleu: float | None = None
-    sample_index: int = -1
-    predicted_path: str = ""
-    reference_path: str = ""
+
+
+def score_predictions(references: Sequence[Sample],
+                      predictions: Sequence[Mapping[str, str | None]],
+                      registry: RelationRegistry) -> list[EvalRecord]:
+    """Score each prediction against the reference at the same position.
+
+    A prediction's "path" and "cot" are strings or absent/None.  A missing,
+    null or unparseable path scores as a miss; the text metrics are None
+    unless both CoTs are non-empty.
+    """
+    if len(predictions) != len(references):
+        raise TitanError(f"predictions ({len(predictions)}) and dataset "
+                         f"({len(references)}) have different lengths")
+    records = []
+    for ref, pred in zip(references, predictions):
+        ref_program = parse_path(ref.path, registry)
+        em = em_raw = 0
+        try:
+            pred_program = parse_path(pred.get("path") or "", registry)
+        except TitanError:
+            pass  # a missing, null or unparseable path scores as a miss
+        else:
+            em = exact_match(pred_program, ref_program)
+            em_raw = raw_match(pred_program, ref_program)
+        pred_cot = pred.get("cot") or ""
+        has_text = bool(pred_cot and ref.cot)
+        records.append(EvalRecord(
+            bucket=ref.bucket, operators=frozenset(ref.operators),
+            em=em, em_raw=em_raw,
+            rouge_l=rouge_l(pred_cot, ref.cot) if has_text else None,
+            rouge_1=rouge_1(pred_cot, ref.cot) if has_text else None,
+            bleu=bleu(pred_cot, ref.cot) if has_text else None,
+        ))
+    return records
 
 
 @dataclass(frozen=True)

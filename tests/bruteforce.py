@@ -7,6 +7,9 @@ executor's indexes, so agreement between the two is meaningful.
 Step encoding (plain tuples, no pathlang types):
     ("seed", kind_token) | ("rel", name) | ("filter", keyword)
     | ("select", [name, ...]) | ("common",) | ("diff",)
+
+``lcs_length`` is the textbook dynamic program for the longest common
+subsequence, the oracle for the bit-parallel LCS behind ROUGE-L.
 """
 
 from __future__ import annotations
@@ -132,3 +135,16 @@ def brute_execute(nodes: dict, edges: list, steps: list, start_ids=None,
     for branch in branches:
         answers |= branch
     return answers
+
+
+def lcs_length(a: list, b: list) -> int:
+    """Longest common subsequence length by the O(len(a) * len(b)) table."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, 1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[-1]

@@ -209,6 +209,58 @@ def test_eval_dataset_against_itself(snapshot, tmp_path, capsys):
         assert row["rouge_l"] == 1.0
 
 
+EVAL_ROTATED_STDOUT = """\
+bucket                 n      EM     R-L     R-1    BLEU
+--------------------------------------------------------
+L1                     6   0.000   0.636   0.650   0.395
+L2                    12   0.000   0.721   0.739   0.510
+L3                     2   0.000   0.738   0.760   0.528
+filter                 1   0.000   0.630   0.648   0.323
+select                 7   0.000   0.738   0.762   0.558
+exec_common            3   0.000   0.728   0.743   0.525
+exec_difference        4   0.000   0.745   0.776   0.582
+overall               20   0.000   0.697   0.714   0.477
+BERTScore: not computed
+"""
+
+EVAL_ROTATED_REPORT = """\
+{"bucket": "L3", "count": 2, "em": 0.0, "rouge_l": 0.7383168869856638, "rouge_1": 0.7596816235337926, "bleu": 0.5281455701908242}
+{"bucket": "exec_common", "count": 3, "em": 0.0, "rouge_l": 0.7282887123093983, "rouge_1": 0.7427170644547422, "bleu": 0.5253168535551568}
+{"bucket": "select", "count": 7, "em": 0.0, "rouge_l": 0.7377590915378535, "rouge_1": 0.7619529626239123, "bleu": 0.5578181786149768}
+{"bucket": "L2", "count": 12, "em": 0.0, "rouge_l": 0.7212317948693396, "rouge_1": 0.7388721003906195, "bleu": 0.5097034278585039}
+{"bucket": "L1", "count": 6, "em": 0.0, "rouge_l": 0.6363449397866369, "rouge_1": 0.6497106676616523, "bleu": 0.39542794885763444}
+{"bucket": "exec_difference", "count": 4, "em": 0.0, "rouge_l": 0.7448618759591947, "rouge_1": 0.7763798862507899, "bleu": 0.582194172409842}
+{"bucket": "filter", "count": 1, "em": 0.0, "rouge_l": 0.6296296296296297, "rouge_1": 0.6481481481481481, "bleu": 0.322599989009665}
+{"bucket": "overall", "count": 20, "em": 0.0, "rouge_l": 0.6974742475561613, "rouge_1": 0.7142046228862468, "bleu": 0.477264998391475}
+"""
+
+
+def test_eval_rotated_predictions_full_output(snapshot, tmp_path, capsys):
+    # Each prediction is the next row's path and CoT, so every path and
+    # CoT differs from its reference and every score is a partial overlap.
+    outdir = tmp_path / "dataset"
+    assert main(["gen", "--snapshot", str(snapshot), "--seed", "3",
+                 "--out", str(outdir)]) == 0
+    test_file = outdir / "test.jsonl"
+    rows = [json.loads(line) for line in test_file.read_text("utf-8").splitlines()]
+    predictions = tmp_path / "preds.jsonl"
+    predictions.write_text("".join(
+        json.dumps({"path": row["path"], "cot": row["cot"]}) + "\n"
+        for row in rows[1:] + rows[:1]), "utf-8")
+    report_out = tmp_path / "report.jsonl"
+    capsys.readouterr()
+    code = main(["eval", "--dataset", str(test_file),
+                 "--predictions", str(predictions), "--out", str(report_out)])
+    assert code == 0
+    assert capsys.readouterr().out == EVAL_ROTATED_STDOUT
+    # The operator rows come in the iteration order of a frozenset of
+    # strings, which follows the interpreter's hash seed, so only the
+    # lines, not their order, are compared.
+    report = report_out.read_text("utf-8")
+    assert report.endswith("\n")
+    assert sorted(report.splitlines()) == sorted(EVAL_ROTATED_REPORT.splitlines())
+
+
 def test_eval_length_mismatch_fails(snapshot, tmp_path, capsys):
     outdir = tmp_path / "dataset"
     assert main(["gen", "--snapshot", str(snapshot), "--seed", "3",
@@ -276,7 +328,18 @@ def test_eval_prediction_not_object_is_one_line_error(snapshot, tmp_path, capsys
     assert "preds.jsonl line 1" in err
 
 
-@pytest.mark.parametrize("line", ["{not json", '{"question": "q"}'])
+# Lines that are not a dataset sample: not JSON, a missing path, and fields
+# of the wrong JSON type.
+MALFORMED_SAMPLES = ["{not json", '{"question": "q"}',
+                     '{"question": 5, "path": "is_malware_type"}',
+                     '{"question": "q", "path": 7}',
+                     '{"question": "q", "path": "is_malware_type", "cot": 3}',
+                     '{"question": "q", "path": "is_malware_type", "answers": [1]}',
+                     '{"question": "q", "path": "is_malware_type", '
+                     '"bucket": {"length": "L1", "operators": [["select"]]}}']
+
+
+@pytest.mark.parametrize("line", MALFORMED_SAMPLES)
 def test_ask_malformed_dataset_is_one_line_error(snapshot, tmp_path, capsys, line):
     dataset = tmp_path / "bad.jsonl"
     dataset.write_text(line + "\n", "utf-8")
@@ -287,7 +350,7 @@ def test_ask_malformed_dataset_is_one_line_error(snapshot, tmp_path, capsys, lin
     assert "bad.jsonl line 1" in err
 
 
-@pytest.mark.parametrize("line", ["{not json", '{"question": "q"}'])
+@pytest.mark.parametrize("line", MALFORMED_SAMPLES)
 def test_eval_malformed_dataset_is_one_line_error(tmp_path, capsys, line):
     dataset = tmp_path / "bad.jsonl"
     dataset.write_text('{"question": "a", "path": "is_malware_type"}\n' + line + "\n",

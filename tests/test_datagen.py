@@ -4,14 +4,12 @@ import pytest
 
 from titan_kg.datagen import (
     DatasetConfig,
-    Sample,
     dataset_to_jsonl,
     default_template_text,
     generate_dataset,
     instantiate_template,
     load_dataset,
     load_templates,
-    paraphrase_hook,
     synthesize_cot,
 )
 from titan_kg.errors import TemplateSchemaError
@@ -254,44 +252,6 @@ def test_dataset_jsonl_round_trip(fixture_graph, registry, core_templates):
     text = dataset_to_jsonl(split.train)
     reloaded = load_dataset(text)
     assert list(reloaded) == list(split.train)
-
-
-def test_paraphrase_hook_identity_without_client():
-    sample = Sample(question="q?", cot="c", path="<PATH> is_malware_type </PATH>",
-                    start_entities=(), answers=("A",), template_id="t",
-                    bucket="L1", operators=())
-    assert paraphrase_hook(sample) is sample
-
-
-def test_paraphrase_hook_with_stub_client():
-    sample = Sample(question="which techniques?", cot="c",
-                    path="<PATH> is_malware_type </PATH>",
-                    start_entities=(), answers=("A",), template_id="t",
-                    bucket="L1", operators=())
-
-    class Upper:
-        def paraphrase(self, text):
-            return text.upper()
-
-    reworded = paraphrase_hook(sample, Upper())
-    assert reworded.question == "WHICH TECHNIQUES?"
-    assert reworded.path == sample.path
-    assert reworded.answers == sample.answers
-
-
-def test_paraphrase_hook_falls_back_on_failure(caplog):
-    sample = Sample(question="q?", cot="c", path="<PATH> is_malware_type </PATH>",
-                    start_entities=(), answers=("A",), template_id="t",
-                    bucket="L1", operators=())
-
-    class Broken:
-        def paraphrase(self, text):
-            raise RuntimeError("remote down")
-
-    with caplog.at_level("WARNING"):
-        result = paraphrase_hook(sample, Broken())
-    assert result == sample
-    assert any("paraphrase" in message for message in caplog.messages)
 
 
 def test_default_corpus_text_parses_as_jsonl():

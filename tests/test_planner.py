@@ -220,6 +220,7 @@ def stub_server():
     thread.start()
     yield handler, f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
 
 

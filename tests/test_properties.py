@@ -4,6 +4,9 @@ Graphs are small random typed graphs: a few nodes of each kind, with names
 drawn from a pool that repeats names across kinds and differs only in case
 or whitespace, and random edges that each fit a registry signature and come
 with their registry reverse.  Programs are random valid programs over them.
+
+The bit-parallel LCS behind ROUGE-L is checked against the dynamic program
+on random token lists long enough to span several 64-bit words.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from titan_kg.errors import SelectNameUnresolved
+from titan_kg.eval import _lcs_length
 from titan_kg.executor import execute
 from titan_kg.kg import KnowledgeGraph, Node
 from titan_kg.ontology import EntityKind, build_default_registry
@@ -28,7 +32,7 @@ from titan_kg.pathlang import (
     validate_program,
 )
 
-from bruteforce import brute_execute, steps_from_program, tables_from_graph
+from bruteforce import brute_execute, lcs_length, steps_from_program, tables_from_graph
 
 REGISTRY = build_default_registry()
 RELATIONS = sorted({sig.name for sig in REGISTRY.signatures})
@@ -48,6 +52,10 @@ KEYWORD = st.sampled_from(KEYWORDS)
 COMBINER = st.sampled_from((None, ExecCommon, ExecDifference))
 WALK = st.integers(0, 3)
 WALK_AFTER_SELECT = st.sampled_from((1, 2, 0))
+# A four-token alphabet, so tokens repeat and common subsequences are long.
+# The length is drawn first: a plain list strategy rarely grows past 64.
+TOKEN = st.sampled_from(("a", "b", "c", "uses_malware"))
+TOKEN_LISTS = st.integers(0, 200).flatmap(lambda n: st.lists(TOKEN, min_size=n, max_size=n))
 
 
 @st.composite
@@ -152,3 +160,8 @@ def test_successors_and_sort_ids_match_bruteforce(graph, data):
     expected = {dst for (src, r, dst) in graph.all_edges() if r == rel and src in ids}
     assert graph.successors(ids, rel) == tuple(_sorted_ids(graph, expected))
     assert graph.sort_ids(ids) == tuple(_sorted_ids(graph, ids))
+
+
+@given(a=TOKEN_LISTS, b=TOKEN_LISTS)
+def test_bit_parallel_lcs_matches_dynamic_program(a, b):
+    assert _lcs_length(a, b) == lcs_length(a, b)
