@@ -143,20 +143,16 @@ def _validate_for_start(graph: KnowledgeGraph, registry: RelationRegistry,
         return validate_program(program, registry), None
     if not start_ids:
         raise MissingStartKind("path needs start entities, none resolved")
-    tried = []
-    kinds = list(dict.fromkeys(graph.node(nid).kind for nid in start_ids))
-    last_error: TitanError | None = None
-    for kind in kinds:
+    # start_ids is not empty, so the loop runs and a failure sets last_error.
+    for kind in dict.fromkeys(graph.node(nid).kind for nid in start_ids):
         try:
             typed = validate_program(program, registry, start_kind=kind)
         except TitanError as exc:
-            tried.append(kind.value)
             last_error = exc
             continue
         keep = tuple(nid for nid in start_ids if graph.node(nid).kind is kind)
         return typed, keep
-    raise last_error if last_error is not None else MissingStartKind(
-        f"no usable start kind among {tried}")
+    raise last_error
 
 
 def cmd_exec(args) -> int:

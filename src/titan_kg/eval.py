@@ -241,7 +241,7 @@ def aggregate_report(records: list[EvalRecord]) -> BucketReport:
     groups: dict[str, list[EvalRecord]] = {}
     for rec in records:
         groups.setdefault(rec.bucket, []).append(rec)
-        for flag in rec.operators:
+        for flag in sorted(rec.operators):
             groups.setdefault(flag, []).append(rec)
     groups["overall"] = list(records)
 

@@ -13,9 +13,7 @@ import os
 import re
 import threading
 import time
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Protocol
 
 import requests
@@ -111,14 +109,18 @@ class MockPlanner:
         for sample in samples:
             self._index.setdefault(self._norm(sample.question), sample)
         self._keys = sorted(self._index)
-        self._sizes: list[int] = []
-        # token -> positions in self._keys of the questions holding it
-        self._postings: dict[str, list[int]] = {}
+        # Bit i of a mask stands for self._keys[i].  _masks maps a token to
+        # the questions holding it; _size_masks pairs each token-set size,
+        # ascending, with the questions of that size.
+        masks: dict[str, int] = {}
+        by_size: dict[int, int] = {}
         for i, key in enumerate(self._keys):
-            tokens = set(key.split())
-            self._sizes.append(len(tokens))
+            tokens, bit = set(key.split()), 1 << i
+            by_size[len(tokens)] = by_size.get(len(tokens), 0) | bit
             for token in tokens:
-                self._postings.setdefault(token, []).append(i)
+                masks[token] = masks.get(token, 0) | bit
+        self._masks = masks
+        self._size_masks = sorted(by_size.items())
 
     @staticmethod
     def _norm(question: str) -> str:
@@ -126,12 +128,34 @@ class MockPlanner:
 
     def _nearest(self, tokens: set[str]) -> int:
         """Position in ``self._keys`` of the question nearest ``tokens``."""
-        shared = Counter(chain.from_iterable(
-            self._postings.get(token, ()) for token in tokens))
-        n, sizes = len(tokens), self._sizes
+        # Bit-sliced counters: bit i of planes[j] is bit j of the number of
+        # tokens that self._keys[i] shares with the question.
+        planes: list[int] = []
+        for token in tokens:
+            carry = self._masks.get(token, 0)
+            for j, plane in enumerate(planes):
+                if not carry:
+                    break
+                planes[j], carry = plane ^ carry, plane & carry
+            if carry:
+                planes.append(carry)
+        weighted = [(1 << j, plane) for j, plane in enumerate(planes)][::-1]
+        n = len(tokens)
         best, best_score = 0, 0.0
-        for i, c in shared.items():
-            score = c / (n + sizes[i] - c)
+        for size, group in self._size_masks:
+            # At a fixed size the score c / (n + size - c) rises with the
+            # shared count c, so only the group's highest count can win;
+            # narrow the group to it, highest plane first.
+            c = 0
+            for weight, plane in weighted:
+                hit = group & plane
+                if hit:
+                    group, c = hit, c + weight
+            if not c:
+                continue
+            # The lowest set bit is the group's first such key in sorted order.
+            i = (group & -group).bit_length() - 1
+            score = c / (n + size - c)
             if score > best_score or (score == best_score and i < best):
                 best, best_score = i, score
         return best

@@ -253,12 +253,7 @@ def test_eval_rotated_predictions_full_output(snapshot, tmp_path, capsys):
                  "--predictions", str(predictions), "--out", str(report_out)])
     assert code == 0
     assert capsys.readouterr().out == EVAL_ROTATED_STDOUT
-    # The operator rows come in the iteration order of a frozenset of
-    # strings, which follows the interpreter's hash seed, so only the
-    # lines, not their order, are compared.
-    report = report_out.read_text("utf-8")
-    assert report.endswith("\n")
-    assert sorted(report.splitlines()) == sorted(EVAL_ROTATED_REPORT.splitlines())
+    assert report_out.read_text("utf-8") == EVAL_ROTATED_REPORT
 
 
 def test_eval_length_mismatch_fails(snapshot, tmp_path, capsys):

@@ -1,6 +1,11 @@
+import json
 import math
+import os
 import random
 import string
+import subprocess
+import sys
+from pathlib import Path
 
 from titan_kg.eval import (
     EvalRecord,
@@ -181,6 +186,29 @@ def test_operator_buckets_may_overlap():
     report = aggregate_report(records)
     assert report.rows["select"].count == 1
     assert report.rows["exec_common"].count == 1
+
+
+_REPORT_SCRIPT = """
+from titan_kg.eval import EvalRecord, aggregate_report
+records = [EvalRecord(bucket="L2", operators=frozenset({"filter", "select", "exec_common"}),
+                      em=1, em_raw=1, rouge_l=0.5)]
+print(aggregate_report(records).to_records(), end="")
+"""
+
+
+def test_report_records_do_not_depend_on_hash_seed():
+    import titan_kg
+    src = str(Path(titan_kg.__file__).resolve().parents[1])
+    outputs = set()
+    for hash_seed in ("1", "2", "3", "4"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", _REPORT_SCRIPT], env=env,
+                              capture_output=True, check=True, timeout=60)
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+    assert [json.loads(line)["bucket"] for line in outputs.pop().splitlines()] == [
+        "L2", "exec_common", "filter", "select", "overall"]
 
 
 def test_report_text_mentions_unavailable_bertscore():

@@ -3,6 +3,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given, strategies as st
 
 from titan_kg.datagen import DatasetConfig, Sample, generate_dataset
 from titan_kg.errors import PlannerUnavailable, UnparseablePlan
@@ -144,33 +145,88 @@ def test_mock_no_shared_token_returns_first_sorted_question(registry):
     assert response.cot == "Reasoning for alpha beta. <PATH> uses_attack_pattern </PATH>"
 
 
+def _linear_nearest(samples, question):
+    """Linear Jaccard scan: the indexed sample nearest ``question`` (the
+    first in sorted normalized order among equals) and whether it was a
+    guess; ``(None, True)`` for an empty index."""
+    index = {}
+    for sample in samples:
+        index.setdefault(" ".join(sample.question.casefold().split()), sample)
+    key = " ".join(question.casefold().split())
+    if key in index:
+        return index[key], False
+    query = set(key.split())
+    best_score, best = -1.0, None
+    for other in sorted(index):
+        bag = set(other.split())
+        score = len(query & bag) / len(query | bag)
+        if score > best_score:
+            best_score, best = score, index[other]
+    return best, True
+
+
+def _assert_plans_like_linear_scan(planner, samples, question):
+    response = planner.plan(PlannerRequest(question=question))
+    expected, guessed = _linear_nearest(samples, question)
+    assert response.guessed is guessed
+    if expected is None:
+        assert response.path is None
+        return
+    assert response.cot == expected.cot, question
+    assert render_path(response.path, "token") == expected.path
+    assert response.start_entities == expected.start_entities
+
+
 def test_mock_nearest_matches_linear_jaccard_scan(small_dataset, registry):
     planner = MockPlanner(small_dataset.train, registry)
-    index = {}
-    for sample in small_dataset.train:
-        index.setdefault(" ".join(sample.question.casefold().split()), sample)
-    bags = [(set(key.split()), index[key]) for key in sorted(index)]
-
-    def nearest(question):
-        key = " ".join(question.casefold().split())
-        if key in index:
-            return index[key], False
-        query = set(key.split())
-        best_score, best = -1.0, None
-        for bag, sample in bags:
-            score = len(query & bag) / len(query | bag)
-            if score > best_score:
-                best_score, best = score, sample
-        return best, True
-
     assert small_dataset.test
     for sample in small_dataset.test:
-        response = planner.plan(PlannerRequest(question=sample.question))
-        expected, guessed = nearest(sample.question)
-        assert response.guessed is guessed
-        assert response.cot == expected.cot, sample.question
-        assert render_path(response.path, "token") == expected.path
-        assert response.start_entities == expected.start_entities
+        _assert_plans_like_linear_scan(planner, small_dataset.train, sample.question)
+
+
+def test_mock_tie_across_token_set_sizes_goes_to_first_sorted_question(registry):
+    # "b c" shares 2 of 4 tokens (2/4) and "a b c d e f g h" shares 4 of
+    # 8 (4/8): equal scores from different set sizes and shared counts.
+    planner = MockPlanner([
+        _sample("b c", "<PATH> uses_malware </PATH>"),
+        _sample("a b c d e f g h", "<PATH> uses_attack_pattern </PATH>"),
+    ], registry)
+    response = planner.plan(PlannerRequest(question="a b c d"))
+    assert response.guessed is True
+    assert render_path(response.path, "token") == "<PATH> uses_attack_pattern </PATH>"
+
+
+# A small vocabulary, so that questions share many tokens (shared counts of
+# 8 and more), and words outside it, so that some asks share none.
+_VOCAB = [f"w{i}" for i in range(14)]
+_UNSEEN = ["zeta", "eta"]
+_PATHS = ["<PATH> uses_malware </PATH>", "<PATH> uses_attack_pattern </PATH>",
+          "<PATH> is_malware_type </PATH>"]
+
+
+def _question(bits, extra=()):
+    return " ".join([w for i, w in enumerate(_VOCAB) if bits >> i & 1] + list(extra))
+
+
+# The corpus size is drawn first so that most corpora span several 64-bit
+# words of the planner's bit masks.
+_CORPORA = st.integers(0, 300).flatmap(lambda n: st.lists(
+    st.integers(0, 2 ** len(_VOCAB) - 1), min_size=n, max_size=n))
+_ASKS = st.lists(st.tuples(st.integers(0, 2 ** len(_VOCAB) - 1),
+                           st.lists(st.sampled_from(_UNSEEN), max_size=2)),
+                 min_size=1, max_size=6)
+
+
+@given(corpus=_CORPORA, asks=_ASKS)
+def test_mock_plan_matches_linear_jaccard_scan_property(registry, corpus, asks):
+    samples = [_sample(_question(bits), _PATHS[i % len(_PATHS)])
+               for i, bits in enumerate(corpus)]
+    planner = MockPlanner(samples, registry)
+    questions = [_question(bits, extra) for bits, extra in asks]
+    questions += [s.question for s in samples[:2]]
+    for question in questions:
+        if question:
+            _assert_plans_like_linear_scan(planner, samples, question)
 
 
 def test_mock_empty_index_yields_no_path(registry):
