@@ -26,7 +26,6 @@ from .pathlang import (
     Traverse,
     TypeSeed,
     parse_path,
-    render_path,
 )
 
 LENGTH_BUCKETS = ("L1", "L2", "L3", "L4+")
@@ -63,11 +62,6 @@ def canonical_key(program: PathProgram) -> tuple:
 def exact_match(pred: PathProgram, ref: PathProgram) -> int:
     """1 iff the canonicalized programs are identical, else 0."""
     return int(canonical_key(pred) == canonical_key(ref))
-
-
-def raw_match(pred: PathProgram, ref: PathProgram) -> int:
-    """Byte equality of the rendered token forms, no case folding."""
-    return int(render_path(pred, "token") == render_path(ref, "token"))
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
@@ -147,7 +141,6 @@ class EvalRecord:
     bucket: str
     operators: frozenset[str]
     em: int
-    em_raw: int
     rouge_l: float | None = None
     rouge_1: float | None = None
     bleu: float | None = None
@@ -168,19 +161,18 @@ def score_predictions(references: Sequence[Sample],
     records = []
     for ref, pred in zip(references, predictions):
         ref_program = parse_path(ref.path, registry)
-        em = em_raw = 0
+        em = 0
         try:
             pred_program = parse_path(pred.get("path") or "", registry)
         except TitanError:
             pass  # a missing, null or unparseable path scores as a miss
         else:
             em = exact_match(pred_program, ref_program)
-            em_raw = raw_match(pred_program, ref_program)
         pred_cot = pred.get("cot") or ""
         has_text = bool(pred_cot and ref.cot)
         records.append(EvalRecord(
             bucket=ref.bucket, operators=frozenset(ref.operators),
-            em=em, em_raw=em_raw,
+            em=em,
             rouge_l=rouge_l(pred_cot, ref.cot) if has_text else None,
             rouge_1=rouge_1(pred_cot, ref.cot) if has_text else None,
             bleu=bleu(pred_cot, ref.cot) if has_text else None,

@@ -207,25 +207,26 @@ class KnowledgeGraph:
                 raise ValueError(f"node {node.id!r} has an empty name")
             self._nodes[node.id] = node
 
-        edge_set = set(edges)
-        for src, rel, dst in edge_set:
-            if src not in self._nodes or dst not in self._nodes:
-                raise ValueError(f"edge ({src}, {rel}, {dst}) references a missing node")
-        self._edges: tuple[tuple[str, str, str], ...] = tuple(sorted(edge_set))
+        # Sort, then drop duplicates: a snapshot's edges arrive sorted, which
+        # Timsort passes in linear time; a set would hand it hash order.
+        self._edges: tuple[tuple[str, str, str], ...] = tuple(dict.fromkeys(sorted(edges)))
         self.skipped = skipped
 
         # Every id's rank in (kind, name, id) order (the keys end in the
         # unique id, so they sort as they are); an id sort is an int sort.
         self._order: tuple[str, ...] = tuple(
             key[2] for key in sorted(node.sort_key for node in self._nodes.values()))
-        self._rank: dict[str, int] = {nid: i for i, nid in enumerate(self._order)}
+        rank = self._rank = {nid: i for i, nid in enumerate(self._order)}
         # relation -> source id -> ascending target ranks.
-        self._out: dict[str, dict[str, list[int]]] = {}
+        out: dict[str, dict[str, list[int]]] = {}
         for src, rel, dst in self._edges:
-            self._out.setdefault(rel, {}).setdefault(src, []).append(self._rank[dst])
-        for by_src in self._out.values():
+            if src not in rank or dst not in rank:
+                raise ValueError(f"edge ({src}, {rel}, {dst}) references a missing node")
+            out.setdefault(rel, {}).setdefault(src, []).append(rank[dst])
+        for by_src in out.values():
             for ranks in by_src.values():
                 ranks.sort()
+        self._out = out
         # Walking the nodes in rank order keeps both indexes sorted.
         by_kind: dict[EntityKind, list[str]] = {kind: [] for kind in EntityKind}
         by_name: dict[str, list[str]] = {}
@@ -303,29 +304,34 @@ class KnowledgeGraph:
         lines = text.splitlines()
         if not lines or lines[0] != SNAPSHOT_HEADER:
             raise MalformedBundle("not a graph snapshot (bad header line)")
+        decode = json.JSONDecoder().decode
         nodes: list[Node] = []
         edges: list[tuple[str, str, str]] = []
         for lineno, line in enumerate(lines[1:], 2):
-            if not line.strip():
-                continue
             parts = line.split("\t")
             try:
-                if parts[0] == "NODE" and len(parts) == 7:
-                    _, nid, kind, name, aliases, tags, desc = parts
-                    nodes.append(Node(
-                        id=nid, kind=KIND_BY_TOKEN[kind],
-                        name=json.loads(name),
-                        aliases=tuple(json.loads(aliases)),
-                        tags=tuple(json.loads(tags)),
-                        description=json.loads(desc),
-                    ))
-                elif parts[0] == "EDGE" and len(parts) == 4:
+                if parts[0] == "EDGE" and len(parts) == 4:
                     edges.append((parts[1], parts[2], parts[3]))
-                else:
+                elif parts[0] == "NODE" and len(parts) == 7:
+                    _, nid, kind, name, aliases, tags, desc = parts
+                    name, aliases, tags, desc = (
+                        decode(name), decode(aliases), decode(tags), decode(desc))
+                    if not (isinstance(name, str) and isinstance(desc, str)
+                            and isinstance(aliases, list) and isinstance(tags, list)
+                            and set(map(type, aliases + tags)) <= {str}):
+                        raise ValueError("name and description must be strings, "
+                                         "aliases and tags lists of strings")
+                    nodes.append(Node(id=nid, kind=KIND_BY_TOKEN[kind], name=name,
+                                      aliases=tuple(aliases), tags=tuple(tags),
+                                      description=desc))
+                elif line.strip():
                     raise ValueError("unrecognized record")
-            except (ValueError, KeyError, json.JSONDecodeError) as exc:
+            except (ValueError, KeyError) as exc:
                 raise MalformedBundle(f"snapshot line {lineno}: {exc}") from exc
-        return cls(nodes, edges)
+        try:
+            return cls(nodes, edges)
+        except ValueError as exc:
+            raise MalformedBundle(f"snapshot: {exc}") from exc
 
 
 def build_graph(

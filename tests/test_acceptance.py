@@ -341,7 +341,6 @@ def test_acceptance_6_mock_end_to_end(scale_graph, registry, scale_dataset):
         records.append(EvalRecord(
             bucket=sample.bucket, operators=frozenset(sample.operators),
             em=exact_match(program, reference),
-            em_raw=int(render_path(program, "token") == sample.path),
             rouge_l=rouge_l(cot or "", sample.cot),
             rouge_1=rouge_1(cot or "", sample.cot),
             bleu=bleu(cot or "", sample.cot),
@@ -415,8 +414,7 @@ def test_acceptance_8_degradation_sanity(registry, scale_dataset):
                 corrupted_in_bucket.get(sample.bucket, 0) + 1
         records.append(EvalRecord(bucket=sample.bucket,
                                   operators=frozenset(sample.operators),
-                                  em=exact_match(predicted, reference),
-                                  em_raw=0))
+                                  em=exact_match(predicted, reference)))
     report = aggregate_report(records)
     global_em = report.rows["overall"].em
     assert abs(global_em - 0.80) <= 0.02

@@ -380,3 +380,37 @@ def test_snapshot_not_utf8_is_one_line_error(tmp_path, capsys):
     assert main(["census", "--snapshot", str(snap)]) == 1
     err = _one_line_error(capsys, "MalformedInput: ")
     assert "binary.snap" in err
+
+
+def _census_of_edited_snapshot(snapshot, edit) -> int:
+    lines = snapshot.read_text("utf-8").splitlines()
+    snapshot.write_text("\n".join(edit(lines)) + "\n", "utf-8")
+    return main(["census", "--snapshot", str(snapshot)])
+
+
+def test_snapshot_duplicate_node_id_is_one_line_error(snapshot, capsys):
+    code = _census_of_edited_snapshot(snapshot, lambda lines: [*lines, lines[1]])
+    assert code == 1
+    err = _one_line_error(capsys, "MalformedBundle: ")
+    assert "duplicate node id 'asset--linux'" in err
+
+
+def test_snapshot_edge_to_missing_node_is_one_line_error(snapshot, capsys):
+    code = _census_of_edited_snapshot(
+        snapshot, lambda lines: [*lines, "EDGE\tasset--linux\ttargeted_by\tmalware--gone"])
+    assert code == 1
+    err = _one_line_error(capsys, "MalformedBundle: ")
+    assert "(asset--linux, targeted_by, malware--gone)" in err
+
+
+@pytest.mark.parametrize("field, value", [(3, "5"), (4, "[5]")])
+def test_snapshot_node_field_of_wrong_type_is_one_line_error(snapshot, capsys, field, value):
+    def edit(lines):
+        parts = lines[1].split("\t")
+        parts[field] = value
+        return [lines[0], "\t".join(parts), *lines[2:]]
+
+    code = _census_of_edited_snapshot(snapshot, edit)
+    assert code == 1
+    err = _one_line_error(capsys, "MalformedBundle: ")
+    assert "snapshot line 2:" in err

@@ -12,7 +12,6 @@ from titan_kg.eval import (
     aggregate_report,
     bleu,
     exact_match,
-    raw_match,
     rouge_1,
     rouge_l,
     tokenize,
@@ -24,7 +23,6 @@ def test_exact_match_identical():
     a = parse_path("uses_attack_pattern → mitigated_by_course_of_action")
     b = parse_path("uses_attack_pattern → mitigated_by_course_of_action")
     assert exact_match(a, b) == 1
-    assert raw_match(a, b) == 1
 
 
 def test_exact_match_after_alias_canonicalization():
@@ -50,7 +48,6 @@ def test_exact_match_case_insensitive_operands():
     a = parse_path("is_malware_type → select Sys10 MarkiRAT → uses_attack_pattern → exec_common")
     b = parse_path("is_malware_type → select sys10 markirat → uses_attack_pattern → exec_common")
     assert exact_match(a, b) == 1
-    assert raw_match(a, b) == 0  # raw comparison keeps case
 
 
 def test_exact_match_symmetry_and_reflexivity():
@@ -150,7 +147,7 @@ def test_metrics_ignore_trailing_whitespace():
 
 def _record(bucket, em, operators=(), **metrics):
     return EvalRecord(bucket=bucket, operators=frozenset(operators), em=em,
-                      em_raw=em, **metrics)
+                      **metrics)
 
 
 def test_aggregate_single_record():
@@ -191,7 +188,7 @@ def test_operator_buckets_may_overlap():
 _REPORT_SCRIPT = """
 from titan_kg.eval import EvalRecord, aggregate_report
 records = [EvalRecord(bucket="L2", operators=frozenset({"filter", "select", "exec_common"}),
-                      em=1, em_raw=1, rouge_l=0.5)]
+                      em=1, rouge_l=0.5)]
 print(aggregate_report(records).to_records(), end="")
 """
 

@@ -7,6 +7,10 @@ with their registry reverse.  Programs are random valid programs over them.
 
 The bit-parallel LCS behind ROUGE-L is checked against the dynamic program
 on random token lists long enough to span several 64-bit words.
+
+Snapshot load is checked on the fixture graph's snapshot: any order of its
+records, with repeated EDGE lines, loads to the same graph, and a mutated
+snapshot either loads or raises a ``TitanError``.
 """
 
 from __future__ import annotations
@@ -16,10 +20,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from titan_kg.errors import SelectNameUnresolved
+from titan_kg.errors import SelectNameUnresolved, TitanError
 from titan_kg.eval import _lcs_length
 from titan_kg.executor import execute
-from titan_kg.kg import KnowledgeGraph, Node
+from titan_kg.kg import KnowledgeGraph, Node, build_graph, parse_stix_bundle
 from titan_kg.ontology import EntityKind, build_default_registry
 from titan_kg.pathlang import (
     ExecCommon,
@@ -33,6 +37,7 @@ from titan_kg.pathlang import (
 )
 
 from bruteforce import brute_execute, lcs_length, steps_from_program, tables_from_graph
+from conftest import FIXTURE_BUNDLE
 
 REGISTRY = build_default_registry()
 RELATIONS = sorted({sig.name for sig in REGISTRY.signatures})
@@ -56,6 +61,11 @@ WALK_AFTER_SELECT = st.sampled_from((1, 2, 0))
 # The length is drawn first: a plain list strategy rarely grows past 64.
 TOKEN = st.sampled_from(("a", "b", "c", "uses_malware"))
 TOKEN_LISTS = st.integers(0, 200).flatmap(lambda n: st.lists(TOKEN, min_size=n, max_size=n))
+SNAPSHOT = build_graph(parse_stix_bundle(FIXTURE_BUNDLE.read_bytes()), REGISTRY).export_snapshot()
+HEADER, *RECORDS = SNAPSHOT.splitlines()
+EDGE_LINES = [line for line in RECORDS if line.startswith("EDGE\t")]
+# Characters that matter to the framing or to JSON, and any others.
+CHAR = st.sampled_from('\t\n"[]{},:\\5x ') | st.characters()
 
 
 @st.composite
@@ -165,3 +175,36 @@ def test_successors_and_sort_ids_match_bruteforce(graph, data):
 @given(a=TOKEN_LISTS, b=TOKEN_LISTS)
 def test_bit_parallel_lcs_matches_dynamic_program(a, b):
     assert _lcs_length(a, b) == lcs_length(a, b)
+
+
+@given(data=st.data())
+def test_snapshot_loads_in_any_order_with_repeated_edges(data):
+    repeated = data.draw(st.lists(st.sampled_from(EDGE_LINES), max_size=10))
+    records = data.draw(st.permutations(RECORDS + repeated))
+    text = "\n".join([HEADER, *records]) + "\n"
+    assert KnowledgeGraph.load_snapshot(text).export_snapshot() == SNAPSHOT
+
+
+@given(data=st.data())
+def test_mutated_snapshot_loads_or_raises_titan_error(data):
+    lines = SNAPSHOT.splitlines()
+    where = st.integers(0, len(lines) - 1)
+    mutation = data.draw(st.sampled_from(("drop", "duplicate", "swap", "tab", "char")))
+    if mutation == "drop":
+        del lines[data.draw(where)]
+    elif mutation == "duplicate":
+        i = data.draw(where)
+        lines.insert(data.draw(where), lines[i])
+    elif mutation == "swap":
+        i, j = data.draw(where), data.draw(where)
+        lines[i], lines[j] = lines[j], lines[i]
+    text = "\n".join(lines) + "\n"
+    if mutation in ("tab", "char"):
+        positions = ([i for i, ch in enumerate(text) if ch == "\t"] if mutation == "tab"
+                     else range(len(text)))
+        i = data.draw(st.sampled_from(positions))
+        text = text[:i] + data.draw(CHAR) + text[i + 1:]
+    try:
+        KnowledgeGraph.load_snapshot(text)
+    except TitanError:
+        pass
