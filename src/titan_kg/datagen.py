@@ -452,9 +452,13 @@ def dataset_to_jsonl(samples: Iterable[Sample]) -> str:
 
 
 def load_dataset(text: str) -> list[Sample]:
-    """Samples of a JSONL dataset; a bad line raises MalformedInput naming it."""
+    """Samples of a JSONL dataset; a bad line raises MalformedInput naming it.
+
+    Records end at ``\n`` only: JSON leaves U+0085, U+2028 and U+2029
+    unescaped, and ``str.splitlines`` would break a record at them.
+    """
     samples = []
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         try:
             if line.strip():
                 samples.append(Sample.from_json(line))

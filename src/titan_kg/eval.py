@@ -108,7 +108,7 @@ def rouge_1(candidate: str, reference: str) -> float:
 
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*[tokens[i:] for i in range(n)]))
 
 
 def bleu(candidate: str, reference: str, max_n: int = 4) -> float:
@@ -128,7 +128,8 @@ def bleu(candidate: str, reference: str, max_n: int = 4) -> float:
     for n in range(1, effective_n + 1):
         cand_ngrams = _ngrams(cand, n)
         clipped = sum((cand_ngrams & _ngrams(ref, n)).values())
-        precision = clipped / sum(cand_ngrams.values()) if clipped else epsilon
+        # The candidate has len(cand) - n + 1 n-grams (n <= len(cand)).
+        precision = clipped / (len(cand) - n + 1) if clipped else epsilon
         log_sum += math.log(precision)
     brevity = 1.0 if len(cand) >= len(ref) else math.exp(1 - len(ref) / len(cand))
     return brevity * math.exp(log_sum / effective_n)

@@ -17,10 +17,17 @@ import logging
 import re
 import string
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import lru_cache
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import MalformedBundle, NoSuchSignature, UnknownSignature
-from .ontology import EntityKind, KIND_BY_TOKEN, RelationRegistry, build_default_registry
+from .ontology import (
+    KIND_BY_TOKEN,
+    EntityKind,
+    RelationRegistry,
+    RelationSignature,
+    build_default_registry,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -55,10 +62,18 @@ _COUNTRY_MARKERS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("israel", ("israel", "israeli")),
     ("united states", ("united states", "u.s.")),
 )
+# One scan finds every marker: the lookahead matches at each position
+# without consuming text, so overlapping markers ("united statesouth
+# korea") are all found.  At one position it reports only the first
+# alternative that matches, which is enough because no marker is a prefix
+# of another country's marker.
+_COUNTRY_RE = re.compile("(?=({}))".format(
+    "|".join(re.escape(m) for _, markers in _COUNTRY_MARKERS for m in markers)))
+_COUNTRY_OF = {m: tag for tag, markers in _COUNTRY_MARKERS for m in markers}
+_COUNTRY_RANK = {tag: i for i, (tag, _) in enumerate(_COUNTRY_MARKERS)}
 
 
-@dataclass(frozen=True)
-class RawStixObject:
+class RawStixObject(NamedTuple):
     """The slice of a STIX object this package cares about."""
 
     type: str
@@ -116,7 +131,7 @@ class EntityMention:
 def _as_str_tuple(value) -> tuple[str, ...]:
     if not isinstance(value, list):
         return ()
-    return tuple(str(v) for v in value if isinstance(v, str) and v)
+    return tuple(v for v in value if isinstance(v, str) and v)
 
 
 def parse_stix_bundle(data: bytes | str) -> list[RawStixObject]:
@@ -153,23 +168,24 @@ def parse_stix_bundle(data: bytes | str) -> list[RawStixObject]:
         obj_id = item.get("id")
         if not isinstance(obj_type, str) or not isinstance(obj_id, str) or not obj_id:
             raise MalformedBundle(f"object #{i} lacks a usable type/id")
-        aliases = _as_str_tuple(item.get("aliases")) + _as_str_tuple(item.get("x_mitre_aliases"))
-        seen = set()
-        deduped = tuple(a for a in aliases if not (a in seen or seen.add(a)))
+        get = item.get
+        aliases = _as_str_tuple(get("aliases")) + _as_str_tuple(get("x_mitre_aliases"))
+        # Positional, in field order: with keywords the call takes about
+        # three times as long.
         objects.append(RawStixObject(
-            type=obj_type,
-            id=obj_id,
-            name=str(item.get("name") or ""),
-            description=str(item.get("description") or ""),
-            aliases=deduped,
-            labels=_as_str_tuple(item.get("labels")) + _as_str_tuple(item.get("malware_types")),
-            platforms=_as_str_tuple(item.get("x_mitre_platforms")),
-            revoked=bool(item.get("revoked", False)),
-            deprecated=bool(item.get("x_mitre_deprecated", False)),
-            source_ref=str(item.get("source_ref") or ""),
-            target_ref=str(item.get("target_ref") or ""),
-            relationship_type=str(item.get("relationship_type") or ""),
-            data_source_ref=str(item.get("x_mitre_data_source_ref") or ""),
+            obj_type,
+            obj_id,
+            str(get("name") or ""),
+            str(get("description") or ""),
+            tuple(dict.fromkeys(aliases)) if aliases else (),
+            _as_str_tuple(get("labels")) + _as_str_tuple(get("malware_types")),
+            _as_str_tuple(get("x_mitre_platforms")),
+            bool(get("revoked", False)),
+            bool(get("x_mitre_deprecated", False)),
+            str(get("source_ref") or ""),
+            str(get("target_ref") or ""),
+            str(get("relationship_type") or ""),
+            str(get("x_mitre_data_source_ref") or ""),
         ))
     return objects
 
@@ -179,11 +195,12 @@ def _norm_name(text: str) -> str:
 
 
 def _country_tags(text: str) -> list[str]:
-    lowered = text.lower()
-    return [tag for tag, markers in _COUNTRY_MARKERS
-            if any(m in lowered for m in markers)]
+    """Tags whose markers occur in ``text``, in the marker table's order."""
+    found = {_COUNTRY_OF[m] for m in _COUNTRY_RE.findall(text.lower())}
+    return sorted(found, key=_COUNTRY_RANK.__getitem__)
 
 
+@lru_cache(maxsize=256)
 def _asset_id(platform: str) -> str:
     slug = re.sub(r"[^a-z0-9]+", "-", platform.lower()).strip("-")
     return f"asset--{slug}"
@@ -285,24 +302,26 @@ class KnowledgeGraph:
     # --- snapshot interface ---
 
     def export_snapshot(self) -> str:
+        # One encoder for every string (json.dumps builds one per call);
+        # arrays are joined as json.dumps writes a list of strings.
+        quote = json.JSONEncoder(ensure_ascii=False).encode
         lines = [SNAPSHOT_HEADER]
         for nid in self._order:
             n = self._nodes[nid]
-            lines.append("NODE\t{}\t{}\t{}\t{}\t{}\t{}".format(
-                n.id, n.kind.value,
-                json.dumps(n.name, ensure_ascii=False),
-                json.dumps(list(n.aliases), ensure_ascii=False),
-                json.dumps(list(n.tags), ensure_ascii=False),
-                json.dumps(n.description, ensure_ascii=False),
-            ))
-        for src, rel, dst in self._edges:
-            lines.append(f"EDGE\t{src}\t{rel}\t{dst}")
+            lines.append(f"NODE\t{n.id}\t{n.kind.value}\t{quote(n.name)}"
+                         f"\t[{', '.join(map(quote, n.aliases))}]"
+                         f"\t[{', '.join(map(quote, n.tags))}]\t{quote(n.description)}")
+        lines.extend(f"EDGE\t{src}\t{rel}\t{dst}" for src, rel, dst in self._edges)
         return "\n".join(lines) + "\n"
 
     @classmethod
     def load_snapshot(cls, text: str) -> "KnowledgeGraph":
-        lines = text.splitlines()
-        if not lines or lines[0] != SNAPSHOT_HEADER:
+        # Records end at "\n" only (a "\r" before it is dropped): JSON leaves
+        # U+0085, U+2028 and U+2029 unescaped, and str.splitlines breaks there.
+        if "\r" in text:
+            text = text.replace("\r\n", "\n")
+        lines = text.split("\n")
+        if lines[0] != SNAPSHOT_HEADER:
             raise MalformedBundle("not a graph snapshot (bad header line)")
         decode = json.JSONDecoder().decode
         nodes: list[Node] = []
@@ -349,34 +368,42 @@ def build_graph(
     """
     registry = registry or build_default_registry()
     options = options or BuildOptions()
-    objects = list(objects)
 
     nodes: dict[str, Node] = {}
     skipped: list[str] = []
+    # The later passes read only these; they keep the bundle's order.
+    relationships: list[RawStixObject] = []
+    components: list[RawStixObject] = []
+    techniques: list[RawStixObject] = []
     for obj in objects:
+        if obj.type == "relationship":
+            relationships.append(obj)
+            continue
         kind = STIX_TYPE_TO_KIND.get(obj.type)
         if kind is None:
             continue
+        if kind is EntityKind.DATA_COMPONENT:
+            components.append(obj)
+        elif kind is EntityKind.ATTACK_PATTERN:
+            techniques.append(obj)
         if options.drop_revoked and (obj.revoked or obj.deprecated):
             continue
         if not obj.name:
             skipped.append(f"node {obj.id}: empty name")
             continue
-        tag_pool = [t.lower() for t in obj.labels]
-        tag_pool += [p.lower() for p in obj.platforms]
-        tag_pool += _country_tags(obj.description + " " + " ".join(obj.aliases))
-        tags = tuple(sorted(set(t for t in tag_pool if t)))
+        tags = {t.lower() for t in (*obj.labels, *obj.platforms)}
+        tags.update(_country_tags(obj.description + " " + " ".join(obj.aliases)))
+        tags.discard("")
         nodes[obj.id] = Node(
             id=obj.id, name=obj.name, kind=kind,
-            aliases=obj.aliases, description=obj.description, tags=tags,
+            aliases=obj.aliases, description=obj.description, tags=tuple(sorted(tags)),
         )
 
     edges: set[tuple[str, str, str]] = set()
 
-    def add_edge(src: str, rel: str, dst: str) -> None:
-        inverse = registry.inverse_of(nodes[src].kind, rel)
-        edges.add((src, rel, dst))
-        edges.add((dst, inverse, src))
+    def add_edge(src: str, sig: RelationSignature, dst: str) -> None:
+        edges.add((src, sig.name, dst))
+        edges.add((dst, sig.inverse_name, src))
 
     def reject(message: str) -> None:
         if options.lenient:
@@ -384,9 +411,9 @@ def build_graph(
         else:
             raise UnknownSignature(message)
 
-    for obj in objects:
-        if obj.type != "relationship":
-            continue
+    # (STIX verb, source kind, target kind) -> the signature it was typed as.
+    typed: dict[tuple[str, EntityKind, EntityKind], RelationSignature] = {}
+    for obj in relationships:
         if not obj.relationship_type:
             reject(f"relationship {obj.id}: missing relationship_type")
             continue
@@ -394,48 +421,49 @@ def build_graph(
         if src is None or dst is None:
             skipped.append(f"relationship {obj.id}: endpoint missing or dropped")
             continue
-        verb = obj.relationship_type.replace("-", "_")
-        rel = f"{verb}_{dst.kind.slug}"
-        try:
-            sig = registry.signature_of(src.kind, rel)
-        except NoSuchSignature:
-            reject(f"relationship {obj.id}: no signature for "
-                   f"({src.kind.value}, {verb}, {dst.kind.value})")
-            continue
-        if sig.target_kind is not dst.kind:
-            reject(f"relationship {obj.id}: target kind mismatch for {rel}")
-            continue
-        add_edge(src.id, rel, dst.id)
+        sig = typed.get((obj.relationship_type, src.kind, dst.kind))
+        if sig is None:
+            verb = obj.relationship_type.replace("-", "_")
+            rel = f"{verb}_{dst.kind.slug}"
+            try:
+                sig = registry.signature_of(src.kind, rel)
+            except NoSuchSignature:
+                reject(f"relationship {obj.id}: no signature for "
+                       f"({src.kind.value}, {verb}, {dst.kind.value})")
+                continue
+            if sig.target_kind is not dst.kind:
+                reject(f"relationship {obj.id}: target kind mismatch for {rel}")
+                continue
+            typed[obj.relationship_type, src.kind, dst.kind] = sig
+        add_edge(src.id, sig, dst.id)
 
     # Data source -> data component containment.
-    for obj in objects:
-        if obj.type != "x-mitre-data-component" or obj.id not in nodes:
-            continue
-        if not obj.data_source_ref:
+    for obj in components:
+        if obj.id not in nodes or not obj.data_source_ref:
             continue
         if obj.data_source_ref in nodes:
-            add_edge(obj.id, "provided_by_data_source", obj.data_source_ref)
+            add_edge(obj.id, registry.signature_of(nodes[obj.id].kind, "provided_by_data_source"),
+                     obj.data_source_ref)
         else:
             skipped.append(f"node {obj.id}: data source ref missing or dropped")
 
     # Assets synthesized from the platform lists on attack patterns.
     platforms: dict[str, str] = {}
-    for obj in objects:
-        if obj.type != "attack-pattern" or obj.id not in nodes:
-            continue
-        for platform in obj.platforms:
-            platforms.setdefault(_asset_id(platform), platform)
+    for obj in techniques:
+        if obj.id in nodes:
+            for platform in obj.platforms:
+                platforms.setdefault(_asset_id(platform), platform)
     for asset_id, platform in platforms.items():
         if asset_id not in nodes:
             nodes[asset_id] = Node(
                 id=asset_id, name=platform, kind=EntityKind.ASSET,
                 tags=(platform.lower(),),
             )
-    for obj in objects:
-        if obj.type != "attack-pattern" or obj.id not in nodes:
-            continue
-        for platform in obj.platforms:
-            add_edge(obj.id, "targets_asset", _asset_id(platform))
+    for obj in techniques:
+        if obj.id in nodes:
+            for platform in obj.platforms:
+                add_edge(obj.id, registry.signature_of(nodes[obj.id].kind, "targets_asset"),
+                         _asset_id(platform))
 
     if skipped:
         logger.info("build_graph skipped %d relationship(s)/object(s)", len(skipped))

@@ -10,6 +10,11 @@ Step encoding (plain tuples, no pathlang types):
 
 ``lcs_length`` is the textbook dynamic program for the longest common
 subsequence, the oracle for the bit-parallel LCS behind ROUGE-L.
+
+``bleu`` counts n-grams by slicing, the oracle for ``eval.bleu``.
+
+``country_tags`` scans the lowered text once per marker, the oracle for
+ingest's single-regex country tagging.
 """
 
 from __future__ import annotations
@@ -148,3 +153,30 @@ def lcs_length(a: list, b: list) -> int:
             cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
         prev = cur
     return prev[-1]
+
+
+def country_tags(text: str) -> list[str]:
+    """Country tags whose markers occur in ``text``, in the marker table's order."""
+    from titan_kg.kg import _COUNTRY_MARKERS
+
+    lowered = text.lower()
+    return [tag for tag, markers in _COUNTRY_MARKERS
+            if any(m in lowered for m in markers)]
+
+
+def bleu(cand: list, ref: list, max_n: int = 4) -> float:
+    """Single-reference BLEU of two token lists, as eval.py documents it."""
+    import math
+    from collections import Counter
+
+    if not cand or not ref:
+        return 0.0
+    effective_n = min(max_n, len(cand))
+    log_sum = 0.0
+    for n in range(1, effective_n + 1):
+        cand_ngrams = Counter(tuple(cand[i:i + n]) for i in range(len(cand) - n + 1))
+        ref_ngrams = Counter(tuple(ref[i:i + n]) for i in range(len(ref) - n + 1))
+        clipped = sum((cand_ngrams & ref_ngrams).values())
+        log_sum += math.log(clipped / sum(cand_ngrams.values()) if clipped else 1e-9)
+    brevity = 1.0 if len(cand) >= len(ref) else math.exp(1 - len(ref) / len(cand))
+    return brevity * math.exp(log_sum / effective_n)

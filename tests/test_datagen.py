@@ -4,6 +4,7 @@ import pytest
 
 from titan_kg.datagen import (
     DatasetConfig,
+    Sample,
     dataset_to_jsonl,
     default_template_text,
     generate_dataset,
@@ -252,6 +253,16 @@ def test_dataset_jsonl_round_trip(fixture_graph, registry, core_templates):
     text = dataset_to_jsonl(split.train)
     reloaded = load_dataset(text)
     assert list(reloaded) == list(split.train)
+
+
+def test_dataset_round_trip_with_unicode_line_separators():
+    # JSON leaves U+0085, U+2028 and U+2029 unescaped; they must not end a record.
+    samples = [Sample(question="what uses a\u2029b?", cot="c\x85d", path="<PATH> p </PATH>",
+                      start_entities=("a\u2028b",), answers=(), template_id="t",
+                      bucket="L1", operators=()),
+               Sample(question="q", cot="", path="<PATH> p </PATH>", start_entities=(),
+                      answers=("x",), template_id="t", bucket="L1", operators=())]
+    assert load_dataset(dataset_to_jsonl(samples)) == samples
 
 
 def test_default_corpus_text_parses_as_jsonl():

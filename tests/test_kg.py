@@ -1,18 +1,26 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from titan_kg.errors import MalformedBundle, UnknownSignature
+from titan_kg.errors import MalformedBundle, NoSuchSignature, UnknownSignature
 from titan_kg.kg import (
     BuildOptions,
     KnowledgeGraph,
     Node,
+    RawStixObject,
     build_graph,
     link_entities,
     node_census,
     parse_stix_bundle,
 )
 from titan_kg.ontology import EntityKind
+
+from scalegen import build_scale_bundle
 
 # Hand-enumerated census of tests/fixtures/fixture_bundle.json: the revoked
 # malware drops; Windows and Linux assets are synthesized from platforms.
@@ -29,6 +37,8 @@ FIXTURE_CENSUS = {
 }
 FIXTURE_NODES = 21
 FIXTURE_DIRECTED_EDGES = 68  # 34 forward relationships, each with a reverse
+# SHA-256 of the snapshot ingest writes for build_scale_bundle(2024).
+SCALE_SNAPSHOT_SHA256 = "76e74dfe036c9d7cd07fc38f03a2dd64ca5d2183153d67aa0d09e1cdcb77f161"
 
 
 def test_parse_minimal_bundle():
@@ -38,6 +48,26 @@ def test_parse_minimal_bundle():
     assert len(objects) == 1
     assert objects[0].type == "malware"
     assert objects[0].name == "Thing"
+
+
+def test_parse_keeps_every_field_and_first_seen_alias_order():
+    doc = json.dumps([
+        {"type": "malware", "id": "malware--x", "name": "Thing", "description": "D",
+         "aliases": ["B", "A", "", 7, "B"], "x_mitre_aliases": ["A", "C"],
+         "labels": ["trojan"], "malware_types": ["backdoor"],
+         "x_mitre_platforms": ["Linux", None], "revoked": 1, "x_mitre_deprecated": False,
+         "x_mitre_data_source_ref": "x-mitre-data-source--y"},
+        {"type": "relationship", "id": "relationship--x", "relationship_type": "uses",
+         "source_ref": "malware--x", "target_ref": 5},
+    ])
+    assert parse_stix_bundle(doc) == [
+        RawStixObject(type="malware", id="malware--x", name="Thing", description="D",
+                      aliases=("B", "A", "C"), labels=("trojan", "backdoor"),
+                      platforms=("Linux",), revoked=True,
+                      data_source_ref="x-mitre-data-source--y"),
+        RawStixObject(type="relationship", id="relationship--x", source_ref="malware--x",
+                      target_ref="5", relationship_type="uses"),
+    ]
 
 
 def test_parse_relationship_object():
@@ -163,6 +193,61 @@ def test_snapshot_round_trip(fixture_graph):
     reloaded = KnowledgeGraph.load_snapshot(snapshot)
     assert reloaded.export_snapshot() == snapshot
     assert node_census(reloaded) == node_census(fixture_graph)
+
+
+@pytest.mark.parametrize("first", [
+    {"type": "attack-pattern", "id": "x--1", "name": "T", "x_mitre_platforms": ["Linux"]},
+    {"type": "x-mitre-data-component", "id": "x--1", "name": "C",
+     "x_mitre_data_source_ref": "x-mitre-data-source--1"},
+])
+def test_id_reused_by_another_kind_types_edges_by_the_kept_node(first, registry):
+    # The later malware object replaces the node; its kind has neither
+    # targets_asset nor provided_by_data_source, so no edge may be typed.
+    doc = json.dumps([first, {"type": "malware", "id": "x--1", "name": "M"},
+                      {"type": "x-mitre-data-source", "id": "x-mitre-data-source--1",
+                       "name": "S"}])
+    with pytest.raises(NoSuchSignature):
+        build_graph(parse_stix_bundle(doc), registry)
+
+
+def test_scale_snapshot_bytes_are_pinned(registry):
+    snapshot = build_graph(parse_stix_bundle(build_scale_bundle(2024)), registry).export_snapshot()
+    assert hashlib.sha256(snapshot.encode("utf-8")).hexdigest() == SCALE_SNAPSHOT_SHA256
+
+
+def test_ingest_bytes_do_not_depend_on_hash_seed(tmp_path):
+    import titan_kg
+    src = str(Path(titan_kg.__file__).resolve().parents[1])
+    bundle = tmp_path / "scale.json"
+    bundle.write_text(build_scale_bundle(2024), "utf-8")
+    digests = set()
+    for hash_seed in ("1", "2", "3", "4"):
+        out = tmp_path / f"scale-{hash_seed}.snap"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-m", "titan_kg.cli", "ingest", str(bundle),
+                        "--out", str(out)], env=env, capture_output=True, check=True, timeout=60)
+        digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests == {SCALE_SNAPSHOT_SHA256}
+
+
+def test_snapshot_round_trip_with_unicode_line_separators():
+    # JSON leaves U+0085, U+2028 and U+2029 unescaped; they must not end a record.
+    nodes = [Node(id="malware--x", name="a\x85b", kind=EntityKind.MALWARE,
+                  aliases=("c\u2029d",), description="e\u2028f"),
+             Node(id="attack-pattern--y", name="T", kind=EntityKind.ATTACK_PATTERN)]
+    edges = [("malware--x", "uses_attack_pattern", "attack-pattern--y"),
+             ("attack-pattern--y", "used_by_malware", "malware--x")]
+    snapshot = KnowledgeGraph(nodes, edges).export_snapshot()
+    reloaded = KnowledgeGraph.load_snapshot(snapshot)
+    assert reloaded.export_snapshot() == snapshot
+    assert reloaded.node("malware--x") == nodes[0]
+
+
+def test_snapshot_with_crlf_line_ends_loads(fixture_graph):
+    snapshot = fixture_graph.export_snapshot()
+    reloaded = KnowledgeGraph.load_snapshot(snapshot.replace("\n", "\r\n"))
+    assert reloaded.export_snapshot() == snapshot
 
 
 def test_snapshot_rejects_bad_header():

@@ -6,7 +6,12 @@ or whitespace, and random edges that each fit a registry signature and come
 with their registry reverse.  Programs are random valid programs over them.
 
 The bit-parallel LCS behind ROUGE-L is checked against the dynamic program
-on random token lists long enough to span several 64-bit words.
+on random token lists long enough to span several 64-bit words, and BLEU
+against n-gram counting by slicing, to the last bit of the float.
+
+Ingest's single-regex country tagging is checked against a scan per
+marker on texts glued from marker fragments in mixed case, so markers
+overlap and share letters.
 
 Snapshot load is checked on the fixture graph's snapshot: any order of its
 records, with repeated EDGE lines, loads to the same graph, and a mutated
@@ -18,12 +23,19 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from titan_kg.errors import SelectNameUnresolved, TitanError
-from titan_kg.eval import _lcs_length
+from titan_kg.eval import _lcs_length, bleu
 from titan_kg.executor import execute
-from titan_kg.kg import KnowledgeGraph, Node, build_graph, parse_stix_bundle
+from titan_kg.kg import (
+    _COUNTRY_MARKERS,
+    KnowledgeGraph,
+    Node,
+    _country_tags,
+    build_graph,
+    parse_stix_bundle,
+)
 from titan_kg.ontology import EntityKind, build_default_registry
 from titan_kg.pathlang import (
     ExecCommon,
@@ -36,7 +48,14 @@ from titan_kg.pathlang import (
     validate_program,
 )
 
-from bruteforce import brute_execute, lcs_length, steps_from_program, tables_from_graph
+from bruteforce import (
+    bleu as brute_bleu,
+    brute_execute,
+    country_tags,
+    lcs_length,
+    steps_from_program,
+    tables_from_graph,
+)
 from conftest import FIXTURE_BUNDLE
 
 REGISTRY = build_default_registry()
@@ -61,6 +80,22 @@ WALK_AFTER_SELECT = st.sampled_from((1, 2, 0))
 # The length is drawn first: a plain list strategy rarely grows past 64.
 TOKEN = st.sampled_from(("a", "b", "c", "uses_malware"))
 TOKEN_LISTS = st.integers(0, 200).flatmap(lambda n: st.lists(TOKEN, min_size=n, max_size=n))
+# Markers, pairs of markers that share letters ("united statesouth korea"),
+# marker halves and separators, each in one of four cases.  The fourth
+# swaps in letters that str.lower and a case-insensitive regex fold
+# differently: U+0130 and U+017F, which lower() keeps apart from "i" and
+# "s", and U+212A, which lower() turns into "k".
+MARKERS = [m for _, markers in _COUNTRY_MARKERS for m in markers]
+OVERLAPS = {a + b[k:] for a in MARKERS for b in MARKERS
+            for k in range(1, min(len(a), len(b))) if a.endswith(b[:k])}
+FRAGMENT = st.sampled_from(sorted({*MARKERS, *OVERLAPS, *(m[:len(m) // 2] for m in MARKERS),
+                                   *(m[len(m) // 2:] for m in MARKERS), " ", "x"}))
+CASES = (str.lower, str.upper, str.title,
+         lambda text: text.translate({ord("i"): "\u0130", ord("s"): "\u017f",
+                                      ord("k"): "\u212a"}))
+CASED_FRAGMENT = st.tuples(FRAGMENT, st.sampled_from(CASES)).map(
+    lambda pair: pair[1](pair[0]))
+COUNTRY_TEXT = st.lists(CASED_FRAGMENT, max_size=12).map("".join)
 SNAPSHOT = build_graph(parse_stix_bundle(FIXTURE_BUNDLE.read_bytes()), REGISTRY).export_snapshot()
 HEADER, *RECORDS = SNAPSHOT.splitlines()
 EDGE_LINES = [line for line in RECORDS if line.startswith("EDGE\t")]
@@ -175,6 +210,19 @@ def test_successors_and_sort_ids_match_bruteforce(graph, data):
 @given(a=TOKEN_LISTS, b=TOKEN_LISTS)
 def test_bit_parallel_lcs_matches_dynamic_program(a, b):
     assert _lcs_length(a, b) == lcs_length(a, b)
+
+
+@given(a=TOKEN_LISTS, b=TOKEN_LISTS)
+def test_bleu_matches_sliced_ngram_count(a, b):
+    assert bleu(" ".join(a), " ".join(b)) == brute_bleu(a, b)
+
+
+@example(text="united statesouth korea")
+@example(text="pakistanindia")
+@example(text="Pakistaniindia")
+@given(text=COUNTRY_TEXT)
+def test_country_tags_match_marker_scan(text):
+    assert _country_tags(text) == country_tags(text)
 
 
 @given(data=st.data())
