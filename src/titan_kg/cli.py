@@ -12,26 +12,13 @@ import sys
 from pathlib import Path
 
 from . import datagen
-from .errors import (
-    MalformedInput,
-    MissingStartKind,
-    StartKindMismatch,
-    TitanError,
-    UnparseablePlan,
-)
+from .errors import MalformedInput, TitanError
 from .eval import aggregate_report, score_predictions
-from .executor import ExecutionResult, execute
-from .kg import (
-    BuildOptions,
-    KnowledgeGraph,
-    build_graph,
-    link_entities,
-    node_census,
-    parse_stix_bundle,
-)
-from .ontology import EntityKind, RelationRegistry, build_default_registry
-from .pathlang import PathProgram, TypeSeed, parse_path, render_path, validate_program
-from .planner import EndpointConfig, MockPlanner, PlannerRequest, RemotePlanner
+from .executor import resolve_names, run_path
+from .kg import BuildOptions, KnowledgeGraph, build_graph, node_census, parse_stix_bundle
+from .ontology import EntityKind, build_default_registry
+from .pathlang import parse_path, render_path
+from .planner import EndpointConfig, MockPlanner, RemotePlanner, run_question
 
 
 def _uint64(value: str) -> int:
@@ -121,75 +108,14 @@ def cmd_census(args) -> int:
     return 0
 
 
-def _resolve_start(graph: KnowledgeGraph, names: list[str]) -> tuple[str, ...]:
-    ids: list[str] = []
-    for name in names:
-        found = graph.find_by_name(name)
-        if not found:
-            raise StartKindMismatch(f"no node named {name!r} in the graph")
-        ids.extend(found)
-    return tuple(ids)
-
-
-def _validate_for_start(graph: KnowledgeGraph, registry: RelationRegistry,
-                        program: PathProgram, start_ids: tuple[str, ...]):
-    """Infer the start kind from candidate start nodes.
-
-    Tries each distinct kind among the start nodes in order; the first
-    kind the program type-checks against wins, and only nodes of that
-    kind are kept.
-    """
-    if isinstance(program.steps[0], TypeSeed):
-        return validate_program(program, registry), None
-    if not start_ids:
-        raise MissingStartKind("path needs start entities, none resolved")
-    # start_ids is not empty, so the loop runs and a failure sets last_error.
-    for kind in dict.fromkeys(graph.node(nid).kind for nid in start_ids):
-        try:
-            typed = validate_program(program, registry, start_kind=kind)
-        except TitanError as exc:
-            last_error = exc
-            continue
-        keep = tuple(nid for nid in start_ids if graph.node(nid).kind is kind)
-        return typed, keep
-    raise last_error
-
-
 def cmd_exec(args) -> int:
     graph = _load_graph(args.snapshot)
     registry = build_default_registry()
     program = parse_path(args.path, registry)
-    start_ids = _resolve_start(graph, args.start) if args.start else ()
-    typed, keep = _validate_for_start(graph, registry, program, start_ids)
-    result = execute(graph, typed, start=keep)
+    typed, result = run_path(graph, registry, program, resolve_names(graph, args.start))
     print(f"path\t{render_path(typed.program, 'token')}")
     print(result.to_text(graph), end="")
     return 0
-
-
-def run_question(
-    graph: KnowledgeGraph,
-    planner,
-    question: str,
-    mode: str = "cot",
-    registry: RelationRegistry | None = None,
-) -> tuple[ExecutionResult, "PathProgram", str | None]:
-    """The full loop: plan, link entities when needed, validate, execute."""
-    registry = registry or build_default_registry()
-    response = planner.plan(PlannerRequest(question=question, mode=mode))
-    if response.path is None:
-        raise UnparseablePlan("planner returned no usable path",
-                              raw_text=response.raw_text)
-    if response.start_entities:
-        start_ids = _resolve_start(graph, list(response.start_entities))
-    else:
-        # NoCoT-style response: link the question's words against the
-        # graph's node names.
-        mentions = link_entities(question, graph)
-        start_ids = tuple(nid for m in mentions for nid in m.node_ids)
-    typed, keep = _validate_for_start(graph, registry, response.path, start_ids)
-    result = execute(graph, typed, start=keep)
-    return result, typed.program, response.cot
 
 
 def cmd_ask(args) -> int:

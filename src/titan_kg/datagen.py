@@ -20,15 +20,18 @@ import json
 import logging
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable
 
-from .errors import MalformedInput, TemplateSchemaError, TitanError
-from .executor import execute
+from .errors import MalformedInput, StartKindMismatch, TemplateSchemaError, TitanError
+from .executor import resolve_names, run_path
 from .kg import KnowledgeGraph
 from .ontology import KIND_BY_TOKEN, EntityKind, RelationRegistry, build_default_registry
 from .pathlang import (
+    LENGTH_BUCKETS,
+    OPERATOR_BUCKETS,
     ExecCommon,
     ExecDifference,
     Filter,
@@ -127,12 +130,7 @@ class DatasetConfig:
 
 
 def _placeholders_in(text: str) -> list[str]:
-    seen: list[str] = []
-    for m in _PLACEHOLDER.finditer(text):
-        token = m.group(0)
-        if token not in seen:
-            seen.append(token)
-    return seen
+    return list(dict.fromkeys(m.group(0) for m in _PLACEHOLDER.finditer(text)))
 
 
 def _placeholder_kind(token: str) -> EntityKind:
@@ -143,11 +141,8 @@ def _placeholder_kind(token: str) -> EntityKind:
 
 
 def _select_slots(program: PathProgram) -> list[str]:
-    slots = []
-    for step in program.steps:
-        if isinstance(step, Select):
-            slots.extend(n for n in step.names if _PLACEHOLDER.fullmatch(n))
-    return slots
+    return [n for step in program.steps if isinstance(step, Select)
+            for n in step.names if _PLACEHOLDER.fullmatch(n)]
 
 
 def default_template_text() -> str:
@@ -332,10 +327,10 @@ def instantiate_template(
 ) -> list[Sample]:
     """Bind entities to the template and execute each instance.
 
-    Start entities and select names are resolved by name at execution
-    time, exactly as re-execution of the emitted sample will resolve
-    them, so recorded answers always reproduce.  Bindings that fail to
-    execute are dropped with a logged reason.
+    Start and select names resolve through :func:`~titan_kg.executor.run_path`,
+    as re-execution of the emitted sample resolves them, so recorded answers
+    always reproduce.  A binding that fails, or whose start name re-execution
+    would read as another kind, is dropped with a logged reason.
     """
     registry = registry or build_default_registry()
     rng = random.Random(_derive_seed(rng_seed, template.id))
@@ -346,20 +341,15 @@ def instantiate_template(
         question = template.text
         for token, name in binding.items():
             question = question.replace(token, name)
-        program = _substitute_path(template.path, binding)
-
-        if template.start_slot:
-            start_names: tuple[str, ...] = (binding[template.start_slot],)
-            start_ids = graph.find_by_name(start_names[0])
-            start_kind = template.typed_path.start_kind
-        else:
-            start_names = ()
-            start_ids = None
-            start_kind = None
-
+        start_names = (binding[template.start_slot],) if template.start_slot else ()
         try:
-            typed = validate_program(program, registry, start_kind=start_kind)
-            result = execute(graph, typed, start=start_ids)
+            program = _substitute_path(template.path, binding)
+            typed, result = run_path(graph, registry, program,
+                                     resolve_names(graph, start_names))
+            if typed.start_kind is not template.typed_path.start_kind:
+                raise StartKindMismatch(
+                    f"start name {start_names[0]!r} resolves to kind "
+                    f"{typed.start_kind.value!r} first")
         except TitanError as exc:
             logger.debug("template %s: binding %s discarded: %s",
                          template.id, sorted(binding.values()), exc)
@@ -428,23 +418,17 @@ def generate_dataset(
 
 def profile_table(split: DatasetSplit) -> str:
     """Plain-text dataset profile: length buckets and operator counts."""
-    def row(name: str, samples: tuple[Sample, ...]) -> str:
-        lengths = {b: 0 for b in ("L1", "L2", "L3", "L4+")}
-        operators = {o: 0 for o in ("filter", "select", "exec_common", "exec_difference")}
-        for s in samples:
-            lengths[s.bucket] += 1
-            for op in s.operators:
-                operators[op] += 1
-        cells = [f"{name:<8}", f"{len(samples):>7}"]
-        cells += [f"{lengths[b]:>7}" for b in ("L1", "L2", "L3", "L4+")]
-        cells += [f"{operators[o]:>7}" for o in
-                  ("filter", "select", "exec_common", "exec_difference")]
-        return "".join(cells)
+    def row(name: str, cells) -> str:
+        return f"{name:<8}" + "".join(f"{cell:>7}" for cell in cells)
 
-    header = ("".join([f"{'split':<8}", f"{'total':>7}", f"{'L1':>7}", f"{'L2':>7}",
-                       f"{'L3':>7}", f"{'L4+':>7}", f"{'filter':>7}", f"{'select':>7}",
-                       f"{'common':>7}", f"{'diff':>7}"]))
-    return "\n".join([header, row("train", split.train), row("test", split.test)]) + "\n"
+    def counts(samples: tuple[Sample, ...]) -> list[int]:
+        seen = Counter(s.bucket for s in samples)
+        seen.update(op for s in samples for op in s.operators)
+        return [len(samples), *(seen[b] for b in LENGTH_BUCKETS + OPERATOR_BUCKETS)]
+
+    header = row("split", ["total", *LENGTH_BUCKETS, "filter", "select", "common", "diff"])
+    return "\n".join([header, row("train", counts(split.train)),
+                      row("test", counts(split.test))]) + "\n"
 
 
 def dataset_to_jsonl(samples: Iterable[Sample]) -> str:

@@ -18,8 +18,9 @@ from .datagen import Sample
 from .errors import TitanError
 from .ontology import RelationRegistry
 from .pathlang import (
+    LENGTH_BUCKETS,
+    OPERATOR_BUCKETS,
     ExecCommon,
-    ExecDifference,
     Filter,
     PathProgram,
     Select,
@@ -27,9 +28,6 @@ from .pathlang import (
     TypeSeed,
     parse_path,
 )
-
-LENGTH_BUCKETS = ("L1", "L2", "L3", "L4+")
-OPERATOR_BUCKETS = ("filter", "select", "exec_common", "exec_difference")
 
 _PUNCT_TABLE = str.maketrans(
     {ch: " " for ch in string.punctuation if ch != "_"})

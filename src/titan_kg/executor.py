@@ -5,30 +5,40 @@ branch, several after a select), records a per-step evidence trace, and
 returns the final entities in a stable (kind, name, id) order.  The
 interpreter is pure: the same (graph, program, start) always produces the
 same answers and the same trace.
+
+``resolve_names`` and ``run_path`` are the one query pipeline from start
+names to answers; ``titan exec``, planner asks and dataset generation
+all go through them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterable
 
 from .errors import (
+    MissingStartKind,
     OperatorArityError,
     OperatorPlacementError,
     SelectNameUnresolved,
     StartKindMismatch,
+    TitanError,
 )
 from .kg import KnowledgeGraph, Node
+from .ontology import RelationRegistry
 from .pathlang import (
     ExecCommon,
     ExecDifference,
     Filter,
+    PathProgram,
     PathStep,
     Select,
     Traverse,
     TypeSeed,
     TypedProgram,
     render_segment,
+    validate_program,
 )
 
 Edge = tuple[str, str, str]
@@ -206,3 +216,44 @@ def execute(
         trace=tuple(trace),
         start_nodes=start_ids,
     )
+
+
+def resolve_names(graph: KnowledgeGraph, names: Iterable[str]) -> tuple[str, ...]:
+    """The ids of the nodes each name or alias matches, name by name; a
+    name that matches no node raises :class:`StartKindMismatch`."""
+    ids: list[str] = []
+    for name in names:
+        found = graph.find_by_name(name)
+        if not found:
+            raise StartKindMismatch(f"no node named {name!r} in the graph")
+        ids.extend(found)
+    return tuple(ids)
+
+
+def run_path(
+    graph: KnowledgeGraph,
+    registry: RelationRegistry,
+    program: PathProgram,
+    start_ids: tuple[str, ...],
+) -> tuple[TypedProgram, ExecutionResult]:
+    """Validate a program for its start nodes, then execute it.
+
+    A type-seeded program ignores ``start_ids``.  Otherwise each distinct
+    kind among the start nodes is tried in order; the first kind the
+    program type-checks for wins, and only nodes of that kind start it.
+    """
+    if isinstance(program.steps[0], TypeSeed):
+        typed = validate_program(program, registry)
+        return typed, execute(graph, typed)
+    if not start_ids:
+        raise MissingStartKind("path needs start entities, none resolved")
+    # start_ids is not empty, so the loop runs and a failure sets last_error.
+    for kind in dict.fromkeys(graph.node(nid).kind for nid in start_ids):
+        try:
+            typed = validate_program(program, registry, start_kind=kind)
+        except TitanError as exc:
+            last_error = exc
+            continue
+        keep = tuple(nid for nid in start_ids if graph.node(nid).kind is kind)
+        return typed, execute(graph, typed, start=keep)
+    raise last_error

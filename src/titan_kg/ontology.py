@@ -30,11 +30,6 @@ class EntityKind(str, Enum):
     ASSET = "asset"
 
     @property
-    def token(self) -> str:
-        """Canonical lowercase hyphenated token used in serialization."""
-        return self.value
-
-    @property
     def slug(self) -> str:
         """Token usable inside relation names (hyphens become underscores)."""
         return self.value.replace("-", "_")
@@ -174,9 +169,6 @@ class RelationRegistry:
                 f"no relation {token!r} from kind {source_kind.value!r}")
         return sig
 
-    def inverse_of(self, source_kind: EntityKind, token: str) -> str:
-        return self.signature_of(source_kind, token).inverse_name
-
     def relations_from(self, kind: EntityKind) -> tuple[str, ...]:
         return tuple(sorted(name for (k, name) in self._by_key if k is kind))
 
@@ -224,22 +216,6 @@ class RelationRegistry:
                  for s in self.signatures]
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_table(cls, text: str, aliases: Mapping[str, str] | None = None) -> "RelationRegistry":
-        sigs = []
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ValueError(f"registry table line {lineno}: expected 4 fields")
-            src, name, dst, inv = parts
-            if src not in KIND_BY_TOKEN or dst not in KIND_BY_TOKEN:
-                raise ValueError(f"registry table line {lineno}: unknown kind")
-            sigs.append(RelationSignature(KIND_BY_TOKEN[src], name, KIND_BY_TOKEN[dst], inv))
-        return cls(sigs, aliases)
-
 
 @lru_cache(maxsize=4)
 def build_default_registry(include_subtechniques: bool = True) -> RelationRegistry:
@@ -257,20 +233,3 @@ def build_default_registry(include_subtechniques: bool = True) -> RelationRegist
         aliases.pop("has_subtechnique")
     return RelationRegistry(sigs, aliases)
 
-
-def normalize_relation(
-    token: str,
-    source_kind: EntityKind | None = None,
-    registry: RelationRegistry | None = None,
-) -> str:
-    """Module-level convenience over the default registry."""
-    return (registry or build_default_registry()).normalize(token, source_kind)
-
-
-def signature_of(
-    source_kind: EntityKind,
-    token: str,
-    registry: RelationRegistry | None = None,
-) -> RelationSignature:
-    """Module-level convenience over the default registry."""
-    return (registry or build_default_registry()).signature_of(source_kind, token)

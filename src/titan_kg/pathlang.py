@@ -21,7 +21,7 @@ space), so parse∘render is the identity on parsed programs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .errors import (
@@ -76,6 +76,8 @@ class Select:
             raise MalformedOperator("select requires at least two names")
         if any(not n.strip() for n in self.names):
             raise MalformedOperator("select names must be non-empty")
+        if any('"' in n for n in self.names):
+            raise MalformedOperator(f"select names may not hold a double quote: {self.names}")
 
 
 @dataclass(frozen=True)
@@ -96,6 +98,9 @@ _OPERATOR_FLAGS = {
     ExecCommon: "exec_common",
     ExecDifference: "exec_difference",
 }
+# Bucket names of dataset profiles and evaluation reports, in report order.
+LENGTH_BUCKETS = ("L1", "L2", "L3", "L4+")
+OPERATOR_BUCKETS = tuple(_OPERATOR_FLAGS.values())
 
 
 @dataclass(frozen=True)
@@ -108,7 +113,6 @@ class PathProgram:
     """
 
     steps: tuple[PathStep, ...]
-    source: str = field(default="", compare=False)
 
     def __post_init__(self):
         if not self.steps:
@@ -221,12 +225,10 @@ def parse_path(text: str, registry: RelationRegistry | None = None) -> PathProgr
         if not segment:
             raise PathSyntaxError("empty path segment")
         steps.append(_parse_segment(segment, registry))
-    return PathProgram(tuple(steps), source=text)
+    return PathProgram(tuple(steps))
 
 
 def _render_name(name: str) -> str:
-    if '"' in name:
-        raise ValueError(f"select name may not contain a double quote: {name!r}")
     if any(ch.isspace() for ch in name):
         return f'"{name}"'
     return name
@@ -318,7 +320,7 @@ def validate_program(
         kinds.append(current)
 
     return TypedProgram(
-        program=PathProgram(tuple(canonical), source=program.source),
+        program=PathProgram(tuple(canonical)),
         start_kind=begin,
         kinds=tuple(kinds),
     )
@@ -340,14 +342,7 @@ def profile(program: PathProgram) -> PathProfile:
     not touch new graph regions and are excluded.
     """
     length = sum(1 for s in program.steps if isinstance(s, (TypeSeed, Traverse)))
-    if length <= 1:
-        bucket = "L1"
-    elif length == 2:
-        bucket = "L2"
-    elif length == 3:
-        bucket = "L3"
-    else:
-        bucket = "L4+"
+    bucket = LENGTH_BUCKETS[min(max(length, 1), len(LENGTH_BUCKETS)) - 1]
     flags = frozenset(flag for cls, flag in _OPERATOR_FLAGS.items()
                       if any(isinstance(s, cls) for s in program.steps))
     return PathProfile(length=length, bucket=bucket, operators=flags)

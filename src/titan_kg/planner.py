@@ -4,25 +4,28 @@ A planner maps a question to a path program plus optional reasoning text
 and start entities.  The mock planner answers from a question index built
 over a generated dataset and is what end-to-end tests run against; the
 remote planner talks to any chat-completion-style HTTP endpoint.
+:func:`run_question` is the whole loop: plan, resolve the start, execute.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
 import logging
 import os
 import re
-import threading
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
 from typing import Iterable, Protocol
 
-import requests
-
 from .datagen import Sample
 from .errors import PlannerUnavailable, TitanError, UnparseablePlan
+from .executor import ExecutionResult, resolve_names, run_path
+from .kg import KnowledgeGraph, _norm_name, link_entities
 from .ontology import RelationRegistry, build_default_registry
 from .pathlang import PathProgram, _split_names, parse_path
-from .prompts import PLANNER_SYSTEM_PROMPT_V1, render_system_prompt
 
 logger = logging.getLogger(__name__)
 
@@ -31,6 +34,32 @@ _ENTITY_BLOCK = re.compile(r"<ENTITY>(.*?)</ENTITY>", re.S)
 # Client errors that can pass on their own (request timeout, rate limit);
 # every other 4xx reply fails the request without a retry.
 _RETRY_4XX = frozenset({408, 429})
+
+_SYSTEM_PROMPT = """\
+You turn cyber threat intelligence questions into executable graph paths.
+
+The knowledge graph has typed relations; each relation name ends with the
+kind of its target node.  Available relations (source kind, relation,
+target kind):
+
+{relation_table}
+
+Extra path steps:
+- is_<kind>_type starts from every node of that kind (e.g. is_malware_type)
+- filter <keyword> keeps entities matching the keyword
+- select <name> <name> splits reasoning into one branch per named entity
+- exec_common / exec_difference combine branches at the end
+
+Answer format:
+{cot_instruction}
+If the question names the starting entities, list them first inside
+<ENTITY> ... </ENTITY> (double-quote names containing spaces).
+Always finish with exactly one path of the form
+<PATH> relation_1 <SEP> relation_2 <SEP> ... </PATH>
+"""
+_COT_INSTRUCTION = ("First explain your reasoning step by step "
+                    "(Step 1: ..., Step 2: ...).")
+_NOCOT_INSTRUCTION = "Reply with the entity block and path only, no explanation."
 
 
 @dataclass(frozen=True)
@@ -59,6 +88,16 @@ class PlannerResponse:
 
 class Planner(Protocol):
     def plan(self, request: PlannerRequest) -> PlannerResponse: ...
+
+
+def render_system_prompt(registry: RelationRegistry, mode: str = "cot") -> str:
+    """The remote planner's system prompt: the relation table and the
+    answer format for ``mode``."""
+    table = "\n".join(
+        f"- {sig.source_kind.value} --{sig.name}--> {sig.target_kind.value}"
+        for sig in registry.signatures)
+    instruction = _COT_INSTRUCTION if mode == "cot" else _NOCOT_INSTRUCTION
+    return _SYSTEM_PROMPT.format(relation_table=table, cot_instruction=instruction)
 
 
 def parse_planner_output(
@@ -107,7 +146,7 @@ class MockPlanner:
         self._registry = registry or build_default_registry()
         self._index: dict[str, Sample] = {}
         for sample in samples:
-            self._index.setdefault(self._norm(sample.question), sample)
+            self._index.setdefault(_norm_name(sample.question), sample)
         self._keys = sorted(self._index)
         # Bit i of a mask stands for self._keys[i].  _masks maps a token to
         # the questions holding it; _size_masks pairs each token-set size,
@@ -121,10 +160,6 @@ class MockPlanner:
                 masks[token] = masks.get(token, 0) | bit
         self._masks = masks
         self._size_masks = sorted(by_size.items())
-
-    @staticmethod
-    def _norm(question: str) -> str:
-        return " ".join(question.casefold().split())
 
     def _nearest(self, tokens: set[str]) -> int:
         """Position in ``self._keys`` of the question nearest ``tokens``."""
@@ -161,7 +196,7 @@ class MockPlanner:
         return best
 
     def plan(self, request: PlannerRequest) -> PlannerResponse:
-        key = self._norm(request.question)
+        key = _norm_name(request.question)
         sample = self._index.get(key)
         guessed = sample is None
         if sample is None:
@@ -188,7 +223,6 @@ class EndpointConfig:
     timeout: float = 30.0
     max_retries: int = 2
     backoff_base: float = 1.0
-    max_in_flight: int = 4
 
     @classmethod
     def from_env(cls, env: dict[str, str] | None = None) -> "EndpointConfig":
@@ -203,60 +237,49 @@ class EndpointConfig:
 
 
 class RemotePlanner:
-    """Chat-completion-style HTTP client with bounded retry/backoff.
-
-    Safe for concurrent use; ``max_in_flight`` caps simultaneous requests.
-    """
+    """Chat-completion-style HTTP client with bounded retry/backoff."""
 
     def __init__(self, config: EndpointConfig,
-                 registry: RelationRegistry | None = None,
-                 prompt_template: str = PLANNER_SYSTEM_PROMPT_V1,
-                 session: requests.Session | None = None):
+                 registry: RelationRegistry | None = None):
         self._config = config
         self._registry = registry or build_default_registry()
-        self._prompt_template = prompt_template
-        self._session = session or requests.Session()
-        self._gate = threading.BoundedSemaphore(max(1, config.max_in_flight))
-
-    def _request_body(self, request: PlannerRequest) -> dict:
-        system = render_system_prompt(self._registry, mode=request.mode,
-                                      template=self._prompt_template)
-        return {
-            "model": self._config.model,
-            "messages": [
-                {"role": "system", "content": system},
-                {"role": "user", "content": request.question},
-            ],
-            "temperature": 0,
-        }
 
     def plan(self, request: PlannerRequest) -> PlannerResponse:
         url = self._config.base_url.rstrip("/") + "/chat/completions"
         headers = {"Content-Type": "application/json"}
         if self._config.api_key:
             headers["Authorization"] = f"Bearer {self._config.api_key}"
-        body = self._request_body(request)
+        body = json.dumps({
+            "model": self._config.model,
+            "messages": [
+                {"role": "system",
+                 "content": render_system_prompt(self._registry, mode=request.mode)},
+                {"role": "user", "content": request.question},
+            ],
+            "temperature": 0,
+        }).encode("utf-8")
 
         last_error: Exception | None = None
         for attempt in range(self._config.max_retries + 1):
             if attempt:
                 time.sleep(self._config.backoff_base * 2 ** (attempt - 1))
+            post = urllib.request.Request(url, data=body, headers=headers, method="POST")
             try:
-                with self._gate:
-                    reply = self._session.post(url, json=body, headers=headers,
-                                               timeout=self._config.timeout)
-                if 400 <= reply.status_code < 500 and reply.status_code not in _RETRY_4XX:
+                with urllib.request.urlopen(post, timeout=self._config.timeout) as reply:
+                    payload = json.loads(reply.read())
+                break
+            except urllib.error.HTTPError as exc:
+                exc.close()  # it holds the reply's socket
+                if 400 <= exc.code < 500 and exc.code not in _RETRY_4XX:
                     # The same request would be refused again.
                     raise PlannerUnavailable(
                         f"planner endpoint refused the request: HTTP "
-                        f"{reply.status_code} {reply.reason}")
-                reply.raise_for_status()
-                payload = reply.json()
-                break
-            except (requests.RequestException, ValueError) as exc:
-                logger.warning("planner endpoint attempt %d failed: %s",
-                               attempt + 1, exc)
+                        f"{exc.code} {exc.reason}") from None
                 last_error = exc
+            except (OSError, http.client.HTTPException, ValueError) as exc:
+                last_error = exc
+            logger.warning("planner endpoint attempt %d failed: %s",
+                           attempt + 1, last_error)
         else:
             raise PlannerUnavailable(f"planner endpoint failed: {last_error}") \
                 from last_error
@@ -269,3 +292,27 @@ class RemotePlanner:
         cot, program, entities = parse_planner_output(content, self._registry)
         return PlannerResponse(raw_text=content, cot=cot, path=program,
                                start_entities=entities)
+
+
+def run_question(
+    graph: KnowledgeGraph,
+    planner: Planner,
+    question: str,
+    mode: str = "cot",
+    registry: RelationRegistry | None = None,
+) -> tuple[ExecutionResult, PathProgram, str | None]:
+    """The full loop: plan, link entities when needed, validate, execute."""
+    registry = registry or build_default_registry()
+    response = planner.plan(PlannerRequest(question=question, mode=mode))
+    if response.path is None:
+        raise UnparseablePlan("planner returned no usable path",
+                              raw_text=response.raw_text)
+    if response.start_entities:
+        start_ids = resolve_names(graph, response.start_entities)
+    else:
+        # NoCoT-style response: link the question's words against the
+        # graph's node names.
+        mentions = link_entities(question, graph)
+        start_ids = tuple(nid for m in mentions for nid in m.node_ids)
+    typed, result = run_path(graph, registry, response.path, start_ids)
+    return result, typed.program, response.cot

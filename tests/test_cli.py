@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -125,6 +128,23 @@ def test_gen_same_seed_byte_identical(snapshot, tmp_path):
                  "--out", str(out_b)]) == 0
     for name in ("train.jsonl", "test.jsonl", "profile.txt"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_gen_drops_select_binding_of_name_with_quote(tmp_path, capsys):
+    bundle = json.loads(FIXTURE_BUNDLE.read_text("utf-8"))
+    for obj in bundle["objects"]:
+        if obj.get("name") == "Sys10":
+            obj["name"] = 'Sys10 "Q"'
+    (tmp_path / "bundle.json").write_text(json.dumps(bundle), "utf-8")
+    snap, outdir = tmp_path / "quoted.snap", tmp_path / "dataset"
+    assert main(["ingest", str(tmp_path / "bundle.json"), "--out", str(snap)]) == 0
+    code = main(["gen", "--snapshot", str(snap), "--seed", "3", "--out", str(outdir)])
+    assert code == 0, capsys.readouterr().err
+    rows = [json.loads(line) for name in ("train.jsonl", "test.jsonl")
+            for line in (outdir / name).read_text("utf-8").splitlines()]
+    # A start entity may hold the quote; a select name may not.
+    assert any(row["start_entities"] == ['Sys10 "Q"'] for row in rows)
+    assert not any('"Q"' in row["path"] for row in rows)
 
 
 def test_gen_rejects_bad_seed(snapshot, tmp_path):
@@ -269,6 +289,38 @@ def test_eval_length_mismatch_fails(snapshot, tmp_path, capsys):
     assert captured.err.startswith("TitanError: ")
 
 
+REGISTRY_TABLE = (
+    "asset\ttargeted_by_attack_pattern\tattack-pattern\ttargets_asset\n"
+    "attack-pattern\tdetected_by_data_component\tdata-component\tdetects_attack_pattern\n"
+    "attack-pattern\thas_subtechnique_attack_pattern\tattack-pattern\tsubtechnique_of_attack_pattern\n"
+    "attack-pattern\tmitigated_by_course_of_action\tcourse-of-action\tmitigates_attack_pattern\n"
+    "attack-pattern\tsubtechnique_of_attack_pattern\tattack-pattern\thas_subtechnique_attack_pattern\n"
+    "attack-pattern\ttargets_asset\tasset\ttargeted_by_attack_pattern\n"
+    "attack-pattern\tused_by_campaign\tcampaign\tuses_attack_pattern\n"
+    "attack-pattern\tused_by_intrusion_set\tintrusion-set\tuses_attack_pattern\n"
+    "attack-pattern\tused_by_malware\tmalware\tuses_attack_pattern\n"
+    "attack-pattern\tused_by_tool\ttool\tuses_attack_pattern\n"
+    "campaign\tattributed_to_intrusion_set\tintrusion-set\tresponsible_for_campaign\n"
+    "campaign\tuses_attack_pattern\tattack-pattern\tused_by_campaign\n"
+    "campaign\tuses_malware\tmalware\tused_by_campaign\n"
+    "campaign\tuses_tool\ttool\tused_by_campaign\n"
+    "course-of-action\tmitigates_attack_pattern\tattack-pattern\tmitigated_by_course_of_action\n"
+    "data-component\tdetects_attack_pattern\tattack-pattern\tdetected_by_data_component\n"
+    "data-component\tprovided_by_data_source\tdata-source\tprovides_data_component\n"
+    "data-source\tprovides_data_component\tdata-component\tprovided_by_data_source\n"
+    "intrusion-set\tresponsible_for_campaign\tcampaign\tattributed_to_intrusion_set\n"
+    "intrusion-set\tuses_attack_pattern\tattack-pattern\tused_by_intrusion_set\n"
+    "intrusion-set\tuses_malware\tmalware\tused_by_intrusion_set\n"
+    "intrusion-set\tuses_tool\ttool\tused_by_intrusion_set\n"
+    "malware\tused_by_campaign\tcampaign\tuses_malware\n"
+    "malware\tused_by_intrusion_set\tintrusion-set\tuses_malware\n"
+    "malware\tuses_attack_pattern\tattack-pattern\tused_by_malware\n"
+    "tool\tused_by_campaign\tcampaign\tuses_tool\n"
+    "tool\tused_by_intrusion_set\tintrusion-set\tuses_tool\n"
+    "tool\tuses_attack_pattern\tattack-pattern\tused_by_tool\n"
+)
+
+
 def test_registry_table_output(capsys):
     code = main(["registry"])
     captured = capsys.readouterr()
@@ -276,6 +328,7 @@ def test_registry_table_output(capsys):
     lines = [l for l in captured.out.splitlines() if l]
     assert len(lines) == 28
     assert "malware\tuses_attack_pattern\tattack-pattern\tused_by_malware" in lines
+    assert captured.out == REGISTRY_TABLE
 
 
 def test_missing_file_is_one_line_error(tmp_path, capsys):
@@ -414,3 +467,23 @@ def test_snapshot_node_field_of_wrong_type_is_one_line_error(snapshot, capsys, f
     assert code == 1
     err = _one_line_error(capsys, "MalformedBundle: ")
     assert "snapshot line 2:" in err
+
+
+_IMPORT_SCRIPT = """
+import sys
+before = set(sys.modules)
+import titan_kg.cli
+added = {name.split(".")[0] for name in set(sys.modules) - before}
+print(" ".join(sorted(added - set(sys.stdlib_module_names) - {"titan_kg"})))
+"""
+
+
+def test_cli_imports_only_the_standard_library():
+    # Modules loaded before the import (site hooks may preload some) do not count.
+    import titan_kg
+    src = str(Path(titan_kg.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", _IMPORT_SCRIPT], env=env,
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout.strip() == ""

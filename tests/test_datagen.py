@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -14,11 +15,13 @@ from titan_kg.datagen import (
     synthesize_cot,
 )
 from titan_kg.errors import TemplateSchemaError
-from titan_kg.executor import execute
+from titan_kg.executor import resolve_names, run_path
+from titan_kg.kg import build_graph, parse_stix_bundle
 from titan_kg.ontology import EntityKind
 from titan_kg.pathlang import parse_path, profile, validate_program
 
 from bruteforce import brute_execute, steps_from_program, tables_from_graph
+from conftest import FIXTURE_BUNDLE
 
 
 def _template_line(**overrides) -> str:
@@ -142,30 +145,62 @@ def test_instantiate_select_template(fixture_graph, registry):
     assert sample.operators == ("exec_difference", "select")
 
 
-def test_samples_reexecute_to_recorded_answers(fixture_graph, registry, core_templates):
-    nodes, edges = tables_from_graph(fixture_graph)
-    total = 0
-    for template in core_templates:
-        for sample in instantiate_template(template, fixture_graph, rng_seed=11,
-                                           registry=registry):
-            program = parse_path(sample.path, registry)
-            start_kind = (fixture_graph.node(
-                fixture_graph.find_by_name(sample.start_entities[0])[0]).kind
-                if sample.start_entities else None)
-            typed = validate_program(program, registry, start_kind=start_kind)
-            start_ids = None
-            if sample.start_entities:
-                start_ids = tuple(nid for name in sample.start_entities
-                                  for nid in fixture_graph.find_by_name(name))
-            result = execute(fixture_graph, typed, start=start_ids)
-            names = tuple(dict.fromkeys(n.name for n in result.answers))
-            assert names == sample.answers, sample.template_id
-            # Independent oracle agrees.
-            brute = brute_execute(nodes, edges, steps_from_program(typed.program),
-                                  start_ids=set(start_ids or ()))
-            assert {fixture_graph.node(nid).name for nid in brute} == set(names)
-            total += 1
-    assert total > 0
+@pytest.fixture(scope="module")
+def shared_name_graph(registry):
+    """The fixture with tool PsExec renamed to Sys10, a malware's name."""
+    bundle = json.loads(FIXTURE_BUNDLE.read_text("utf-8"))
+    for obj in bundle["objects"]:
+        if obj.get("name") == "PsExec":
+            obj["name"] = "Sys10"
+    return build_graph(parse_stix_bundle(json.dumps(bundle)), registry)
+
+
+def _template(core_templates, template_id):
+    return next(t for t in core_templates if t.id == template_id)
+
+
+def test_samples_reexecute_to_recorded_answers(fixture_graph, shared_name_graph, registry,
+                                               core_templates):
+    # The shared-name graph also checks that a start name matching several
+    # kinds re-executes from the kind datagen recorded.
+    for graph in (fixture_graph, shared_name_graph):
+        nodes, edges = tables_from_graph(graph)
+        total = 0
+        for template in core_templates:
+            for sample in instantiate_template(template, graph, rng_seed=11,
+                                               registry=registry):
+                start_ids = resolve_names(graph, sample.start_entities)
+                typed, result = run_path(graph, registry,
+                                         parse_path(sample.path, registry), start_ids)
+                names = tuple(dict.fromkeys(n.name for n in result.answers))
+                assert names == sample.answers, sample.template_id
+                # Independent oracle agrees, from the start nodes of the
+                # path's start kind.
+                start = {nid for nid in start_ids if graph.node(nid).kind is typed.start_kind}
+                brute = brute_execute(nodes, edges, steps_from_program(typed.program),
+                                      start_ids=start)
+                assert {graph.node(nid).name for nid in brute} == set(names)
+                total += 1
+        assert total > 0
+
+
+def test_name_shared_across_kinds_keeps_its_first_kind_bindings(
+        fixture_graph, shared_name_graph, registry, core_templates):
+    template = _template(core_templates, "malware-techniques")
+    before = instantiate_template(template, fixture_graph, registry=registry)
+    after = instantiate_template(template, shared_name_graph, registry=registry)
+    assert len(after) == len(before) == 4
+    assert after == before
+    assert ("Sys10",) in {s.start_entities for s in after}
+
+
+def test_name_shared_across_kinds_drops_later_kind_with_reason(
+        shared_name_graph, registry, core_templates, caplog):
+    # Re-executing "Sys10" starts from the malware, not the renamed tool.
+    template = _template(core_templates, "tool-techniques")
+    with caplog.at_level(logging.DEBUG, logger="titan_kg.datagen"):
+        assert instantiate_template(template, shared_name_graph, registry=registry) == []
+    assert "start name 'Sys10' resolves to kind 'malware' first" in caplog.text
 
 
 def test_cot_golden_for_l2_program(fixture_graph, registry):

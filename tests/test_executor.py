@@ -1,13 +1,17 @@
 import pytest
 
 from titan_kg.errors import (
+    MissingStartKind,
     OperatorArityError,
     SelectNameUnresolved,
     StartKindMismatch,
+    TypeFlowError,
 )
 from titan_kg.executor import (
     Frontier,
     execute,
+    resolve_names,
+    run_path,
     step_exec_common,
     step_exec_difference,
     step_filter,
@@ -181,7 +185,7 @@ def test_inverse_round_trip_property(fixture_graph, registry):
     # For every edge (n, r, m), running [r, inverse(r)] from {n} returns n.
     for src, rel, _ in fixture_graph.all_edges():
         kind = fixture_graph.node(src).kind
-        inverse = registry.inverse_of(kind, rel)
+        inverse = registry.signature_of(kind, rel).inverse_name
         frontier = fixture_graph.successors((src,), rel)
         back = fixture_graph.successors(frontier, inverse)
         assert src in back, (src, rel)
@@ -280,3 +284,38 @@ def test_result_text_pins_trace_edges(fixture_graph, registry):
         "    malware--0001 --uses_attack_pattern--> attack-pattern--0002\n"
         "    malware--0002 --uses_attack_pattern--> attack-pattern--0002\n"
     ) + tail
+
+
+def test_resolve_names_keeps_name_order_and_rejects_unknown_names(fixture_graph):
+    assert resolve_names(fixture_graph, ["markirat", "Sys10"]) == (MARKIRAT, SYS10)
+    assert resolve_names(fixture_graph, []) == ()
+    with pytest.raises(StartKindMismatch):
+        resolve_names(fixture_graph, ["Sys10", "NoSuchThing"])
+
+
+def test_run_path_starts_from_the_first_kind_that_type_checks(fixture_graph, registry):
+    # attributed_to applies to a campaign, not to a malware.
+    program = parse_path("attributed_to → uses_malware", registry)
+    typed, result = run_path(fixture_graph, registry, program, (SYS10, C1, MARKIRAT))
+    assert typed.start_kind is EntityKind.CAMPAIGN
+    assert result.start_nodes == (C1,)
+    assert _answer_ids(result) == {SYS10, MARKIRAT}
+    # Both kinds type-check uses_attack_pattern; the first one's nodes start it.
+    typed, result = run_path(fixture_graph, registry,
+                             parse_path("uses_attack_pattern", registry), (MARKIRAT, C1, SYS10))
+    assert typed.start_kind is EntityKind.MALWARE
+    assert result.start_nodes == (MARKIRAT, SYS10)  # (kind, name, id) order
+
+
+def test_run_path_errors(fixture_graph, registry):
+    with pytest.raises(MissingStartKind):
+        run_path(fixture_graph, registry, parse_path("uses_attack_pattern", registry), ())
+    with pytest.raises(TypeFlowError):
+        run_path(fixture_graph, registry, parse_path("mitigated_by", registry), (SYS10, C1))
+
+
+def test_run_path_type_seed_ignores_start(fixture_graph, registry):
+    typed, result = run_path(fixture_graph, registry,
+                             parse_path("is_campaign_type", registry), (SYS10,))
+    assert typed.start_kind is EntityKind.CAMPAIGN
+    assert result.start_nodes == (C1,)

@@ -165,7 +165,7 @@ def test_keep_revoked_option(fixture_objects, registry):
 
 def test_bidirectionality_exhaustive(fixture_graph, registry):
     for src, rel, dst in fixture_graph.all_edges():
-        inverse = registry.inverse_of(fixture_graph.node(src).kind, rel)
+        inverse = registry.signature_of(fixture_graph.node(src).kind, rel).inverse_name
         assert src in fixture_graph.out(dst, inverse), (src, rel, dst)
 
 

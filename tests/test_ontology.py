@@ -3,12 +3,9 @@ import pytest
 from titan_kg.errors import NoSuchSignature, UnknownRelation
 from titan_kg.ontology import (
     EntityKind,
-    RelationRegistry,
     build_default_registry,
     kind_for_seed_relation,
-    normalize_relation,
     seed_relation_name,
-    signature_of,
 )
 
 
@@ -68,19 +65,19 @@ def test_alias_soundness(registry):
         assert alias not in canonical_names
 
 
-def test_normalize_context_free_aliases():
-    assert normalize_relation("mitigated_by") == "mitigated_by_course_of_action"
-    assert normalize_relation("targets") == "targets_asset"
-    assert normalize_relation("attributed_to") == "attributed_to_intrusion_set"
+def test_normalize_context_free_aliases(registry):
+    assert registry.normalize("mitigated_by") == "mitigated_by_course_of_action"
+    assert registry.normalize("targets") == "targets_asset"
+    assert registry.normalize("attributed_to") == "attributed_to_intrusion_set"
 
 
-def test_normalize_identity_on_canonical():
-    assert normalize_relation("uses_attack_pattern") == "uses_attack_pattern"
+def test_normalize_identity_on_canonical(registry):
+    assert registry.normalize("uses_attack_pattern") == "uses_attack_pattern"
 
 
-def test_normalize_rejects_unknown():
+def test_normalize_rejects_unknown(registry):
     with pytest.raises(UnknownRelation):
-        normalize_relation("uzes_attack_pattern")
+        registry.normalize("uzes_attack_pattern")
 
 
 def test_normalize_bare_verb_with_kind_context(registry):
@@ -90,13 +87,13 @@ def test_normalize_bare_verb_with_kind_context(registry):
         registry.normalize("uses", EntityKind.INTRUSION_SET)
 
 
-def test_signature_of_kind_mismatch():
+def test_signature_of_kind_mismatch(registry):
     with pytest.raises(NoSuchSignature):
-        signature_of(EntityKind.COURSE_OF_ACTION, "uses_attack_pattern")
+        registry.signature_of(EntityKind.COURSE_OF_ACTION, "uses_attack_pattern")
 
 
-def test_signature_of_campaign_attribution():
-    sig = signature_of(EntityKind.CAMPAIGN, "attributed_to_intrusion_set")
+def test_signature_of_campaign_attribution(registry):
+    sig = registry.signature_of(EntityKind.CAMPAIGN, "attributed_to_intrusion_set")
     assert sig.target_kind is EntityKind.INTRUSION_SET
 
 
@@ -142,13 +139,6 @@ def test_subtechniques_can_be_disabled():
     with pytest.raises(NoSuchSignature):
         trimmed.signature_of(EntityKind.ATTACK_PATTERN, "subtechnique_of_attack_pattern")
     assert "subtechnique_of" not in trimmed.aliases
-
-
-def test_table_round_trip(registry):
-    table = registry.to_table()
-    reloaded = RelationRegistry.from_table(table, registry.aliases)
-    assert reloaded.signatures == registry.signatures
-    assert reloaded.to_table() == table
 
 
 def test_no_two_signatures_share_source_and_name(registry):

@@ -175,11 +175,8 @@ def test_profile_single_seed():
 
 
 def test_render_rejects_quote_in_select_name():
-    program = PathProgram((TypeSeed(EntityKind.MALWARE),
-                           Select(('He said "hi"', "Other")),
-                           ExecCommon()))
-    with pytest.raises(ValueError):
-        render_path(program, "token")
+    with pytest.raises(MalformedOperator):
+        Select(('He said "hi"', "Other"))
 
 
 def test_select_resolves_every_node_sharing_a_name(registry):

@@ -15,8 +15,8 @@ from titan_kg.planner import (
     PlannerResponse,
     RemotePlanner,
     parse_planner_output,
+    render_system_prompt,
 )
-from titan_kg.prompts import render_system_prompt
 
 
 # --- parse_planner_output ----------------------------------------------------
