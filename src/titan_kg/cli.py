@@ -140,17 +140,10 @@ def cmd_ask(args) -> int:
 def cmd_gen(args) -> int:
     graph = _load_graph(args.snapshot)
     registry = build_default_registry()
-    if args.templates:
-        document = _read_text(args.templates)
-    else:
-        document = datagen.default_template_text()
+    document = _read_text(args.templates) if args.templates else datagen.default_template_text()
     templates = datagen.load_templates(document, registry)
-    config = datagen.DatasetConfig(
-        rng_seed=args.seed,
-        max_per_template=args.max_per_template,
-        test_fraction=args.test_fraction,
-        keep_empty=args.keep_empty,
-    )
+    config = datagen.DatasetConfig(rng_seed=args.seed, max_per_template=args.max_per_template,
+                                   test_fraction=args.test_fraction, keep_empty=args.keep_empty)
     split, table = datagen.generate_dataset(templates, graph, config, registry)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

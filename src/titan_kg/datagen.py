@@ -23,6 +23,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from operator import attrgetter
 from typing import Iterable
 
 from .errors import MalformedInput, StartKindMismatch, TemplateSchemaError, TitanError
@@ -242,14 +243,8 @@ def synthesize_cot(
 ) -> str:
     """Deterministic explanation: goal, one sentence per step, final path."""
     label = typed_program.start_kind.label
-    if start_entities:
-        opening = (f"The question is: {question} "
-                   f"The reasoning starts from the {label} {', '.join(start_entities)}.")
-    else:
-        opening = (f"The question is: {question} "
-                   f"The reasoning starts from every {label} node.")
-
-    sentences = [opening]
+    origin = f"the {label} {', '.join(start_entities)}" if start_entities else f"every {label} node"
+    sentences = [f"The question is: {question} The reasoning starts from {origin}."]
     previous = typed_program.start_kind
     for i, step in enumerate(typed_program.steps, 1):
         kind_after = typed_program.kinds[i - 1]
@@ -274,13 +269,8 @@ def synthesize_cot(
 
 
 def _substitute_path(program: PathProgram, binding: dict[str, str]) -> PathProgram:
-    steps = []
-    for step in program.steps:
-        if isinstance(step, Select):
-            steps.append(Select(tuple(binding.get(n, n) for n in step.names)))
-        else:
-            steps.append(step)
-    return PathProgram(tuple(steps))
+    return PathProgram(tuple(Select(tuple(binding.get(n, n) for n in step.names))
+                             if isinstance(step, Select) else step for step in program.steps))
 
 
 def _candidate_bindings(
@@ -355,7 +345,7 @@ def instantiate_template(
                          template.id, sorted(binding.values()), exc)
             continue
 
-        answers = tuple(dict.fromkeys(node.name for node in result.answers))
+        answers = tuple(dict.fromkeys(map(attrgetter("name"), result.answers)))
         if not answers and not keep_empty:
             continue
         prof = profile(typed.program)
@@ -390,18 +380,13 @@ def generate_dataset(
     test: list[Sample] = []
     for template in sorted(templates, key=lambda t: t.id):
         samples = instantiate_template(
-            template, graph,
-            rng_seed=config.rng_seed,
-            max_per_template=config.max_per_template,
-            keep_empty=config.keep_empty,
-            registry=registry,
-        )
+            template, graph, rng_seed=config.rng_seed, max_per_template=config.max_per_template,
+            keep_empty=config.keep_empty, registry=registry)
         n = len(samples)
         if n == 0:
             logger.info("template %s produced no samples", template.id)
             continue
-        want_test = int(round(config.test_fraction * n))
-        want_test = min(want_test, n - 1)
+        want_test = min(round(config.test_fraction * n), n - 1)
         if want_test < 1:
             logger.info("InsufficientBindings: template %s (%d sample(s)) "
                         "goes wholly to train", template.id, n)

@@ -2,7 +2,9 @@
 
 Execution folds the program's steps over a frontier (one node set per
 branch, several after a select), records a per-step evidence trace, and
-returns the final entities in a stable (kind, name, id) order.  The
+returns the final entities in a stable (kind, name, id) order.  Frontiers
+hold the graph's integer node ranks, which ascend in that order; answers,
+start nodes and trace edges are reported by node and id.  The
 interpreter is pure: the same (graph, program, start) always produces the
 same answers and the same trace.
 
@@ -13,6 +15,7 @@ all go through them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -46,9 +49,10 @@ Edge = tuple[str, str, str]
 
 @dataclass(frozen=True)
 class Frontier:
-    """Ordered branch sets of node ids; one branch until a select splits it."""
+    """Ordered branch sets of ascending node ranks; one branch until a
+    select splits it."""
 
-    branches: tuple[tuple[str, ...], ...]
+    branches: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,7 @@ class StepRecord:
     step: PathStep
     input_sizes: tuple[int, ...]
     output_sizes: tuple[int, ...]
-    inputs: tuple[tuple[str, ...], ...] = field(repr=False)
+    inputs: tuple[tuple[int, ...], ...] = field(repr=False)
     graph: KnowledgeGraph = field(repr=False, compare=False)
 
     @cached_property
@@ -67,9 +71,9 @@ class StepRecord:
         derived when first read; empty for every other step."""
         if not isinstance(self.step, Traverse):
             return ()
-        rel = self.step.rel
-        return tuple(sorted({(nid, rel, dst) for branch in self.inputs
-                             for nid in branch for dst in self.graph.out(nid, rel)}))
+        rel, graph = self.step.rel, self.graph
+        return tuple(sorted({(src, rel, dst) for src in graph.ids(set().union(*self.inputs))
+                             for dst in graph.out(src, rel)}))
 
 
 @dataclass(frozen=True)
@@ -107,11 +111,10 @@ def _node_matches(node: Node, keyword: str) -> bool:
 
 def step_filter(graph: KnowledgeGraph, frontier: Frontier, keyword: str) -> Frontier:
     """Keep nodes whose name, alias, tag, or description contains the keyword."""
-    needle = keyword.lower()
-    branches = tuple(
-        tuple(nid for nid in branch if _node_matches(graph.node(nid), needle))
-        for branch in frontier.branches)
-    return Frontier(branches)
+    needle, nodes = keyword.lower(), graph.nodes_by_rank
+    return Frontier(tuple(
+        tuple(rank for rank in branch if _node_matches(nodes[rank], needle))
+        for branch in frontier.branches))
 
 
 def step_select(graph: KnowledgeGraph, frontier: Frontier,
@@ -119,15 +122,16 @@ def step_select(graph: KnowledgeGraph, frontier: Frontier,
     """Split a single-branch frontier into one branch per named entity.
 
     A name resolves like :meth:`KnowledgeGraph.find_by_name`, restricted
-    to the frontier.  Both are in (kind, name, id) order, so each branch
+    to the frontier by bisection.  Both are in rank order, so each branch
     keeps the frontier's order.
     """
     if len(frontier.branches) != 1:
         raise OperatorPlacementError("select applies to a single-branch frontier")
-    current = set(frontier.branches[0])
+    current = frontier.branches[0]
     branches = []
     for name in names:
-        hits = [nid for nid in graph.find_by_name(name) if nid in current]
+        hits = [rank for rank in graph.ranks(graph.find_by_name(name))
+                if (i := bisect_left(current, rank)) < len(current) and current[i] == rank]
         if not hits:
             raise SelectNameUnresolved(
                 f"select name {name!r} matches nothing in the current frontier")
@@ -166,7 +170,7 @@ def execute(
     """
     first = typed_program.steps[0]
     if isinstance(first, TypeSeed):
-        start_ids = graph.nodes_of_kind(first.kind)
+        start_ids, start_ranks = graph.nodes_of_kind(first.kind), graph.kind_ranks(first.kind)
     else:
         if not start:
             raise StartKindMismatch("program has no type seed; start nodes required")
@@ -178,15 +182,16 @@ def execute(
                     f"start node {nid!r} has kind {graph.node(nid).kind.value!r}, "
                     f"program needs {typed_program.start_kind.value!r}")
         start_ids = graph.sort_ids(start)
+        start_ranks = graph.ranks(start_ids)
 
-    frontier = Frontier((start_ids,))
+    frontier = Frontier((start_ranks,))
     trace: list[StepRecord] = []
     for step in typed_program.steps:
         inputs = frontier.branches
         if isinstance(step, TypeSeed):
             pass  # the frontier is already the kind extent
         elif isinstance(step, Traverse):
-            frontier = Frontier(tuple(graph.successors(branch, step.rel)
+            frontier = Frontier(tuple(graph.successor_ranks(branch, step.rel)
                                       for branch in inputs))
         elif isinstance(step, Filter):
             frontier = step_filter(graph, frontier, step.keyword)
@@ -199,20 +204,20 @@ def execute(
         else:
             raise TypeError(f"not a path step: {step!r}")
         trace.append(StepRecord(
-            step=step, input_sizes=tuple(len(b) for b in inputs),
-            output_sizes=tuple(len(b) for b in frontier.branches),
+            step=step, input_sizes=tuple(map(len, inputs)),
+            output_sizes=tuple(map(len, frontier.branches)),
             inputs=inputs, graph=graph,
         ))
 
     if len(frontier.branches) == 1:
-        answer_ids = frontier.branches[0]
+        answers = tuple(map(graph.nodes_by_rank.__getitem__, frontier.branches[0]))
     else:
         # A select not followed by an operator leaves several branches;
         # the answer set is their union.
-        answer_ids = graph.sort_ids(set().union(*frontier.branches))
+        answers = tuple(map(graph.node, graph.sort_ids(graph.ids(set().union(*frontier.branches)))))
 
     return ExecutionResult(
-        answers=tuple(graph.node(nid) for nid in answer_ids),
+        answers=answers,
         trace=tuple(trace),
         start_nodes=start_ids,
     )

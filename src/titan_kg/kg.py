@@ -234,27 +234,36 @@ class KnowledgeGraph:
         self._order: tuple[str, ...] = tuple(
             key[2] for key in sorted(node.sort_key for node in self._nodes.values()))
         rank = self._rank = {nid: i for i, nid in enumerate(self._order)}
-        # relation -> source id -> ascending target ranks.
-        out: dict[str, dict[str, list[int]]] = {}
-        for src, rel, dst in self._edges:
-            if src not in rank or dst not in rank:
-                raise ValueError(f"edge ({src}, {rel}, {dst}) references a missing node")
-            out.setdefault(rel, {}).setdefault(src, []).append(rank[dst])
-        for by_src in out.values():
-            for ranks in by_src.values():
-                ranks.sort()
-        self._out = out
-        # Walking the nodes in rank order keeps both indexes sorted.
-        by_kind: dict[EntityKind, list[str]] = {kind: [] for kind in EntityKind}
+        self.nodes_by_rank: tuple[Node, ...] = tuple(map(self._nodes.__getitem__, self._order))
+        # relation -> source rank -> ascending target ranks.  The edges are
+        # sorted, so the edges of one (source, relation) pair are one run.
+        adjacency: dict[str, list] = {}
+        runs: list[list[int]] = []
+        last_src = last_rel = None
+        try:
+            for src, rel, dst in self._edges:
+                if rel != last_rel or src != last_src:
+                    last_src, last_rel = src, rel
+                    targets = adjacency.get(rel) or adjacency.setdefault(rel, [()] * len(rank))
+                    runs.append(run := [])
+                    targets[rank[src]] = run
+                run.append(rank[dst])
+        except KeyError:
+            src, rel, dst = next(e for e in self._edges if e[0] not in rank or e[2] not in rank)
+            raise ValueError(f"edge ({src}, {rel}, {dst}) references a missing node") from None
+        for run in runs:
+            run.sort()
+        self._adjacency = adjacency
+        # Walking the nodes in rank order keeps every index sorted.
+        by_kind: dict[EntityKind, list[int]] = {kind: [] for kind in EntityKind}
         by_name: dict[str, list[str]] = {}
-        for nid in self._order:
-            node = self._nodes[nid]
-            by_kind[node.kind].append(nid)
+        for i, node in enumerate(self.nodes_by_rank):
+            by_kind[node.kind].append(i)
             for key in {_norm_name(c) for c in (node.name, *node.aliases)}:
                 if key:
-                    by_name.setdefault(key, []).append(nid)
-        self._by_kind: dict[EntityKind, tuple[str, ...]] = {
-            kind: tuple(ids) for kind, ids in by_kind.items()}
+                    by_name.setdefault(key, []).append(node.id)
+        self._kind_ranks = {kind: tuple(ranks) for kind, ranks in by_kind.items()}
+        self._by_kind = {kind: self.ids(ranks) for kind, ranks in by_kind.items()}
         self._name_index: dict[str, tuple[str, ...]] = {
             key: tuple(ids) for key, ids in by_name.items()}
         self._max_name_words = max((len(k.split()) for k in self._name_index), default=1)
@@ -270,14 +279,28 @@ class KnowledgeGraph:
     def nodes_of_kind(self, kind: EntityKind) -> tuple[str, ...]:
         return self._by_kind[kind]
 
-    def out(self, node_id: str, rel: str) -> tuple[str, ...]:
-        return self.successors((node_id,), rel)
+    def kind_ranks(self, kind: EntityKind) -> tuple[int, ...]:
+        return self._kind_ranks[kind]
+
+    def ranks(self, ids: Iterable[str]) -> tuple[int, ...]:
+        """The rank of each id, in the order given."""
+        return tuple(map(self._rank.__getitem__, ids))
+
+    def ids(self, ranks: Iterable[int]) -> tuple[str, ...]:
+        """The id at each rank, in the order given."""
+        return tuple(map(self._order.__getitem__, ranks))
+
+    def successor_ranks(self, ranks: Iterable[int], rel: str) -> tuple[int, ...]:
+        """Distinct targets of ``rel`` edges from ``ranks``, ascending."""
+        adjacency = self._adjacency.get(rel)
+        return tuple(sorted(set().union(*map(adjacency.__getitem__, ranks)))) if adjacency else ()
 
     def successors(self, ids: Iterable[str], rel: str) -> tuple[str, ...]:
         """Distinct targets of ``rel`` edges from ``ids``, in (kind, name, id) order."""
-        adjacency = self._out.get(rel, {})
-        ranks: set[int] = set().union(*(adjacency.get(nid, ()) for nid in ids))
-        return tuple(map(self._order.__getitem__, sorted(ranks)))
+        return self.ids(self.successor_ranks(self.ranks(ids), rel))
+
+    def out(self, node_id: str, rel: str) -> tuple[str, ...]:
+        return self.successors((node_id,), rel)
 
     def find_by_name(self, name: str) -> tuple[str, ...]:
         """Node ids whose name or alias equals ``name`` (case-insensitive)."""
@@ -296,8 +319,7 @@ class KnowledgeGraph:
 
     def sort_ids(self, ids: Iterable[str]) -> tuple[str, ...]:
         """Distinct ids in (kind, name, id) order."""
-        rank = self._rank
-        return tuple(map(self._order.__getitem__, sorted({rank[nid] for nid in ids})))
+        return self.ids(sorted(set(self.ranks(ids))))
 
     # --- snapshot interface ---
 
@@ -370,6 +392,7 @@ def build_graph(
     options = options or BuildOptions()
 
     nodes: dict[str, Node] = {}
+    kinds: dict[str, EntityKind] = {}
     skipped: list[str] = []
     # The later passes read only these; they keep the bundle's order.
     relationships: list[RawStixObject] = []
@@ -382,6 +405,9 @@ def build_graph(
         kind = STIX_TYPE_TO_KIND.get(obj.type)
         if kind is None:
             continue
+        if kinds.setdefault(obj.id, kind) is not kind:
+            raise MalformedBundle(f"id {obj.id!r} is used by objects of kinds "
+                                  f"{kinds[obj.id].value!r} and {kind.value!r}")
         if kind is EntityKind.DATA_COMPONENT:
             components.append(obj)
         elif kind is EntityKind.ATTACK_PATTERN:

@@ -169,9 +169,6 @@ class RelationRegistry:
                 f"no relation {token!r} from kind {source_kind.value!r}")
         return sig
 
-    def relations_from(self, kind: EntityKind) -> tuple[str, ...]:
-        return tuple(sorted(name for (k, name) in self._by_key if k is kind))
-
     def normalize(self, token: str, source_kind: EntityKind | None = None) -> str:
         """Resolve ``token`` to a canonical relation name.
 

@@ -46,6 +46,14 @@ PATH_CLOSE = "</PATH>"
 SEP = "<SEP>"
 
 _ARROW_SPLIT = re.compile(r"→|->")
+# Markers that end an operand early when a program is rendered.
+_FRAMING = (PATH_OPEN, PATH_CLOSE, SEP, "→", "->")
+
+
+def _reject_framing(operand: str, markers: tuple[str, ...] = _FRAMING) -> None:
+    for marker in markers:
+        if marker in operand:
+            raise MalformedOperator(f"operand {operand!r} may not hold {marker!r}")
 
 
 @dataclass(frozen=True)
@@ -65,6 +73,7 @@ class Filter:
     def __post_init__(self):
         if not self.keyword.strip():
             raise MalformedOperator("filter requires a non-empty keyword")
+        _reject_framing(self.keyword)
 
 
 @dataclass(frozen=True)
@@ -76,8 +85,8 @@ class Select:
             raise MalformedOperator("select requires at least two names")
         if any(not n.strip() for n in self.names):
             raise MalformedOperator("select names must be non-empty")
-        if any('"' in n for n in self.names):
-            raise MalformedOperator(f"select names may not hold a double quote: {self.names}")
+        for name in self.names:
+            _reject_framing(name, ('"', *_FRAMING))
 
 
 @dataclass(frozen=True)

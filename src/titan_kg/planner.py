@@ -109,6 +109,7 @@ def parse_planner_output(
     The CoT is everything before the first ``<PATH>``; the path is the
     first well-formed path block (later blocks are ignored); start
     entities come from an optional ``<ENTITY> ... </ENTITY>`` block.
+    Text that yields no plan raises :class:`UnparseablePlan` and nothing else.
     """
     registry = registry or build_default_registry()
     program = None
@@ -126,7 +127,10 @@ def parse_planner_output(
     entity_match = _ENTITY_BLOCK.search(cot)
     entities: tuple[str, ...] = ()
     if entity_match:
-        entities = tuple(_split_names(entity_match.group(1)))
+        try:
+            entities = tuple(_split_names(entity_match.group(1)))
+        except TitanError as exc:
+            raise UnparseablePlan(f"malformed <ENTITY> block: {exc}", raw_text=raw_text) from exc
         cot = cot[:entity_match.start()] + cot[entity_match.end():]
     cot = cot.strip() or None
     return cot, program, entities

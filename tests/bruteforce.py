@@ -15,9 +15,16 @@ subsequence, the oracle for the bit-parallel LCS behind ROUGE-L.
 
 ``country_tags`` scans the lowered text once per marker, the oracle for
 ingest's single-regex country tagging.
+
+``relations_from`` lists a kind's relations off the registry's signatures.
 """
 
 from __future__ import annotations
+
+
+def relations_from(registry, kind) -> tuple[str, ...]:
+    """Sorted names of the relations whose signature starts at ``kind``."""
+    return tuple(sorted(sig.name for sig in registry.signatures if sig.source_kind is kind))
 
 
 def tables_from_graph(graph):

@@ -50,7 +50,7 @@ from titan_kg.pathlang import (
 )
 from titan_kg.planner import MockPlanner, PlannerRequest
 
-from bruteforce import brute_execute, steps_from_program, tables_from_graph
+from bruteforce import brute_execute, relations_from, steps_from_program, tables_from_graph
 
 # Reported next to the real-bundle census (release drift tolerance ±15%).
 PUBLISHED_KIND_COUNTS = {
@@ -197,7 +197,7 @@ def _relation_chains(registry, kind, max_hops):
     for _ in range(max_hops):
         next_level = []
         for chain, at in level:
-            for rel in registry.relations_from(at):
+            for rel in relations_from(registry, at):
                 extended = chain + [rel]
                 target = registry.signature_of(at, rel).target_kind
                 next_level.append((extended, target))

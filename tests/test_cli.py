@@ -89,6 +89,54 @@ def test_exec_prints_full_trace(snapshot, capsys):
     )
 
 
+def test_exec_prints_full_trace_of_type_seeded_select(snapshot, capsys):
+    code = main(["exec", "--snapshot", str(snapshot), "--path",
+                 "is_malware_type → select Cannon LitePower → uses_attack_pattern → exec_common"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == (
+        "path\t<PATH> is_malware_type <SEP> select Cannon LitePower <SEP> "
+        "uses_attack_pattern <SEP> exec_common </PATH>\n"
+        "answers\t1\n"
+        "  attack-pattern\tData Encrypted for Impact\tattack-pattern--0003\n"
+        "start\t4\tmalware--0003 malware--0004 malware--0002 malware--0001\n"
+        "trace\n"
+        "  step 1\tis_malware_type\tin=4\tout=4\tedges=0\n"
+        "  step 2\tselect Cannon LitePower\tin=4\tout=1,1\tedges=0\n"
+        "  step 3\tuses_attack_pattern\tin=1,1\tout=2,1\tedges=3\n"
+        "    Cannon --uses_attack_pattern--> Process Injection\n"
+        "    Cannon --uses_attack_pattern--> Data Encrypted for Impact\n"
+        "    LitePower --uses_attack_pattern--> Data Encrypted for Impact\n"
+        "  step 4\texec_common\tin=2,1\tout=1\tedges=0\n"
+    )
+
+
+def test_exec_prints_full_trace_of_type_seeded_filter(snapshot, capsys):
+    code = main(["exec", "--snapshot", str(snapshot), "--path",
+                 "is_intrusion_set_type → filter Russia → uses_attack_pattern "
+                 "→ targets → filter Windows"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == (
+        "path\t<PATH> is_intrusion_set_type <SEP> filter Russia <SEP> "
+        "uses_attack_pattern <SEP> targets_asset <SEP> filter Windows </PATH>\n"
+        "answers\t1\n"
+        "  asset\tWindows\tasset--windows\n"
+        "start\t2\tintrusion-set--0002 intrusion-set--0001\n"
+        "trace\n"
+        "  step 1\tis_intrusion_set_type\tin=2\tout=2\tedges=0\n"
+        "  step 2\tfilter Russia\tin=2\tout=1\tedges=0\n"
+        "  step 3\tuses_attack_pattern\tin=1\tout=2\tedges=2\n"
+        "    Sandworm Team --uses_attack_pattern--> Spearphishing Attachment\n"
+        "    Sandworm Team --uses_attack_pattern--> Process Injection\n"
+        "  step 4\ttargets_asset\tin=2\tout=2\tedges=3\n"
+        "    Spearphishing Attachment --targets_asset--> Linux\n"
+        "    Spearphishing Attachment --targets_asset--> Windows\n"
+        "    Process Injection --targets_asset--> Windows\n"
+        "  step 5\tfilter Windows\tin=2\tout=1\tedges=0\n"
+    )
+
+
 def test_exec_unknown_start_is_one_line_error(snapshot, capsys):
     code = main(["exec", "--snapshot", str(snapshot),
                  "--path", "uses_attack_pattern", "--start", "NoSuchThing"])
@@ -128,6 +176,23 @@ def test_gen_same_seed_byte_identical(snapshot, tmp_path):
                  "--out", str(out_b)]) == 0
     for name in ("train.jsonl", "test.jsonl", "profile.txt"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_gen_bytes_do_not_depend_on_hash_seed(snapshot, tmp_path):
+    import titan_kg
+    src = str(Path(titan_kg.__file__).resolve().parents[1])
+    outputs = set()
+    for hash_seed in ("1", "2", "3", "4"):
+        out = tmp_path / f"dataset-{hash_seed}"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-m", "titan_kg.cli", "gen", "--snapshot", str(snapshot),
+                        "--seed", "7", "--out", str(out)],
+                       env=env, capture_output=True, check=True, timeout=60)
+        outputs.add(tuple((out / name).read_bytes() for name in ("train.jsonl", "test.jsonl")))
+    assert len(outputs) == 1
+    train, test = outputs.pop()
+    assert train and test
 
 
 def test_gen_drops_select_binding_of_name_with_quote(tmp_path, capsys):

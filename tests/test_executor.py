@@ -41,6 +41,16 @@ def _answer_ids(result):
     return {node.id for node in result.answers}
 
 
+def _frontier(graph, *branches):
+    """The frontier the executor holds for these id branches: ascending ranks."""
+    return Frontier(tuple(tuple(sorted(graph.ranks(branch))) for branch in branches))
+
+
+def _ids(graph, frontier):
+    return tuple(tuple(graph.nodes_by_rank[rank].id for rank in branch)
+                 for branch in frontier.branches)
+
+
 def test_fig_l4_path_from_campaign(fixture_graph, registry):
     result = _run(fixture_graph, registry,
                   "attributed_to → uses_malware → uses_attack_pattern → mitigated_by",
@@ -96,42 +106,42 @@ def test_traverse_reverse_direction(fixture_graph):
 
 
 def test_filter_keeps_tagged_nodes(fixture_graph):
-    frontier = Frontier(((G1, G2),))
+    frontier = _frontier(fixture_graph, (G1, G2))
     out = step_filter(fixture_graph, frontier, "Russia")
-    assert out.branches == ((G1,),)
+    assert _ids(fixture_graph, out) == ((G1,),)
 
 
 def test_filter_matches_description_substring(fixture_graph):
-    frontier = Frontier(((SYS10, MARKIRAT, CANNON, LITEPOWER),))
+    frontier = _frontier(fixture_graph, (SYS10, MARKIRAT, CANNON, LITEPOWER))
     out = step_filter(fixture_graph, frontier, "ransomware")
-    assert out.branches == ((LITEPOWER,),)
+    assert _ids(fixture_graph, out) == ((LITEPOWER,),)
 
 
 def test_filter_no_match_is_empty(fixture_graph):
-    out = step_filter(fixture_graph, Frontier(((G1, G2),)), "zzz-nothing")
-    assert out.branches == ((),)
+    out = step_filter(fixture_graph, _frontier(fixture_graph, (G1, G2)), "zzz-nothing")
+    assert _ids(fixture_graph, out) == ((),)
 
 
 def test_filter_output_is_subset(fixture_graph):
-    frontier = Frontier((tuple(fixture_graph.nodes_of_kind(EntityKind.ATTACK_PATTERN)),))
+    frontier = _frontier(fixture_graph, fixture_graph.nodes_of_kind(EntityKind.ATTACK_PATTERN))
     out = step_filter(fixture_graph, frontier, "windows")
-    assert set(out.branches[0]) <= set(frontier.branches[0])
+    assert set(_ids(fixture_graph, out)[0]) <= set(_ids(fixture_graph, frontier)[0])
 
 
 def test_select_orders_branches_by_name_order(fixture_graph):
-    frontier = Frontier((fixture_graph.nodes_of_kind(EntityKind.MALWARE),))
+    frontier = _frontier(fixture_graph, fixture_graph.nodes_of_kind(EntityKind.MALWARE))
     out = step_select(fixture_graph, frontier, ("Sys10", "MarkiRAT"))
-    assert out.branches == ((SYS10,), (MARKIRAT,))
+    assert _ids(fixture_graph, out) == ((SYS10,), (MARKIRAT,))
 
 
 def test_select_alias_resolution(fixture_graph):
-    frontier = Frontier((fixture_graph.nodes_of_kind(EntityKind.INTRUSION_SET),))
+    frontier = _frontier(fixture_graph, fixture_graph.nodes_of_kind(EntityKind.INTRUSION_SET))
     out = step_select(fixture_graph, frontier, ("Voodoo Bear", "APT34"))
-    assert out.branches == ((G1,), (G2,))
+    assert _ids(fixture_graph, out) == ((G1,), (G2,))
 
 
 def test_select_unresolved_name(fixture_graph):
-    frontier = Frontier((fixture_graph.nodes_of_kind(EntityKind.MALWARE),))
+    frontier = _frontier(fixture_graph, fixture_graph.nodes_of_kind(EntityKind.MALWARE))
     with pytest.raises(SelectNameUnresolved):
         step_select(fixture_graph, frontier, ("Sys10", "NoSuchMalware"))
 
@@ -224,12 +234,12 @@ def test_select_without_operator_unions_branches(fixture_graph, registry):
 
 
 def test_select_name_ignores_case_and_whitespace(fixture_graph):
-    frontier = Frontier((fixture_graph.nodes_of_kind(EntityKind.MALWARE),))
+    frontier = _frontier(fixture_graph, fixture_graph.nodes_of_kind(EntityKind.MALWARE))
     out = step_select(fixture_graph, frontier, ("  sys10 ", "MARKIRAT"))
-    assert out.branches == ((SYS10,), (MARKIRAT,))
-    frontier = Frontier((fixture_graph.nodes_of_kind(EntityKind.INTRUSION_SET),))
+    assert _ids(fixture_graph, out) == ((SYS10,), (MARKIRAT,))
+    frontier = _frontier(fixture_graph, fixture_graph.nodes_of_kind(EntityKind.INTRUSION_SET))
     out = step_select(fixture_graph, frontier, ("voodoo   BEAR", "apt34"))
-    assert out.branches == ((G1,), (G2,))
+    assert _ids(fixture_graph, out) == ((G1,), (G2,))
 
 
 def _twin_graph():
@@ -246,19 +256,19 @@ def _twin_graph():
 
 def test_select_keeps_only_frontier_nodes():
     graph = _twin_graph()
-    frontier = Frontier((graph.sort_ids(["malware--a", "malware--c"]),))
+    frontier = _frontier(graph, graph.sort_ids(["malware--a", "malware--c"]))
     out = step_select(graph, frontier, ("Twin", "Other"))
-    assert out.branches == (("malware--a",), ("malware--c",))
+    assert _ids(graph, out) == (("malware--a",), ("malware--c",))
     with pytest.raises(SelectNameUnresolved):
         step_select(graph, frontier, ("Twin", "Lonely"))
 
 
 def test_select_shared_name_keeps_frontier_order():
     graph = _twin_graph()
-    frontier = Frontier((graph.nodes_of_kind(EntityKind.MALWARE),))
-    assert frontier.branches[0] == ("malware--b", "malware--c", "malware--a")
+    frontier = _frontier(graph, graph.nodes_of_kind(EntityKind.MALWARE))
+    assert _ids(graph, frontier)[0] == ("malware--b", "malware--c", "malware--a")
     out = step_select(graph, frontier, ("TWIN", "other"))
-    assert out.branches == (("malware--b", "malware--a"), ("malware--c",))
+    assert _ids(graph, out) == (("malware--b", "malware--a"), ("malware--c",))
 
 
 def test_result_text_pins_trace_edges(fixture_graph, registry):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from titan_kg.errors import MalformedBundle, NoSuchSignature, UnknownSignature
+from titan_kg.errors import MalformedBundle, UnknownSignature
 from titan_kg.kg import (
     BuildOptions,
     KnowledgeGraph,
@@ -200,14 +200,34 @@ def test_snapshot_round_trip(fixture_graph):
     {"type": "x-mitre-data-component", "id": "x--1", "name": "C",
      "x_mitre_data_source_ref": "x-mitre-data-source--1"},
 ])
-def test_id_reused_by_another_kind_types_edges_by_the_kept_node(first, registry):
-    # The later malware object replaces the node; its kind has neither
-    # targets_asset nor provided_by_data_source, so no edge may be typed.
+def test_id_reused_by_another_kind_is_rejected(first, registry):
+    # Neither object may stand for the id: the malware kind has neither
+    # targets_asset nor provided_by_data_source, and relationships to the
+    # id would be typed against whichever object came last.
     doc = json.dumps([first, {"type": "malware", "id": "x--1", "name": "M"},
                       {"type": "x-mitre-data-source", "id": "x-mitre-data-source--1",
                        "name": "S"}])
-    with pytest.raises(NoSuchSignature):
+    with pytest.raises(MalformedBundle, match="'x--1'"):
         build_graph(parse_stix_bundle(doc), registry)
+
+
+def test_id_reused_by_a_revoked_object_of_another_kind_is_rejected(registry):
+    doc = json.dumps([
+        {"type": "intrusion-set", "id": "intrusion-set--1", "name": "G"},
+        {"type": "attack-pattern", "id": "x--1", "name": "T", "revoked": True},
+        {"type": "malware", "id": "x--1", "name": "M"},
+        {"type": "relationship", "id": "relationship--1", "relationship_type": "uses",
+         "source_ref": "intrusion-set--1", "target_ref": "x--1"}])
+    with pytest.raises(MalformedBundle, match="'attack-pattern' and 'malware'"):
+        build_graph(parse_stix_bundle(doc), registry)
+
+
+def test_id_reused_by_the_same_kind_keeps_the_later_object(registry):
+    doc = json.dumps([{"type": "malware", "id": "malware--1", "name": "Old"},
+                      {"type": "malware", "id": "malware--1", "name": "New"}])
+    graph = build_graph(parse_stix_bundle(doc), registry)
+    assert graph.node_count == 1
+    assert graph.node("malware--1").name == "New"
 
 
 def test_scale_snapshot_bytes_are_pinned(registry):

@@ -25,6 +25,8 @@ from titan_kg.pathlang import (
     validate_program,
 )
 
+from bruteforce import relations_from
+
 FIG_PATHS = [
     "attributed_to → uses_malware → uses_attack_pattern → mitigated_by",
     "is_intrusion_set_type → filter Russia → uses_attack_pattern → targets → filter Windows",
@@ -179,6 +181,20 @@ def test_render_rejects_quote_in_select_name():
         Select(('He said "hi"', "Other"))
 
 
+@pytest.mark.parametrize("marker", ["<PATH>", "</PATH>", "<SEP>", "→", "->"])
+def test_operands_may_not_hold_path_markers(marker):
+    with pytest.raises(MalformedOperator):
+        Filter(f"a {marker} b")
+    with pytest.raises(MalformedOperator):
+        Select(("Sys10", f"x{marker}y"))
+
+
+def test_filter_keyword_with_sep_is_refused_at_parse(registry):
+    # Accepted, it rendered to a token form that re-parsed as relation 'b'.
+    with pytest.raises(MalformedOperator):
+        parse_path("is_malware_type → filter a <SEP> b", registry)
+
+
 def test_select_resolves_every_node_sharing_a_name(registry):
     # Duplicate names put every matching node into the same branch.
     from titan_kg.executor import Frontier, step_select
@@ -188,9 +204,10 @@ def test_select_resolves_every_node_sharing_a_name(registry):
         [Node(id="malware--a", name="Twin", kind=EntityKind.MALWARE),
          Node(id="malware--b", name="Twin", kind=EntityKind.MALWARE),
          Node(id="malware--c", name="Solo", kind=EntityKind.MALWARE)], [])
-    frontier = Frontier((graph.nodes_of_kind(EntityKind.MALWARE),))
+    frontier = Frontier((graph.kind_ranks(EntityKind.MALWARE),))
     out = step_select(graph, frontier, ("Twin", "Solo"))
-    assert out.branches == (("malware--a", "malware--b"), ("malware--c",))
+    assert [[graph.nodes_by_rank[rank].id for rank in branch] for branch in out.branches] == [
+        ["malware--a", "malware--b"], ["malware--c"]]
 
 
 def _random_program(rng: random.Random, registry) -> PathProgram:
@@ -200,7 +217,7 @@ def _random_program(rng: random.Random, registry) -> PathProgram:
     steps: list = [TypeSeed(kind)]
     current = kind
     for _ in range(rng.randint(0, 3)):
-        options = registry.relations_from(current)
+        options = relations_from(registry, current)
         if not options:
             break
         rel = rng.choice(options)
@@ -210,7 +227,7 @@ def _random_program(rng: random.Random, registry) -> PathProgram:
             steps.append(Filter(rng.choice(["windows", "russia", "remote access"])))
     if rng.random() < 0.4:
         select = Select(tuple(rng.sample(names_pool, 2)))
-        tail_rel = registry.relations_from(current)
+        tail_rel = relations_from(registry, current)
         insert_at = 1  # right after the seed
         steps.insert(insert_at, select)
         if tail_rel and rng.random() < 0.8:

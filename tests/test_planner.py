@@ -54,6 +54,16 @@ def test_parse_unterminated_block_raises():
         parse_planner_output("<PATH> uses_attack_pattern <SEP> ...")
 
 
+@pytest.mark.parametrize("raw", [
+    '<ENTITY> "abc </ENTITY><PATH> is_malware_type </PATH>',
+    '<ENTITY> "" </ENTITY><PATH> is_malware_type </PATH>',
+])
+def test_parse_malformed_entity_block_raises_unparseable_plan(raw):
+    with pytest.raises(UnparseablePlan) as err:
+        parse_planner_output(raw)
+    assert err.value.raw_text == raw
+
+
 def test_parse_entity_block():
     raw = ('I will start from the malware. <ENTITY> "Agent Tesla" Emotet </ENTITY> '
            "<PATH> uses_attack_pattern </PATH>")

@@ -16,6 +16,11 @@ overlap and share letters.
 Snapshot load is checked on the fixture graph's snapshot: any order of its
 records, with repeated EDGE lines, loads to the same graph, and a mutated
 snapshot either loads or raises a ``TitanError``.
+
+Path text is checked on text glued from the path and planner markers, near
+misses of them, quotes, whitespace and any other character: every program
+that can be built renders to text that parses back to it, in both forms,
+and planner output either parses or raises ``UnparseablePlan``.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from titan_kg.errors import SelectNameUnresolved, TitanError
+from titan_kg.errors import MalformedOperator, SelectNameUnresolved, TitanError, UnparseablePlan
 from titan_kg.eval import _lcs_length, bleu
 from titan_kg.executor import execute
 from titan_kg.kg import (
@@ -45,14 +50,18 @@ from titan_kg.pathlang import (
     Select,
     Traverse,
     TypeSeed,
+    parse_path,
+    render_path,
     validate_program,
 )
+from titan_kg.planner import parse_planner_output
 
 from bruteforce import (
     bleu as brute_bleu,
     brute_execute,
     country_tags,
     lcs_length,
+    relations_from,
     steps_from_program,
     tables_from_graph,
 )
@@ -101,6 +110,21 @@ HEADER, *RECORDS = SNAPSHOT.splitlines()
 EDGE_LINES = [line for line in RECORDS if line.startswith("EDGE\t")]
 # Characters that matter to the framing or to JSON, and any others.
 CHAR = st.sampled_from('\t\n"[]{},:\\5x ') | st.characters()
+# Pieces of path and planner text: the markers, near misses that glue
+# into markers ("-" ">", "<SEP" ">"), quotes, words of the path language,
+# whitespace and any character.
+OPERAND_PIECE = st.sampled_from((
+    "<PATH>", "</PATH>", "<SEP>", "→", "->", "-", ">", "<", "<SEP", "SEP>", "</PATH",
+    "PATH>", '"', " ", "\t", "\n", "a", "Sys10", "x y", "is_malware_type", "uses",
+    "filter", "select", "exec_common")) | st.characters()
+# Operands with canonical whitespace, as parsing leaves them.
+OPERAND = st.lists(OPERAND_PIECE, min_size=1, max_size=4).map(
+    lambda pieces: " ".join("".join(pieces).split())).filter(bool)
+# Planner text adds entity blocks and whole path blocks.
+PLAN_PIECE = OPERAND_PIECE | st.sampled_from((
+    "<ENTITY>", "</ENTITY>", "<PATH> is_malware_type </PATH>",
+    "<PATH> uses_attack_pattern <SEP> filter a </PATH>", '<ENTITY> "Agent Tesla" Sys10 </ENTITY>'))
+PLAN_TEXT = st.lists(PLAN_PIECE, max_size=16).map("".join)
 
 
 @st.composite
@@ -146,7 +170,7 @@ def _draw_program(data, graph: KnowledgeGraph):
             if data.draw(st.integers(0, 3)) == 0:
                 steps.append(Filter(data.draw(KEYWORD)))
             else:
-                rel = data.draw(st.sampled_from(REGISTRY.relations_from(kind)))
+                rel = data.draw(st.sampled_from(relations_from(REGISTRY, kind)))
                 steps.append(Traverse(rel))
                 kind = REGISTRY.signature_of(kind, rel).target_kind
 
@@ -201,7 +225,7 @@ def test_successors_and_sort_ids_match_bruteforce(graph, data):
     all_ids = [nid for k in EntityKind for nid in graph.nodes_of_kind(k)]
     ids = data.draw(st.lists(st.sampled_from(graph.nodes_of_kind(kind))
                              | st.sampled_from(all_ids), max_size=6))
-    rel = data.draw(st.sampled_from(REGISTRY.relations_from(kind)) | st.sampled_from(RELATIONS))
+    rel = data.draw(st.sampled_from(relations_from(REGISTRY, kind)) | st.sampled_from(RELATIONS))
     expected = {dst for (src, r, dst) in graph.all_edges() if r == rel and src in ids}
     assert graph.successors(ids, rel) == tuple(_sorted_ids(graph, expected))
     assert graph.sort_ids(ids) == tuple(_sorted_ids(graph, ids))
@@ -256,3 +280,63 @@ def test_mutated_snapshot_loads_or_raises_titan_error(data):
         KnowledgeGraph.load_snapshot(text)
     except TitanError:
         pass
+
+
+FRAMING = ("<PATH>", "</PATH>", "<SEP>", "→", "->")
+
+
+def _refuses(make, operands: tuple[str, ...], markers: tuple[str, ...]) -> bool:
+    """Whether building a step refuses its operands; it must exactly when
+    one of them holds one of ``markers``."""
+    try:
+        make()
+    except MalformedOperator:
+        refused = True
+    else:
+        refused = False
+    assert refused == any(m in operand for operand in operands for m in markers), operands
+    return refused
+
+
+def _draw_buildable_program(data) -> PathProgram:
+    """Any structurally valid program of accepted operands: a seed or not,
+    relations and filters, optionally a select, more steps and a combiner."""
+    def walk() -> list:
+        steps: list = []
+        for _ in range(data.draw(WALK)):
+            if data.draw(st.booleans()):
+                steps.append(Traverse(data.draw(st.sampled_from(RELATIONS))))
+                continue
+            keyword = data.draw(OPERAND)
+            if not _refuses(lambda: Filter(keyword), (keyword,), FRAMING):
+                steps.append(Filter(keyword))
+        return steps
+
+    steps = [TypeSeed(data.draw(KINDS))] if data.draw(st.booleans()) else []
+    steps += walk()
+    names = tuple(data.draw(st.lists(OPERAND, min_size=2, max_size=3)))
+    if not _refuses(lambda: Select(names), names, ('"', *FRAMING)) and data.draw(st.booleans()):
+        steps += [Select(names), *walk()]
+        combiner = data.draw(COMBINER)
+        if combiner is not None:
+            steps.append(combiner())
+    return PathProgram(tuple(steps or [TypeSeed(data.draw(KINDS))]))
+
+
+@given(data=st.data(), form=st.sampled_from(("token", "display")))
+def test_render_then_parse_is_identity(data, form):
+    program = _draw_buildable_program(data)
+    assert parse_path(render_path(program, form), REGISTRY) == program
+
+
+@example(text='<ENTITY> "abc </ENTITY><PATH> is_malware_type </PATH>')
+@example(text='<ENTITY> "" </ENTITY><PATH> is_malware_type </PATH>')
+@given(text=PLAN_TEXT)
+def test_planner_output_parses_or_raises_unparseable_plan(text):
+    try:
+        _, program, entities = parse_planner_output(text, REGISTRY)
+    except UnparseablePlan as exc:
+        assert exc.raw_text == text
+        return
+    assert isinstance(program, PathProgram)
+    assert all(isinstance(name, str) and name for name in entities)
