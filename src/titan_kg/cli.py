@@ -21,11 +21,16 @@ from .pathlang import parse_path, render_path
 from .planner import EndpointConfig, MockPlanner, RemotePlanner, run_question
 
 
-def _uint64(value: str) -> int:
-    seed = int(value)
-    if not 0 <= seed < 2 ** 64:
-        raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
-    return seed
+def _checked(convert, accept, message: str):
+    """An argparse ``type``: ``convert`` the text, then reject a value that
+    ``accept`` refuses with ``message``."""
+    def parse(value: str):
+        result = convert(value)
+        if not accept(result):
+            raise argparse.ArgumentTypeError(message)
+        return result
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 def _read_bytes(path: str) -> bytes:
@@ -224,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ask", help="plan a question, then execute the path")
     p.add_argument("--snapshot", required=True)
-    p.add_argument("--question", required=True)
+    p.add_argument("--question", required=True,
+                   type=_checked(str, str.strip, "must not be blank"))
     p.add_argument("--planner", choices=("mock", "remote"), default="mock")
     p.add_argument("--mode", choices=("cot", "nocot"), default="cot")
     p.add_argument("--dataset", help="dataset file backing the mock planner")
@@ -233,10 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a question/CoT/path dataset")
     p.add_argument("--snapshot", required=True)
     p.add_argument("--templates", help="template corpus (default: shipped corpus)")
-    p.add_argument("--seed", type=_uint64, default=0)
+    p.add_argument("--seed", default=0, type=_checked(
+        int, lambda n: 0 <= n < 2 ** 64, "seed must be an unsigned 64-bit integer"))
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--max-per-template", type=int, default=40)
-    p.add_argument("--test-fraction", type=float, default=0.2)
+    p.add_argument("--max-per-template", default=40,
+                   type=_checked(int, lambda n: n >= 0, "must be an integer >= 0"))
+    p.add_argument("--test-fraction", default=0.2,  # the check also refuses nan
+                   type=_checked(float, lambda x: 0 <= x <= 1, "must be a number in [0, 1]"))
     p.add_argument("--keep-empty", action="store_true",
                    help="keep samples whose answer set is empty")
     p.set_defaults(func=cmd_gen)

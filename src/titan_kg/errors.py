@@ -18,7 +18,7 @@ class MalformedInput(TitanError):
 # --- ontology ---------------------------------------------------------------
 
 class UnknownRelation(TitanError):
-    """A relation token is neither canonical, a known alias, nor resolvable."""
+    """A relation token is neither canonical nor a short verb that resolves."""
 
 
 class NoSuchSignature(TitanError):

@@ -20,12 +20,10 @@ from .ontology import RelationRegistry
 from .pathlang import (
     LENGTH_BUCKETS,
     OPERATOR_BUCKETS,
-    ExecCommon,
     Filter,
     PathProgram,
+    PathStep,
     Select,
-    Traverse,
-    TypeSeed,
     parse_path,
 )
 
@@ -37,29 +35,19 @@ def tokenize(text: str) -> list[str]:
     return text.lower().translate(_PUNCT_TABLE).split()
 
 
-def canonical_key(program: PathProgram) -> tuple:
-    """Comparison key for exact match: canonical relation tokens, with
-    filter keywords and select names folded to lowercase."""
-    key = []
-    for step in program.steps:
-        if isinstance(step, TypeSeed):
-            key.append(("seed", step.kind.value))
-        elif isinstance(step, Traverse):
-            key.append(("rel", step.rel))
-        elif isinstance(step, Filter):
-            key.append(("filter", step.keyword.casefold()))
-        elif isinstance(step, Select):
-            key.append(("select", tuple(n.casefold() for n in step.names)))
-        elif isinstance(step, ExecCommon):
-            key.append(("exec_common",))
-        else:
-            key.append(("exec_difference",))
-    return tuple(key)
+def _casefolded(step: PathStep) -> PathStep:
+    """``step`` with its filter keyword or select names casefolded."""
+    if isinstance(step, Filter):
+        return Filter(step.keyword.casefold())
+    if isinstance(step, Select):
+        return Select(tuple(name.casefold() for name in step.names))
+    return step
 
 
 def exact_match(pred: PathProgram, ref: PathProgram) -> int:
-    """1 iff the canonicalized programs are identical, else 0."""
-    return int(canonical_key(pred) == canonical_key(ref))
+    """1 iff the programs have equal steps once filter keywords and select
+    names are casefolded, else 0."""
+    return int(list(map(_casefolded, pred.steps)) == list(map(_casefolded, ref.steps)))
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:

@@ -82,7 +82,7 @@ class ExecutionResult:
     trace: tuple[StepRecord, ...]
     start_nodes: tuple[str, ...]
 
-    def to_text(self, graph: KnowledgeGraph | None = None) -> str:
+    def to_text(self, graph: KnowledgeGraph) -> str:
         """Stable structured-text rendering: answers first, then the trace."""
         lines = [f"answers\t{len(self.answers)}"]
         for node in self.answers:
@@ -95,10 +95,7 @@ class ExecutionResult:
             lines.append(f"  step {i}\t{render_segment(rec.step)}\t"
                          f"in={sizes_in}\tout={sizes_out}\tedges={len(rec.edges)}")
             for src, rel, dst in rec.edges:
-                if graph is not None:
-                    lines.append(f"    {graph.node(src).name} --{rel}--> {graph.node(dst).name}")
-                else:
-                    lines.append(f"    {src} --{rel}--> {dst}")
+                lines.append(f"    {graph.node(src).name} --{rel}--> {graph.node(dst).name}")
         return "\n".join(lines) + "\n"
 
 

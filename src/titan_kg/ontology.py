@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import NoSuchSignature, UnknownRelation
 
@@ -95,22 +95,6 @@ _SUBTECHNIQUE_FORWARD = (
     "has_subtechnique_attack_pattern",
 )
 
-# Context-free short forms (each expands to exactly one canonical name).
-_DEFAULT_ALIASES: dict[str, str] = {
-    "mitigated_by": "mitigated_by_course_of_action",
-    "mitigates": "mitigates_attack_pattern",
-    "targets": "targets_asset",
-    "targeted_by": "targeted_by_attack_pattern",
-    "attributed_to": "attributed_to_intrusion_set",
-    "responsible_for": "responsible_for_campaign",
-    "detected_by": "detected_by_data_component",
-    "detects": "detects_attack_pattern",
-    "provided_by": "provided_by_data_source",
-    "provides": "provides_data_component",
-    "subtechnique_of": "subtechnique_of_attack_pattern",
-    "has_subtechnique": "has_subtechnique_attack_pattern",
-}
-
 
 class RelationRegistry:
     """Catalog of relation signatures keyed by (source kind, name).
@@ -119,11 +103,7 @@ class RelationRegistry:
     concurrent reads.
     """
 
-    def __init__(
-        self,
-        signatures: Iterable[RelationSignature],
-        aliases: Mapping[str, str] | None = None,
-    ):
+    def __init__(self, signatures: Iterable[RelationSignature]):
         self._by_key: dict[tuple[EntityKind, str], RelationSignature] = {}
         for sig in signatures:
             key = (sig.source_kind, sig.name)
@@ -131,8 +111,13 @@ class RelationRegistry:
                 raise ValueError(f"duplicate signature for {sig.source_kind.value}/{sig.name}")
             self._by_key[key] = sig
         self._names = frozenset(sig.name for sig in self._by_key.values())
-        self._aliases = dict(aliases or {})
         self._check()
+        # Short verb (a name without its target suffix) -> source kind ->
+        # the names that complete it from that kind.
+        self._verbs: dict[str, dict[EntityKind, set[str]]] = {}
+        for sig in self._by_key.values():
+            verb = sig.name[:-len(sig.target_kind.slug) - 1]
+            self._verbs.setdefault(verb, {}).setdefault(sig.source_kind, set()).add(sig.name)
 
     def _check(self) -> None:
         for sig in self._by_key.values():
@@ -144,11 +129,6 @@ class RelationRegistry:
                 raise ValueError(f"missing reverse of {sig.source_kind.value}/{sig.name}")
             if rev.target_kind is not sig.source_kind or rev.inverse_name != sig.name:
                 raise ValueError(f"inconsistent reverse of {sig.source_kind.value}/{sig.name}")
-        for alias, target in self._aliases.items():
-            if target not in self._names:
-                raise ValueError(f"alias {alias!r} points at unknown relation {target!r}")
-            if alias in self._names:
-                raise ValueError(f"alias {alias!r} shadows a canonical relation name")
 
     # --- queries ---
 
@@ -156,10 +136,6 @@ class RelationRegistry:
     def signatures(self) -> tuple[RelationSignature, ...]:
         return tuple(sorted(self._by_key.values(),
                             key=lambda s: (s.source_kind.value, s.name)))
-
-    @property
-    def aliases(self) -> dict[str, str]:
-        return dict(self._aliases)
 
     def signature_of(self, source_kind: EntityKind, token: str) -> RelationSignature:
         """Unique signature for (source kind, canonical token)."""
@@ -172,38 +148,32 @@ class RelationRegistry:
     def normalize(self, token: str, source_kind: EntityKind | None = None) -> str:
         """Resolve ``token`` to a canonical relation name.
 
-        Canonical names and context-free aliases resolve without a source
-        kind.  With a source kind, a bare verb also resolves when exactly
-        one relation from that kind completes it with a target suffix
+        A canonical name resolves to itself.  A short verb resolves when
+        exactly one name completes it with a target suffix, in the whole
+        registry (``mitigated_by``) or, given a source kind, from that kind
         (``uses`` from malware -> ``uses_attack_pattern``).
         """
         if not token:
             raise UnknownRelation("empty relation token")
         if token in self._names:
             return token
-        if token in self._aliases:
-            return self._aliases[token]
-        if source_kind is not None:
-            candidates = [name for (k, name) in self._by_key
-                          if k is source_kind
-                          and name == f"{token}_{self._by_key[(k, name)].target_kind.slug}"]
-            if len(candidates) == 1:
-                return candidates[0]
-            if len(candidates) > 1:
-                raise UnknownRelation(
-                    f"relation {token!r} is ambiguous from kind "
-                    f"{source_kind.value!r}: {sorted(candidates)}")
+        completions = self._verbs.get(token, {})
+        anywhere = set().union(*completions.values())
+        if len(anywhere) == 1:
+            return anywhere.pop()
+        here = completions.get(source_kind, ())
+        if len(here) == 1:
+            return next(iter(here))
+        if len(here) > 1:
+            raise UnknownRelation(
+                f"relation {token!r} is ambiguous from kind "
+                f"{source_kind.value!r}: {sorted(here)}")
         raise UnknownRelation(f"unknown relation {token!r}")
 
     def resolvable_from_some_kind(self, token: str) -> bool:
         """True when some source kind can disambiguate ``token``."""
-        for kind in EntityKind:
-            try:
-                self.normalize(token, kind)
-                return True
-            except UnknownRelation:
-                continue
-        return False
+        return token in self._names or any(
+            len(names) == 1 for names in self._verbs.get(token, {}).values())
 
     # --- plain-text table interface ---
 
@@ -224,9 +194,5 @@ def build_default_registry(include_subtechniques: bool = True) -> RelationRegist
     for src, name, dst, inv in forward:
         sigs.append(RelationSignature(src, name, dst, inv))
         sigs.append(RelationSignature(dst, inv, src, name))
-    aliases = dict(_DEFAULT_ALIASES)
-    if not include_subtechniques:
-        aliases.pop("subtechnique_of")
-        aliases.pop("has_subtechnique")
-    return RelationRegistry(sigs, aliases)
+    return RelationRegistry(sigs)
 

@@ -199,8 +199,8 @@ def _parse_segment(segment: str, registry: RelationRegistry) -> PathStep:
 
     if rest:
         raise PathSyntaxError(f"unexpected tokens after relation {head!r}: {rest!r}")
-    # Canonicalize context-free aliases now; defer context-dependent short
-    # verbs (e.g. ``uses``) to validation, where the source kind is known.
+    # Canonicalize context-free short verbs now; defer context-dependent ones
+    # (e.g. ``uses``) to validation, where the source kind is known.
     try:
         return Traverse(registry.normalize(head))
     except UnknownRelation:

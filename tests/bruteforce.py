@@ -17,14 +17,100 @@ subsequence, the oracle for the bit-parallel LCS behind ROUGE-L.
 ingest's single-regex country tagging.
 
 ``relations_from`` lists a kind's relations off the registry's signatures.
+
+``alias_normalize`` and ``alias_resolvable_from_some_kind`` resolve relation
+tokens through a hand-written table of context-free short verbs, then by a
+scan of the signatures from the source kind, the oracles for the registry's
+verbs derived from its signatures.
+
+``canonical_key`` encodes a program's steps as plain tuples with filter
+keywords and select names casefolded, the oracle for ``eval.exact_match``.
 """
 
 from __future__ import annotations
+
+# Context-free short verbs of the default registry and the names they stand for.
+ALIASES = {
+    "mitigated_by": "mitigated_by_course_of_action",
+    "mitigates": "mitigates_attack_pattern",
+    "targets": "targets_asset",
+    "targeted_by": "targeted_by_attack_pattern",
+    "attributed_to": "attributed_to_intrusion_set",
+    "responsible_for": "responsible_for_campaign",
+    "detected_by": "detected_by_data_component",
+    "detects": "detects_attack_pattern",
+    "provided_by": "provided_by_data_source",
+    "provides": "provides_data_component",
+    "subtechnique_of": "subtechnique_of_attack_pattern",
+    "has_subtechnique": "has_subtechnique_attack_pattern",
+}
 
 
 def relations_from(registry, kind) -> tuple[str, ...]:
     """Sorted names of the relations whose signature starts at ``kind``."""
     return tuple(sorted(sig.name for sig in registry.signatures if sig.source_kind is kind))
+
+
+def alias_normalize(registry, token: str, source_kind=None) -> str:
+    """Canonical name of ``token``: itself, its entry in ``ALIASES`` (when the
+    registry has that name), or the one relation from ``source_kind`` that
+    completes it with a target suffix."""
+    from titan_kg.errors import UnknownRelation
+
+    names = {sig.name for sig in registry.signatures}
+    if not token:
+        raise UnknownRelation("empty relation token")
+    if token in names:
+        return token
+    if ALIASES.get(token) in names:
+        return ALIASES[token]
+    if source_kind is not None:
+        candidates = [sig.name for sig in registry.signatures
+                      if sig.source_kind is source_kind
+                      and sig.name == f"{token}_{sig.target_kind.slug}"]
+        if len(candidates) == 1:
+            return candidates[0]
+        if len(candidates) > 1:
+            raise UnknownRelation(
+                f"relation {token!r} is ambiguous from kind "
+                f"{source_kind.value!r}: {sorted(candidates)}")
+    raise UnknownRelation(f"unknown relation {token!r}")
+
+
+def alias_resolvable_from_some_kind(registry, token: str) -> bool:
+    """True when ``alias_normalize`` resolves ``token`` from some kind."""
+    from titan_kg.errors import UnknownRelation
+    from titan_kg.ontology import EntityKind
+
+    for kind in EntityKind:
+        try:
+            alias_normalize(registry, token, kind)
+            return True
+        except UnknownRelation:
+            continue
+    return False
+
+
+def canonical_key(program) -> tuple:
+    """Exact-match key: one plain tuple per step, with filter keywords and
+    select names casefolded."""
+    from titan_kg import pathlang as pl
+
+    key = []
+    for step in program.steps:
+        if isinstance(step, pl.TypeSeed):
+            key.append(("seed", step.kind.value))
+        elif isinstance(step, pl.Traverse):
+            key.append(("rel", step.rel))
+        elif isinstance(step, pl.Filter):
+            key.append(("filter", step.keyword.casefold()))
+        elif isinstance(step, pl.Select):
+            key.append(("select", tuple(n.casefold() for n in step.names)))
+        elif isinstance(step, pl.ExecCommon):
+            key.append(("exec_common",))
+        else:
+            key.append(("exec_difference",))
+    return tuple(key)
 
 
 def tables_from_graph(graph):

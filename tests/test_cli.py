@@ -218,6 +218,22 @@ def test_gen_rejects_bad_seed(snapshot, tmp_path):
               "--out", str(tmp_path / "x")])
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--max-per-template", "-1"), ("--test-fraction", "nan"),
+    ("--test-fraction", "inf"), ("--test-fraction", "-0.5"), ("--test-fraction", "1.5")])
+def test_gen_rejects_bad_count_or_fraction(snapshot, tmp_path, capsys, option, value):
+    with pytest.raises(SystemExit):
+        main(["gen", "--snapshot", str(snapshot), option, value,
+              "--out", str(tmp_path / "x")])
+    assert f"argument {option}:" in capsys.readouterr().err
+
+
+def test_ask_rejects_blank_question(snapshot, capsys):
+    with pytest.raises(SystemExit):
+        main(["ask", "--snapshot", str(snapshot), "--question", " \t"])
+    assert "argument --question: must not be blank" in capsys.readouterr().err
+
+
 def test_ask_mock_round_trip(snapshot, tmp_path, capsys):
     outdir = tmp_path / "dataset"
     assert main(["gen", "--snapshot", str(snapshot), "--seed", "3",

@@ -289,11 +289,11 @@ def test_result_text_pins_trace_edges(fixture_graph, registry):
         "    Sys10 --uses_attack_pattern--> Process Injection\n"
         "    MarkiRAT --uses_attack_pattern--> Process Injection\n"
     ) + tail
-    assert result.to_text() == head + (
-        "    malware--0001 --uses_attack_pattern--> attack-pattern--0001\n"
-        "    malware--0001 --uses_attack_pattern--> attack-pattern--0002\n"
-        "    malware--0002 --uses_attack_pattern--> attack-pattern--0002\n"
-    ) + tail
+    assert result.trace[2].edges == (
+        ("malware--0001", "uses_attack_pattern", "attack-pattern--0001"),
+        ("malware--0001", "uses_attack_pattern", "attack-pattern--0002"),
+        ("malware--0002", "uses_attack_pattern", "attack-pattern--0002"),
+    )
 
 
 def test_resolve_names_keeps_name_order_and_rejects_unknown_names(fixture_graph):

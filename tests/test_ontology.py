@@ -8,6 +8,8 @@ from titan_kg.ontology import (
     seed_relation_name,
 )
 
+from bruteforce import ALIASES, alias_normalize, alias_resolvable_from_some_kind
+
 
 def test_exactly_nine_kinds():
     assert len(EntityKind) == 9
@@ -58,11 +60,24 @@ def test_typedness_every_name_ends_with_target_slug(registry):
         assert sig.name.endswith("_" + sig.target_kind.slug), sig
 
 
+def _cuts(name: str) -> list[str]:
+    """``name`` cut at each underscore: the part before it and the part after."""
+    return [part for i, ch in enumerate(name) if ch == "_" for part in (name[:i], name[i + 1:])]
+
+
 def test_alias_soundness(registry):
     canonical_names = {sig.name for sig in registry.signatures}
-    for alias, target in registry.aliases.items():
+    for verb, target in ALIASES.items():
+        assert registry.normalize(verb) == target
         assert target in canonical_names
-        assert alias not in canonical_names
+        assert verb not in canonical_names
+    resolved = {}
+    for token in {cut for name in canonical_names for cut in _cuts(name)}:
+        try:
+            resolved[token] = registry.normalize(token)
+        except UnknownRelation:
+            pass
+    assert resolved == ALIASES
 
 
 def test_normalize_context_free_aliases(registry):
@@ -138,9 +153,37 @@ def test_subtechniques_can_be_disabled():
     trimmed = build_default_registry(include_subtechniques=False)
     with pytest.raises(NoSuchSignature):
         trimmed.signature_of(EntityKind.ATTACK_PATTERN, "subtechnique_of_attack_pattern")
-    assert "subtechnique_of" not in trimmed.aliases
+    with pytest.raises(UnknownRelation):
+        trimmed.normalize("subtechnique_of")
 
 
 def test_no_two_signatures_share_source_and_name(registry):
     keys = [(s.source_kind, s.name) for s in registry.signatures]
     assert len(keys) == len(set(keys))
+
+
+JUNK = ("", "_", "__", "uses_", "_malware", "Uses", "USES", "uses ", " uses", "used by",
+        "uzes", "mitigated", "mitigated_by_", "attack_pattern", "is_malware_type",
+        "filter", "select", "exec_common", "uses_attack_pattern_x", "x_uses_malware",
+        "→", "uses→malware", "subtechnique", "has", "by", "\u0131s")
+
+
+def _outcome(call):
+    """What a call returns, or the class and message of what it raises."""
+    try:
+        return call()
+    except UnknownRelation as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("include_subtechniques", [True, False])
+def test_normalize_matches_alias_table_oracle(include_subtechniques):
+    registry = build_default_registry(include_subtechniques)
+    names = sorted({sig.name for sig in registry.signatures})
+    tokens = sorted({*names, *(cut for name in names for cut in _cuts(name)), *JUNK})
+    for token in tokens:
+        for kind in (None, *EntityKind):
+            assert _outcome(lambda: registry.normalize(token, kind)) == _outcome(
+                lambda: alias_normalize(registry, token, kind)), (token, kind)
+        assert registry.resolvable_from_some_kind(token) == \
+            alias_resolvable_from_some_kind(registry, token), token

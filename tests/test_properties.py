@@ -21,6 +21,9 @@ Path text is checked on text glued from the path and planner markers, near
 misses of them, quotes, whitespace and any other character: every program
 that can be built renders to text that parses back to it, in both forms,
 and planner output either parses or raises ``UnparseablePlan``.
+
+Path exact match is checked against the casefolded key of the oracle on
+program pairs whose filter keywords and select names differ only in case.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from titan_kg.errors import MalformedOperator, SelectNameUnresolved, TitanError, UnparseablePlan
-from titan_kg.eval import _lcs_length, bleu
+from titan_kg.eval import _lcs_length, bleu, exact_match
 from titan_kg.executor import execute
 from titan_kg.kg import (
     _COUNTRY_MARKERS,
@@ -59,6 +62,7 @@ from titan_kg.planner import parse_planner_output
 from bruteforce import (
     bleu as brute_bleu,
     brute_execute,
+    canonical_key,
     country_tags,
     lcs_length,
     relations_from,
@@ -125,6 +129,12 @@ PLAN_PIECE = OPERAND_PIECE | st.sampled_from((
     "<ENTITY>", "</ENTITY>", "<PATH> is_malware_type </PATH>",
     "<PATH> uses_attack_pattern <SEP> filter a </PATH>", '<ENTITY> "Agent Tesla" Sys10 </ENTITY>'))
 PLAN_TEXT = st.lists(PLAN_PIECE, max_size=16).map("".join)
+# Operands whose case variants casefold alike (ß and SS; Σ, σ and ς; ﬁ and
+# FI) or apart (ı and I), and the ways to vary their case.
+CASE_WORD = st.sampled_from(("Sys10", "a b", "straße", "STRASSE", "İ", "ı", "i",
+                             "ΣΟΦΟΣ", "σοφος", "σοφοσ", "ﬁle", "\u212a"))
+RECASE = st.sampled_from((lambda text: text, str.lower, str.upper, str.title,
+                          str.swapcase, str.casefold))
 
 
 @st.composite
@@ -340,3 +350,34 @@ def test_planner_output_parses_or_raises_unparseable_plan(text):
         return
     assert isinstance(program, PathProgram)
     assert all(isinstance(name, str) and name for name in entities)
+
+
+def _draw_cased_program(data) -> PathProgram:
+    """A program whose filter keywords and select names are case-variant words."""
+    steps = [TypeSeed(data.draw(KINDS))] if data.draw(st.booleans()) else []
+    for _ in range(data.draw(WALK)):
+        steps.append(Traverse(data.draw(st.sampled_from(RELATIONS))) if data.draw(st.booleans())
+                     else Filter(data.draw(CASE_WORD)))
+    if data.draw(st.booleans()):
+        steps.append(Select(tuple(data.draw(st.lists(CASE_WORD, min_size=2, max_size=3)))))
+        combiner = data.draw(COMBINER)
+        if combiner is not None:
+            steps.append(combiner())
+    return PathProgram(tuple(steps or [TypeSeed(data.draw(KINDS))]))
+
+
+def _recased(data, program: PathProgram) -> PathProgram:
+    """``program`` with the case of each filter keyword and select name varied."""
+    def recase(text: str) -> str:
+        return data.draw(RECASE)(text)
+    return PathProgram(tuple(
+        Filter(recase(step.keyword)) if isinstance(step, Filter)
+        else Select(tuple(map(recase, step.names))) if isinstance(step, Select)
+        else step for step in program.steps))
+
+
+@given(data=st.data())
+def test_exact_match_agrees_with_casefolded_key(data):
+    pred = _draw_cased_program(data)
+    ref = _recased(data, pred if data.draw(st.booleans()) else _draw_cased_program(data))
+    assert exact_match(pred, ref) == int(canonical_key(pred) == canonical_key(ref))
