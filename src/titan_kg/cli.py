@@ -60,12 +60,12 @@ def _load_graph(snapshot: str) -> KnowledgeGraph:
     return KnowledgeGraph.load_snapshot(_read_text(snapshot))
 
 
-def _census_lines(graph: KnowledgeGraph) -> list[str]:
+def _census(graph: KnowledgeGraph) -> dict[str, int]:
+    """Node count per kind token, then the ``nodes`` and ``edges`` totals."""
     census = node_census(graph)
-    lines = [f"{kind.value}\t{census.per_kind[kind]}" for kind in EntityKind]
-    lines.append(f"nodes\t{census.total_nodes}")
-    lines.append(f"edges\t{census.total_edges}")
-    return lines
+    counts = {kind.value: census.per_kind[kind] for kind in EntityKind}
+    counts.update(nodes=census.total_nodes, edges=census.total_edges)
+    return counts
 
 
 def cmd_ingest(args) -> int:
@@ -76,8 +76,8 @@ def cmd_ingest(args) -> int:
     graph = build_graph(objects, registry, BuildOptions(
         drop_revoked=not args.keep_revoked, lenient=not args.strict))
     Path(args.out).write_text(graph.export_snapshot(), "utf-8")
-    for line in _census_lines(graph):
-        print(line)
+    for key, count in _census(graph).items():
+        print(f"{key}\t{count}")
     if graph.skipped:
         print(f"skipped\t{len(graph.skipped)}")
     print(f"snapshot\t{args.out}")
@@ -86,11 +86,10 @@ def cmd_ingest(args) -> int:
 
 def cmd_census(args) -> int:
     graph = _load_graph(args.snapshot)
-    actual = {line.split("\t")[0]: int(line.split("\t")[1])
-              for line in _census_lines(graph)}
+    actual = _census(graph)
     if not args.expected:
-        for line in _census_lines(graph):
-            print(line)
+        for key, count in actual.items():
+            print(f"{key}\t{count}")
         return 0
     expected: dict[str, int] = {}
     for lineno, raw in enumerate(_read_text(args.expected).splitlines(), 1):
@@ -268,12 +267,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TitanError as exc:
+    except (TitanError, OSError) as exc:
         message = " ".join(str(exc).split())
         print(f"{type(exc).__name__}: {message}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"FileNotFoundError: {exc}", file=sys.stderr)
         return 1
 
 

@@ -69,7 +69,6 @@ class QuestionTemplate:
     text: str
     path: PathProgram
     typed_path: TypedProgram
-    answer_kind: EntityKind
     start_slot: str | None          # placeholder token bound to the start entity
     placeholders: tuple[Placeholder, ...]  # in first-appearance order in the text
 
@@ -230,8 +229,7 @@ def load_templates(
 
         templates.append(QuestionTemplate(
             id=tid, text=text, path=program, typed_path=typed,
-            answer_kind=answer_kind, start_slot=start_slot,
-            placeholders=placeholders,
+            start_slot=start_slot, placeholders=placeholders,
         ))
     return templates
 
@@ -310,22 +308,20 @@ def _candidate_bindings(
 def instantiate_template(
     template: QuestionTemplate,
     graph: KnowledgeGraph,
-    rng_seed: int = 0,
-    max_per_template: int | None = 40,
-    keep_empty: bool = False,
-    registry: RelationRegistry | None = None,
+    config: DatasetConfig,
+    registry: RelationRegistry,
 ) -> list[Sample]:
-    """Bind entities to the template and execute each instance.
+    """Bind entities to the template and execute each instance, up to
+    ``config.max_per_template`` bindings drawn under ``config.rng_seed``.
 
     Start and select names resolve through :func:`~titan_kg.executor.run_path`,
     as re-execution of the emitted sample resolves them, so recorded answers
     always reproduce.  A binding that fails, or whose start name re-execution
     would read as another kind, is dropped with a logged reason.
     """
-    registry = registry or build_default_registry()
-    rng = random.Random(_derive_seed(rng_seed, template.id))
+    rng = random.Random(_derive_seed(config.rng_seed, template.id))
     samples: list[Sample] = []
-    for combo in _candidate_bindings(template, graph, rng, max_per_template):
+    for combo in _candidate_bindings(template, graph, rng, config.max_per_template):
         binding = {p.token: graph.node(nid).name
                    for p, nid in zip(template.placeholders, combo)}
         question = template.text
@@ -346,7 +342,7 @@ def instantiate_template(
             continue
 
         answers = tuple(dict.fromkeys(map(attrgetter("name"), result.answers)))
-        if not answers and not keep_empty:
+        if not answers and not config.keep_empty:
             continue
         prof = profile(typed.program)
         samples.append(Sample(
@@ -376,12 +372,11 @@ def generate_dataset(
     both sides go wholly to train.  Deterministic for a fixed seed.
     """
     config = config or DatasetConfig()
+    registry = registry or build_default_registry()
     train: list[Sample] = []
     test: list[Sample] = []
     for template in sorted(templates, key=lambda t: t.id):
-        samples = instantiate_template(
-            template, graph, rng_seed=config.rng_seed, max_per_template=config.max_per_template,
-            keep_empty=config.keep_empty, registry=registry)
+        samples = instantiate_template(template, graph, config, registry)
         n = len(samples)
         if n == 0:
             logger.info("template %s produced no samples", template.id)

@@ -67,10 +67,6 @@ class SelectNameUnresolved(TitanError):
     """A select name matched no node in the current frontier."""
 
 
-class OperatorArityError(TitanError):
-    """exec_common / exec_difference applied to fewer than two branches."""
-
-
 # --- datagen ----------------------------------------------------------------
 
 class TemplateSchemaError(TitanError):

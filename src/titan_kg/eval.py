@@ -35,19 +35,20 @@ def tokenize(text: str) -> list[str]:
     return text.lower().translate(_PUNCT_TABLE).split()
 
 
-def _casefolded(step: PathStep) -> PathStep:
-    """``step`` with its filter keyword or select names casefolded."""
+def _folded(step: PathStep) -> PathStep:
+    """``step`` with its operands folded as execution reads them: a filter
+    keyword lowercased, select names casefolded."""
     if isinstance(step, Filter):
-        return Filter(step.keyword.casefold())
+        return Filter(step.keyword.lower())
     if isinstance(step, Select):
         return Select(tuple(name.casefold() for name in step.names))
     return step
 
 
 def exact_match(pred: PathProgram, ref: PathProgram) -> int:
-    """1 iff the programs have equal steps once filter keywords and select
-    names are casefolded, else 0."""
-    return int(list(map(_casefolded, pred.steps)) == list(map(_casefolded, ref.steps)))
+    """1 iff the programs have equal steps once filter keywords are
+    lowercased and select names casefolded, else 0."""
+    return int(list(map(_folded, pred.steps)) == list(map(_folded, ref.steps)))
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:

@@ -22,8 +22,6 @@ from typing import Iterable
 
 from .errors import (
     MissingStartKind,
-    OperatorArityError,
-    OperatorPlacementError,
     SelectNameUnresolved,
     StartKindMismatch,
     TitanError,
@@ -45,14 +43,9 @@ from .pathlang import (
 )
 
 Edge = tuple[str, str, str]
-
-
-@dataclass(frozen=True)
-class Frontier:
-    """Ordered branch sets of ascending node ranks; one branch until a
-    select splits it."""
-
-    branches: tuple[tuple[int, ...], ...]
+# Ordered branch sets of ascending node ranks; one branch until a select
+# splits it.
+Frontier = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -62,7 +55,7 @@ class StepRecord:
     step: PathStep
     input_sizes: tuple[int, ...]
     output_sizes: tuple[int, ...]
-    inputs: tuple[tuple[int, ...], ...] = field(repr=False)
+    inputs: Frontier = field(repr=False)
     graph: KnowledgeGraph = field(repr=False, compare=False)
 
     @cached_property
@@ -71,9 +64,9 @@ class StepRecord:
         derived when first read; empty for every other step."""
         if not isinstance(self.step, Traverse):
             return ()
-        rel, graph = self.step.rel, self.graph
-        return tuple(sorted({(src, rel, dst) for src in graph.ids(set().union(*self.inputs))
-                             for dst in graph.out(src, rel)}))
+        rel, graph, ranks = self.step.rel, self.graph, set().union(*self.inputs)
+        return tuple(sorted((src, rel, dst) for rank, src in zip(ranks, graph.ids(ranks))
+                            for dst in graph.ids(graph.successor_ranks((rank,), rel))))
 
 
 @dataclass(frozen=True)
@@ -109,22 +102,21 @@ def _node_matches(node: Node, keyword: str) -> bool:
 def step_filter(graph: KnowledgeGraph, frontier: Frontier, keyword: str) -> Frontier:
     """Keep nodes whose name, alias, tag, or description contains the keyword."""
     needle, nodes = keyword.lower(), graph.nodes_by_rank
-    return Frontier(tuple(
-        tuple(rank for rank in branch if _node_matches(nodes[rank], needle))
-        for branch in frontier.branches))
+    return tuple(tuple(rank for rank in branch if _node_matches(nodes[rank], needle))
+                 for branch in frontier)
 
 
 def step_select(graph: KnowledgeGraph, frontier: Frontier,
                 names: tuple[str, ...]) -> Frontier:
     """Split a single-branch frontier into one branch per named entity.
 
-    A name resolves like :meth:`KnowledgeGraph.find_by_name`, restricted
-    to the frontier by bisection.  Both are in rank order, so each branch
-    keeps the frontier's order.
+    :class:`PathProgram` allows one select and no combiner before it, so
+    the frontier has one branch here.  A name resolves like
+    :meth:`KnowledgeGraph.find_by_name`, restricted to the frontier by
+    bisection.  Both are in rank order, so each branch keeps the
+    frontier's order.
     """
-    if len(frontier.branches) != 1:
-        raise OperatorPlacementError("select applies to a single-branch frontier")
-    current = frontier.branches[0]
+    (current,) = frontier
     branches = []
     for name in names:
         hits = [rank for rank in graph.ranks(graph.find_by_name(name))
@@ -133,25 +125,26 @@ def step_select(graph: KnowledgeGraph, frontier: Frontier,
             raise SelectNameUnresolved(
                 f"select name {name!r} matches nothing in the current frontier")
         branches.append(tuple(hits))
-    return Frontier(tuple(branches))
+    return tuple(branches)
 
 
 def step_exec_common(frontier: Frontier) -> Frontier:
-    """Collapse branches to their intersection."""
-    if len(frontier.branches) < 2:
-        raise OperatorArityError("exec_common needs at least two branches")
-    common = set.intersection(*map(set, frontier.branches[1:]))
-    kept = tuple(nid for nid in frontier.branches[0] if nid in common)
-    return Frontier((kept,))
+    """Collapse branches to their intersection.
+
+    :class:`PathProgram` places a combiner only right after a select of
+    two names or more, so the frontier has at least two branches here.
+    """
+    common = set.intersection(*map(set, frontier[1:]))
+    return (tuple(rank for rank in frontier[0] if rank in common),)
 
 
 def step_exec_difference(frontier: Frontier) -> Frontier:
-    """Collapse branches to: first branch minus the union of the others."""
-    if len(frontier.branches) < 2:
-        raise OperatorArityError("exec_difference needs at least two branches")
-    union_rest = set().union(*frontier.branches[1:])
-    kept = tuple(nid for nid in frontier.branches[0] if nid not in union_rest)
-    return Frontier((kept,))
+    """Collapse branches to: first branch minus the union of the others.
+
+    Like :func:`step_exec_common`, it sees at least two branches.
+    """
+    union_rest = set().union(*frontier[1:])
+    return (tuple(rank for rank in frontier[0] if rank not in union_rest),)
 
 
 def execute(
@@ -181,15 +174,14 @@ def execute(
         start_ids = graph.sort_ids(start)
         start_ranks = graph.ranks(start_ids)
 
-    frontier = Frontier((start_ranks,))
+    frontier: Frontier = (start_ranks,)
     trace: list[StepRecord] = []
     for step in typed_program.steps:
-        inputs = frontier.branches
+        inputs = frontier
         if isinstance(step, TypeSeed):
             pass  # the frontier is already the kind extent
         elif isinstance(step, Traverse):
-            frontier = Frontier(tuple(graph.successor_ranks(branch, step.rel)
-                                      for branch in inputs))
+            frontier = tuple(graph.successor_ranks(branch, step.rel) for branch in inputs)
         elif isinstance(step, Filter):
             frontier = step_filter(graph, frontier, step.keyword)
         elif isinstance(step, Select):
@@ -202,16 +194,14 @@ def execute(
             raise TypeError(f"not a path step: {step!r}")
         trace.append(StepRecord(
             step=step, input_sizes=tuple(map(len, inputs)),
-            output_sizes=tuple(map(len, frontier.branches)),
+            output_sizes=tuple(map(len, frontier)),
             inputs=inputs, graph=graph,
         ))
 
-    if len(frontier.branches) == 1:
-        answers = tuple(map(graph.nodes_by_rank.__getitem__, frontier.branches[0]))
-    else:
-        # A select not followed by an operator leaves several branches;
-        # the answer set is their union.
-        answers = tuple(map(graph.node, graph.sort_ids(graph.ids(set().union(*frontier.branches)))))
+    # A select not followed by an operator leaves several branches; the
+    # answer set is their union.
+    ranks = frontier[0] if len(frontier) == 1 else sorted(set().union(*frontier))
+    answers = tuple(map(graph.nodes_by_rank.__getitem__, ranks))
 
     return ExecutionResult(
         answers=answers,

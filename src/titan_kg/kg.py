@@ -295,13 +295,6 @@ class KnowledgeGraph:
         adjacency = self._adjacency.get(rel)
         return tuple(sorted(set().union(*map(adjacency.__getitem__, ranks)))) if adjacency else ()
 
-    def successors(self, ids: Iterable[str], rel: str) -> tuple[str, ...]:
-        """Distinct targets of ``rel`` edges from ``ids``, in (kind, name, id) order."""
-        return self.ids(self.successor_ranks(self.ranks(ids), rel))
-
-    def out(self, node_id: str, rel: str) -> tuple[str, ...]:
-        return self.successors((node_id,), rel)
-
     def find_by_name(self, name: str) -> tuple[str, ...]:
         """Node ids whose name or alias equals ``name`` (case-insensitive)."""
         return self._name_index.get(_norm_name(name), ())

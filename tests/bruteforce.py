@@ -24,7 +24,10 @@ scan of the signatures from the source kind, the oracles for the registry's
 verbs derived from its signatures.
 
 ``canonical_key`` encodes a program's steps as plain tuples with filter
-keywords and select names casefolded, the oracle for ``eval.exact_match``.
+keywords lowercased and select names casefolded, the oracle for
+``eval.exact_match``.
+
+``successors`` maps ids through the graph's rank-level traversal.
 """
 
 from __future__ import annotations
@@ -92,8 +95,8 @@ def alias_resolvable_from_some_kind(registry, token: str) -> bool:
 
 
 def canonical_key(program) -> tuple:
-    """Exact-match key: one plain tuple per step, with filter keywords and
-    select names casefolded."""
+    """Exact-match key: one plain tuple per step, with filter keywords
+    lowercased and select names casefolded."""
     from titan_kg import pathlang as pl
 
     key = []
@@ -103,7 +106,7 @@ def canonical_key(program) -> tuple:
         elif isinstance(step, pl.Traverse):
             key.append(("rel", step.rel))
         elif isinstance(step, pl.Filter):
-            key.append(("filter", step.keyword.casefold()))
+            key.append(("filter", step.keyword.lower()))
         elif isinstance(step, pl.Select):
             key.append(("select", tuple(n.casefold() for n in step.names)))
         elif isinstance(step, pl.ExecCommon):
@@ -111,6 +114,11 @@ def canonical_key(program) -> tuple:
         else:
             key.append(("exec_difference",))
     return tuple(key)
+
+
+def successors(graph, ids, rel) -> tuple:
+    """Distinct targets of ``rel`` edges from ``ids``, in (kind, name, id) order."""
+    return graph.ids(graph.successor_ranks(graph.ranks(ids), rel))
 
 
 def tables_from_graph(graph):

@@ -50,7 +50,13 @@ from titan_kg.pathlang import (
 )
 from titan_kg.planner import MockPlanner, PlannerRequest
 
-from bruteforce import brute_execute, relations_from, steps_from_program, tables_from_graph
+from bruteforce import (
+    brute_execute,
+    relations_from,
+    steps_from_program,
+    successors,
+    tables_from_graph,
+)
 
 # Reported next to the real-bundle census (release drift tolerance ±15%).
 PUBLISHED_KIND_COUNTS = {
@@ -117,7 +123,7 @@ def test_acceptance_2_graph_invariants_fixture(fixture_graph, registry):
     for src, rel, dst in fixture_graph.all_edges():
         sig = registry.signature_of(fixture_graph.node(src).kind, rel)
         assert fixture_graph.node(dst).kind is sig.target_kind
-        assert src in fixture_graph.out(dst, sig.inverse_name)
+        assert src in successors(fixture_graph, (dst,), sig.inverse_name)
         edge_total += 1
     census = node_census(fixture_graph)
     assert census.per_kind == FIXTURE_CENSUS
@@ -139,7 +145,7 @@ def test_acceptance_2_graph_invariants_real_bundle(registry):
     for src, rel, dst in graph.all_edges():
         sig = registry.signature_of(graph.node(src).kind, rel)
         assert graph.node(dst).kind is sig.target_kind
-        assert src in graph.out(dst, sig.inverse_name)
+        assert src in successors(graph, (dst,), sig.inverse_name)
     census = node_census(graph)
     print(f"{'kind':<18}{'built':>8}{'published':>11}{'delta%':>8}")
     for kind in EntityKind:

@@ -31,6 +31,47 @@ def test_ingest_prints_census_and_writes_snapshot(tmp_path, capsys):
     assert "skipped\t2" in captured.out
 
 
+CENSUS_TABLE = (
+    "attack-pattern\t4\n"
+    "course-of-action\t2\n"
+    "malware\t4\n"
+    "tool\t1\n"
+    "campaign\t1\n"
+    "intrusion-set\t2\n"
+    "data-component\t3\n"
+    "data-source\t2\n"
+    "asset\t2\n"
+    "nodes\t21\n"
+    "edges\t68\n"
+)
+
+
+def test_ingest_full_output(tmp_path, capsys):
+    out = tmp_path / "graph.snap"
+    assert main(["ingest", str(FIXTURE_BUNDLE), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == CENSUS_TABLE + f"skipped\t2\nsnapshot\t{out}\n"
+
+
+def test_census_full_output(snapshot, capsys):
+    assert main(["census", "--snapshot", str(snapshot)]) == 0
+    assert capsys.readouterr().out == CENSUS_TABLE
+
+
+def test_census_with_expected_table_full_output(snapshot, tmp_path, capsys):
+    # Rows follow the census order; comments, blank lines and unknown kinds
+    # in the expected table are skipped.
+    expected = tmp_path / "expected.tsv"
+    expected.write_text("# kind<TAB>count\nnodes\t20\n\nmalware\t4\nasset\t2\nbogus\t9\n",
+                        "utf-8")
+    assert main(["census", "--snapshot", str(snapshot), "--expected", str(expected)]) == 0
+    assert capsys.readouterr().out == (
+        "kind                actual  expected  delta%\n"
+        "malware                  4         4     0.0\n"
+        "asset                    2         2     0.0\n"
+        "nodes                   21        20     5.0\n"
+    )
+
+
 def test_ingest_deterministic_snapshot_bytes(tmp_path):
     a, b = tmp_path / "a.snap", tmp_path / "b.snap"
     assert main(["ingest", str(FIXTURE_BUNDLE), "--out", str(a)]) == 0
@@ -108,6 +149,29 @@ def test_exec_prints_full_trace_of_type_seeded_select(snapshot, capsys):
         "    Cannon --uses_attack_pattern--> Data Encrypted for Impact\n"
         "    LitePower --uses_attack_pattern--> Data Encrypted for Impact\n"
         "  step 4\texec_common\tin=2,1\tout=1\tedges=0\n"
+    )
+
+
+def test_exec_prints_full_trace_of_select_without_combiner(snapshot, capsys):
+    # Two branches reach the end; the answers are their union.
+    code = main(["exec", "--snapshot", str(snapshot), "--path",
+                 "is_malware_type → select Sys10 MarkiRAT → uses_attack_pattern"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == (
+        "path\t<PATH> is_malware_type <SEP> select Sys10 MarkiRAT <SEP> "
+        "uses_attack_pattern </PATH>\n"
+        "answers\t2\n"
+        "  attack-pattern\tProcess Injection\tattack-pattern--0002\n"
+        "  attack-pattern\tSpearphishing Attachment\tattack-pattern--0001\n"
+        "start\t4\tmalware--0003 malware--0004 malware--0002 malware--0001\n"
+        "trace\n"
+        "  step 1\tis_malware_type\tin=4\tout=4\tedges=0\n"
+        "  step 2\tselect Sys10 MarkiRAT\tin=4\tout=1,1\tedges=0\n"
+        "  step 3\tuses_attack_pattern\tin=1,1\tout=2,1\tedges=3\n"
+        "    Sys10 --uses_attack_pattern--> Spearphishing Attachment\n"
+        "    Sys10 --uses_attack_pattern--> Process Injection\n"
+        "    MarkiRAT --uses_attack_pattern--> Process Injection\n"
     )
 
 
@@ -417,6 +481,23 @@ def test_missing_file_is_one_line_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("FileNotFoundError: ")
+
+
+@pytest.mark.parametrize("command, error", [
+    ("ingest", "IsADirectoryError"), ("registry", "IsADirectoryError"),
+    ("eval", "IsADirectoryError"), ("gen", "FileExistsError")])
+def test_unwritable_out_is_one_line_error(snapshot, tmp_path, capsys, command, error):
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text('{"question": "q", "path": "<PATH> uses_malware </PATH>"}\n', "utf-8")
+    argv = {
+        "ingest": ["ingest", str(FIXTURE_BUNDLE), "--out", str(tmp_path)],
+        "registry": ["registry", "--out", str(tmp_path)],
+        "eval": ["eval", "--dataset", str(dataset), "--predictions", str(dataset),
+                 "--out", str(tmp_path)],
+        "gen": ["gen", "--snapshot", str(snapshot), "--out", str(snapshot)],
+    }[command]
+    assert main(argv) == 1
+    _one_line_error(capsys, f"{error}: ")
 
 
 def _one_line_error(capsys, prefix):

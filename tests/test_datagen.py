@@ -53,7 +53,7 @@ def test_load_single_template(registry):
     assert len(templates) == 1
     template = templates[0]
     assert template.start_slot == "[malware]"
-    assert template.answer_kind is EntityKind.COURSE_OF_ACTION
+    assert template.typed_path.answer_kind is EntityKind.COURSE_OF_ACTION
     assert [p.token for p in template.placeholders] == ["[malware]"]
 
 
@@ -101,8 +101,8 @@ def test_duplicate_ids_rejected(registry):
 
 def test_instantiate_start_template(fixture_graph, registry):
     template = load_templates(_template_line(), registry)[0]
-    samples = instantiate_template(template, fixture_graph, rng_seed=1,
-                                   registry=registry)
+    samples = instantiate_template(template, fixture_graph, DatasetConfig(rng_seed=1),
+                                   registry)
     assert samples  # Sys10/MarkiRAT/Cannon bind; LitePower's technique is unmitigated
     by_start = {s.start_entities[0]: s for s in samples}
     assert "LitePower" not in by_start  # empty answers are dropped by default
@@ -117,8 +117,8 @@ def test_instantiate_start_template(fixture_graph, registry):
 
 def test_keep_empty_option(fixture_graph, registry):
     template = load_templates(_template_line(), registry)[0]
-    samples = instantiate_template(template, fixture_graph, rng_seed=1,
-                                   keep_empty=True, registry=registry)
+    samples = instantiate_template(
+        template, fixture_graph, DatasetConfig(rng_seed=1, keep_empty=True), registry)
     assert {s.start_entities[0] for s in samples} == {
         "Sys10", "MarkiRAT", "Cannon", "LitePower"}
 
@@ -132,8 +132,8 @@ def test_instantiate_select_template(fixture_graph, registry):
         "answer_kind": "attack-pattern",
     })
     template = load_templates(line, registry)[0]
-    samples = instantiate_template(template, fixture_graph, rng_seed=3,
-                                   registry=registry)
+    samples = instantiate_template(template, fixture_graph, DatasetConfig(rng_seed=3),
+                                   registry)
     wanted = [s for s in samples
               if s.question == ("Which techniques does the malware Sys10 use "
                                 "that MarkiRAT does not?")]
@@ -167,8 +167,8 @@ def test_samples_reexecute_to_recorded_answers(fixture_graph, shared_name_graph,
         nodes, edges = tables_from_graph(graph)
         total = 0
         for template in core_templates:
-            for sample in instantiate_template(template, graph, rng_seed=11,
-                                               registry=registry):
+            for sample in instantiate_template(template, graph, DatasetConfig(rng_seed=11),
+                                               registry):
                 start_ids = resolve_names(graph, sample.start_entities)
                 typed, result = run_path(graph, registry,
                                          parse_path(sample.path, registry), start_ids)
@@ -187,8 +187,8 @@ def test_samples_reexecute_to_recorded_answers(fixture_graph, shared_name_graph,
 def test_name_shared_across_kinds_keeps_its_first_kind_bindings(
         fixture_graph, shared_name_graph, registry, core_templates):
     template = _template(core_templates, "malware-techniques")
-    before = instantiate_template(template, fixture_graph, registry=registry)
-    after = instantiate_template(template, shared_name_graph, registry=registry)
+    before = instantiate_template(template, fixture_graph, DatasetConfig(), registry)
+    after = instantiate_template(template, shared_name_graph, DatasetConfig(), registry)
     assert len(after) == len(before) == 4
     assert after == before
     assert ("Sys10",) in {s.start_entities for s in after}
@@ -199,14 +199,14 @@ def test_name_shared_across_kinds_drops_later_kind_with_reason(
     # Re-executing "Sys10" starts from the malware, not the renamed tool.
     template = _template(core_templates, "tool-techniques")
     with caplog.at_level(logging.DEBUG, logger="titan_kg.datagen"):
-        assert instantiate_template(template, shared_name_graph, registry=registry) == []
+        assert instantiate_template(template, shared_name_graph, DatasetConfig(), registry) == []
     assert "start name 'Sys10' resolves to kind 'malware' first" in caplog.text
 
 
 def test_cot_golden_for_l2_program(fixture_graph, registry):
     template = load_templates(_template_line(), registry)[0]
-    samples = instantiate_template(template, fixture_graph, rng_seed=1,
-                                   registry=registry)
+    samples = instantiate_template(template, fixture_graph, DatasetConfig(rng_seed=1),
+                                   registry)
     sys10 = [s for s in samples if s.start_entities == ("Sys10",)][0]
     assert sys10.cot == (
         "The question is: What mitigations counter the techniques used by the "

@@ -16,7 +16,10 @@ from titan_kg.eval import (
     rouge_l,
     tokenize,
 )
-from titan_kg.pathlang import parse_path
+from titan_kg.executor import execute
+from titan_kg.kg import KnowledgeGraph, Node
+from titan_kg.ontology import EntityKind
+from titan_kg.pathlang import parse_path, validate_program
 
 
 def test_exact_match_identical():
@@ -48,6 +51,26 @@ def test_exact_match_case_insensitive_operands():
     a = parse_path("is_malware_type → select Sys10 MarkiRAT → uses_attack_pattern → exec_common")
     b = parse_path("is_malware_type → select sys10 markirat → uses_attack_pattern → exec_common")
     assert exact_match(a, b) == 1
+
+
+def test_exact_match_folds_operands_as_execution_reads_them(registry):
+    # A filter matches lowercased text and a select casefolded names, so
+    # "Straße" and "STRASSE" are two filter keywords but one select name.
+    graph = KnowledgeGraph([Node("malware--s", "Straße Loader", EntityKind.MALWARE),
+                            Node("malware--o", "Other", EntityKind.MALWARE)], [])
+
+    def answers(program):
+        typed = validate_program(program, registry)
+        return [node.name for node in execute(graph, typed).answers]
+
+    filters = [parse_path(f"is_malware_type → filter {keyword}", registry)
+               for keyword in ("Straße", "STRASSE")]
+    assert exact_match(*filters) == 0
+    assert [answers(p) for p in filters] == [["Straße Loader"], []]
+    selects = [parse_path(f'is_malware_type → select "{name}" Other', registry)
+               for name in ("Straße Loader", "STRASSE LOADER")]
+    assert exact_match(*selects) == 1
+    assert [answers(p) for p in selects] == [["Other", "Straße Loader"]] * 2
 
 
 def test_exact_match_symmetry_and_reflexivity():

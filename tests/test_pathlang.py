@@ -197,16 +197,16 @@ def test_filter_keyword_with_sep_is_refused_at_parse(registry):
 
 def test_select_resolves_every_node_sharing_a_name(registry):
     # Duplicate names put every matching node into the same branch.
-    from titan_kg.executor import Frontier, step_select
+    from titan_kg.executor import step_select
     from titan_kg.kg import KnowledgeGraph, Node
 
     graph = KnowledgeGraph(
         [Node(id="malware--a", name="Twin", kind=EntityKind.MALWARE),
          Node(id="malware--b", name="Twin", kind=EntityKind.MALWARE),
          Node(id="malware--c", name="Solo", kind=EntityKind.MALWARE)], [])
-    frontier = Frontier((graph.kind_ranks(EntityKind.MALWARE),))
+    frontier = (graph.kind_ranks(EntityKind.MALWARE),)
     out = step_select(graph, frontier, ("Twin", "Solo"))
-    assert [[graph.nodes_by_rank[rank].id for rank in branch] for branch in out.branches] == [
+    assert [[graph.nodes_by_rank[rank].id for rank in branch] for branch in out] == [
         ["malware--a", "malware--b"], ["malware--c"]]
 
 
