@@ -181,9 +181,9 @@ def cmd_eval(args) -> int:
                    enumerate(_read_text(args.predictions).splitlines(), 1) if line.strip()]
     records = score_predictions(references, predictions, build_default_registry())
     report = aggregate_report(records)
-    print(report.to_text(), end="")
     if args.out:
         Path(args.out).write_text(report.to_records(), "utf-8")
+    print(report.to_text(), end="")
     return 0
 
 

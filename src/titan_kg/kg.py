@@ -194,6 +194,19 @@ def _norm_name(text: str) -> str:
     return " ".join(text.casefold().split())
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _decode_field(text: str):
+    """The one JSON value of a snapshot value field padded by spaces or "\r"
+    (the only JSON whitespace a field can hold), as ``json.loads`` reads it."""
+    text = text.strip(" \r")
+    value, end = _raw_decode(text)
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return value
+
+
 def _country_tags(text: str) -> list[str]:
     """Tags whose markers occur in ``text``, in the marker table's order."""
     found = {_COUNTRY_OF[m] for m in _COUNTRY_RE.findall(text.lower())}
@@ -259,7 +272,9 @@ class KnowledgeGraph:
         by_name: dict[str, list[str]] = {}
         for i, node in enumerate(self.nodes_by_rank):
             by_kind[node.kind].append(i)
-            for key in {_norm_name(c) for c in (node.name, *node.aliases)}:
+            # Most nodes have no aliases, and so one key: no set to build.
+            for key in ({_norm_name(c) for c in (node.name, *node.aliases)} if node.aliases
+                        else (_norm_name(node.name),)):
                 if key:
                     by_name.setdefault(key, []).append(node.id)
         self._kind_ranks = {kind: tuple(ranks) for kind, ranks in by_kind.items()}
@@ -338,7 +353,6 @@ class KnowledgeGraph:
         lines = text.split("\n")
         if lines[0] != SNAPSHOT_HEADER:
             raise MalformedBundle("not a graph snapshot (bad header line)")
-        decode = json.JSONDecoder().decode
         nodes: list[Node] = []
         edges: list[tuple[str, str, str]] = []
         for lineno, line in enumerate(lines[1:], 2):
@@ -348,16 +362,16 @@ class KnowledgeGraph:
                     edges.append((parts[1], parts[2], parts[3]))
                 elif parts[0] == "NODE" and len(parts) == 7:
                     _, nid, kind, name, aliases, tags, desc = parts
-                    name, aliases, tags, desc = (
-                        decode(name), decode(aliases), decode(tags), decode(desc))
+                    name, aliases, tags, desc = (_decode_field(name), _decode_field(aliases),
+                                                 _decode_field(tags), _decode_field(desc))
                     if not (isinstance(name, str) and isinstance(desc, str)
                             and isinstance(aliases, list) and isinstance(tags, list)
                             and set(map(type, aliases + tags)) <= {str}):
                         raise ValueError("name and description must be strings, "
                                          "aliases and tags lists of strings")
-                    nodes.append(Node(id=nid, kind=KIND_BY_TOKEN[kind], name=name,
-                                      aliases=tuple(aliases), tags=tuple(tags),
-                                      description=desc))
+                    # Positional, in field order: keyword arguments cost more.
+                    nodes.append(Node(nid, name, KIND_BY_TOKEN[kind],
+                                      tuple(aliases), desc, tuple(tags)))
                 elif line.strip():
                     raise ValueError("unrecognized record")
             except (ValueError, KeyError) as exc:

@@ -500,6 +500,14 @@ def test_unwritable_out_is_one_line_error(snapshot, tmp_path, capsys, command, e
     _one_line_error(capsys, f"{error}: ")
 
 
+def test_eval_prints_no_report_when_out_is_unwritable(tmp_path, capsys):
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text('{"question": "q", "path": "<PATH> uses_malware </PATH>"}\n', "utf-8")
+    assert main(["eval", "--dataset", str(dataset), "--predictions", str(dataset),
+                 "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().out == ""
+
+
 def _one_line_error(capsys, prefix):
     captured = capsys.readouterr()
     assert captured.err.startswith(prefix), captured.err

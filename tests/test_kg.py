@@ -195,6 +195,7 @@ def test_snapshot_round_trip(fixture_graph):
     reloaded = KnowledgeGraph.load_snapshot(snapshot)
     assert reloaded.export_snapshot() == snapshot
     assert node_census(reloaded) == node_census(fixture_graph)
+    assert list(reloaded.nodes_by_rank) == list(fixture_graph.nodes_by_rank)
 
 
 @pytest.mark.parametrize("first", [
@@ -275,6 +276,26 @@ def test_snapshot_with_crlf_line_ends_loads(fixture_graph):
 def test_snapshot_rejects_bad_header():
     with pytest.raises(MalformedBundle):
         KnowledgeGraph.load_snapshot("nonsense\n")
+
+
+def test_snapshot_with_padded_value_fields_loads(fixture_graph):
+    # A value field is one JSON value; spaces around it are JSON whitespace.
+    snapshot = fixture_graph.export_snapshot()
+    records = [line.split("\t") for line in snapshot.split("\n")]
+    padded = "\n".join("\t".join(parts[:3] + [f" {field} " for field in parts[3:]])
+                       if parts[0] == "NODE" else "\t".join(parts) for parts in records)
+    assert padded != snapshot
+    assert KnowledgeGraph.load_snapshot(padded).export_snapshot() == snapshot
+
+
+def test_snapshot_rejects_two_values_in_one_field(fixture_graph):
+    lines = fixture_graph.export_snapshot().split("\n")
+    parts = lines[1].split("\t")
+    assert parts[0] == "NODE"
+    parts[3] = '"a" "b"'
+    lines[1] = "\t".join(parts)
+    with pytest.raises(MalformedBundle, match="^snapshot line 2: Extra data"):
+        KnowledgeGraph.load_snapshot("\n".join(lines))
 
 
 def test_country_tags_from_descriptions(fixture_graph):

@@ -15,7 +15,9 @@ overlap and share letters.
 
 Snapshot load is checked on the fixture graph's snapshot: any order of its
 records, with repeated EDGE lines, loads to the same graph, and a mutated
-snapshot either loads or raises a ``TitanError``.
+snapshot either loads or raises a ``TitanError``.  Its value-field decoder
+is checked against ``json.loads`` on dumped JSON values, padded, truncated
+or followed by junk or a second value.
 
 Path text is checked on text glued from the path and planner markers, near
 misses of them, quotes, whitespace and any other character: every program
@@ -28,6 +30,7 @@ program pairs whose filter keywords and select names differ only in case.
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -41,6 +44,7 @@ from titan_kg.kg import (
     KnowledgeGraph,
     Node,
     _country_tags,
+    _decode_field,
     build_graph,
     parse_stix_bundle,
 )
@@ -115,6 +119,21 @@ HEADER, *RECORDS = SNAPSHOT.splitlines()
 EDGE_LINES = [line for line in RECORDS if line.startswith("EDGE\t")]
 # Characters that matter to the framing or to JSON, and any others.
 CHAR = st.sampled_from('\t\n"[]{},:\\5x ') | st.characters()
+# JSON values for the snapshot field decoder: strings of quotes,
+# backslashes, the line separators JSON leaves unescaped, whitespace and
+# any other character; integers, floats with NaN and the infinities;
+# true, false and null; nested lists.
+STRING_CHAR = st.sampled_from('"\\\x85\u2028\u2029 \r\t\nx') | st.characters()
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(STRING_CHAR),
+    lambda values: st.lists(values, max_size=3), max_leaves=6)
+# What a field may be padded with (the JSON whitespace that is not record
+# framing), and junk to follow a value: JSON punctuation and any character
+# but the framing's tab and newline.
+FIELD_PAD = st.text(st.sampled_from(" \r"), max_size=2)
+FIELD_JUNK = st.text((st.sampled_from('"[]{},:5e.-') | STRING_CHAR).filter(
+    lambda ch: ch not in "\t\n"), min_size=1, max_size=3)
+FIELD_EDIT = st.sampled_from(("none", "truncate", "second", "junk"))
 # Pieces of path and planner text: the markers, near misses that glue
 # into markers ("-" ">", "<SEP" ">"), quotes, words of the path language,
 # whitespace and any character.
@@ -291,6 +310,39 @@ def test_mutated_snapshot_loads_or_raises_titan_error(data):
         KnowledgeGraph.load_snapshot(text)
     except TitanError:
         pass
+
+
+def _loads_repr(decode, text):
+    """``repr`` of what ``decode`` returns (NaN compares as text), or
+    ``ValueError`` if it raises one."""
+    try:
+        return repr(decode(text))
+    except ValueError:
+        return ValueError
+
+
+@st.composite
+def field_texts(draw):
+    """A dumped JSON value, with or without ``ensure_ascii``, padded on both
+    sides, and maybe cut short, followed by a second value or by junk."""
+    text = json.dumps(draw(JSON_VALUE), ensure_ascii=draw(st.booleans()))
+    edit = draw(FIELD_EDIT)
+    if edit == "truncate":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    elif edit == "second":
+        text += draw(FIELD_PAD) + json.dumps(draw(JSON_VALUE))
+    text = draw(FIELD_PAD) + text + draw(FIELD_PAD)
+    return text + draw(FIELD_JUNK) if edit == "junk" else text
+
+
+@example(text='"a" "b"')
+@example(text=' \r["\u2028\x85", NaN]\r ')
+@example(text='"\\"')
+@example(text="\r")
+@given(text=field_texts())
+def test_field_decoder_matches_json_loads(text):
+    assert "\t" not in text and "\n" not in text
+    assert _loads_repr(_decode_field, text) == _loads_repr(json.loads, text)
 
 
 FRAMING = ("<PATH>", "</PATH>", "<SEP>", "→", "->")
