@@ -7,14 +7,16 @@ stderr of the form ``ErrorClass: message``.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
 from . import datagen
 from .errors import MalformedInput, TitanError
 from .eval import aggregate_report, score_predictions
-from .executor import resolve_names, run_path
+from .executor import run_path
 from .kg import BuildOptions, KnowledgeGraph, build_graph, node_census, parse_stix_bundle
 from .ontology import EntityKind, build_default_registry
 from .pathlang import parse_path, render_path
@@ -69,6 +71,8 @@ def _census(graph: KnowledgeGraph) -> dict[str, int]:
 
 
 def cmd_ingest(args) -> int:
+    if Path(args.out).is_dir():  # the error the write would raise, before the parse
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
     objects = []
     for bundle_path in args.bundles:
         objects.extend(parse_stix_bundle(_read_bytes(bundle_path)))
@@ -116,7 +120,7 @@ def cmd_exec(args) -> int:
     graph = _load_graph(args.snapshot)
     registry = build_default_registry()
     program = parse_path(args.path, registry)
-    typed, result = run_path(graph, registry, program, resolve_names(graph, args.start))
+    typed, result = run_path(graph, registry, program, args.start)
     print(f"path\t{render_path(typed.program, 'token')}")
     print(result.to_text(graph), end="")
     return 0

@@ -27,7 +27,7 @@ from operator import attrgetter
 from typing import Iterable
 
 from .errors import MalformedInput, StartKindMismatch, TemplateSchemaError, TitanError
-from .executor import resolve_names, run_path
+from .executor import run_path
 from .kg import KnowledgeGraph
 from .ontology import KIND_BY_TOKEN, EntityKind, RelationRegistry, build_default_registry
 from .pathlang import (
@@ -330,8 +330,7 @@ def instantiate_template(
         start_names = (binding[template.start_slot],) if template.start_slot else ()
         try:
             program = _substitute_path(template.path, binding)
-            typed, result = run_path(graph, registry, program,
-                                     resolve_names(graph, start_names))
+            typed, result = run_path(graph, registry, program, start_names)
             if typed.start_kind is not template.typed_path.start_kind:
                 raise StartKindMismatch(
                     f"start name {start_names[0]!r} resolves to kind "

@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 
 from .datagen import Sample
 from .errors import TitanError
+from .kg import fold
 from .ontology import RelationRegistry
 from .pathlang import (
     LENGTH_BUCKETS,
@@ -36,18 +37,18 @@ def tokenize(text: str) -> list[str]:
 
 
 def _folded(step: PathStep) -> PathStep:
-    """``step`` with its operands folded as execution reads them: a filter
-    keyword lowercased, select names casefolded."""
+    """``step`` with its filter keyword or select names under
+    :func:`~titan_kg.kg.fold`, as execution reads them."""
     if isinstance(step, Filter):
-        return Filter(step.keyword.lower())
+        return Filter(fold(step.keyword))
     if isinstance(step, Select):
-        return Select(tuple(name.casefold() for name in step.names))
+        return Select(tuple(map(fold, step.names)))
     return step
 
 
 def exact_match(pred: PathProgram, ref: PathProgram) -> int:
-    """1 iff the programs have equal steps once filter keywords are
-    lowercased and select names casefolded, else 0."""
+    """1 iff the programs have equal steps once filter keywords and select
+    names are folded, else 0."""
     return int(list(map(_folded, pred.steps)) == list(map(_folded, ref.steps)))
 
 
@@ -68,17 +69,21 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
     return row.bit_count()
 
 
+def _f1(overlap: int, n_cand: int, n_ref: int) -> float:
+    """F1 of ``overlap`` matched tokens out of ``n_cand`` and ``n_ref``."""
+    if overlap == 0:
+        return 0.0
+    precision = overlap / n_cand
+    recall = overlap / n_ref
+    return 2 * precision * recall / (precision + recall)
+
+
 def rouge_l(candidate: str, reference: str) -> float:
     """Token-level longest-common-subsequence F1."""
     cand, ref = tokenize(candidate), tokenize(reference)
     if not cand or not ref:
         return 0.0
-    lcs = _lcs_length(cand, ref)
-    if lcs == 0:
-        return 0.0
-    precision = lcs / len(cand)
-    recall = lcs / len(ref)
-    return 2 * precision * recall / (precision + recall)
+    return _f1(_lcs_length(cand, ref), len(cand), len(ref))
 
 
 def rouge_1(candidate: str, reference: str) -> float:
@@ -86,21 +91,19 @@ def rouge_1(candidate: str, reference: str) -> float:
     cand, ref = tokenize(candidate), tokenize(reference)
     if not cand or not ref:
         return 0.0
-    overlap = sum((Counter(cand) & Counter(ref)).values())
-    if overlap == 0:
-        return 0.0
-    precision = overlap / len(cand)
-    recall = overlap / len(ref)
-    return 2 * precision * recall / (precision + recall)
+    return _f1(sum((Counter(cand) & Counter(ref)).values()), len(cand), len(ref))
+
+
+BLEU_MAX_N = 4
 
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
     return Counter(zip(*[tokens[i:] for i in range(n)]))
 
 
-def bleu(candidate: str, reference: str, max_n: int = 4) -> float:
-    """Single-reference BLEU: geometric mean of clipped n-gram precisions
-    times the brevity penalty.
+def bleu(candidate: str, reference: str) -> float:
+    """Single-reference BLEU: geometric mean of the clipped n-gram
+    precisions up to ``BLEU_MAX_N`` times the brevity penalty.
 
     Zero precisions are smoothed to 1e-9.  Orders the candidate is too
     short to populate are excluded (effective order), so identical texts
@@ -110,7 +113,7 @@ def bleu(candidate: str, reference: str, max_n: int = 4) -> float:
     if not cand or not ref:
         return 0.0
     epsilon = 1e-9
-    effective_n = min(max_n, len(cand))
+    effective_n = min(BLEU_MAX_N, len(cand))
     log_sum = 0.0
     for n in range(1, effective_n + 1):
         cand_ngrams = _ngrams(cand, n)

@@ -8,9 +8,8 @@ start nodes and trace edges are reported by node and id.  The
 interpreter is pure: the same (graph, program, start) always produces the
 same answers and the same trace.
 
-``resolve_names`` and ``run_path`` are the one query pipeline from start
-names to answers; ``titan exec``, planner asks and dataset generation
-all go through them.
+``run_path`` is the one query pipeline from start names to answers;
+``titan exec``, planner asks and dataset generation all go through it.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .errors import (
     StartKindMismatch,
     TitanError,
 )
-from .kg import KnowledgeGraph, Node
+from .kg import KnowledgeGraph, Node, fold
 from .ontology import RelationRegistry
 from .pathlang import (
     ExecCommon,
@@ -92,16 +91,17 @@ class ExecutionResult:
         return "\n".join(lines) + "\n"
 
 
-def _node_matches(node: Node, keyword: str) -> bool:
-    return (keyword in node.name.lower()
-            or any(keyword in alias.lower() for alias in node.aliases)
-            or any(keyword in tag for tag in node.tags)
-            or keyword in node.description.lower())
+def _node_matches(node: Node, needle: str) -> bool:
+    return (needle in fold(node.name)
+            or any(needle in fold(alias) for alias in node.aliases)
+            or any(needle in fold(tag) for tag in node.tags)
+            or needle in fold(node.description))
 
 
 def step_filter(graph: KnowledgeGraph, frontier: Frontier, keyword: str) -> Frontier:
-    """Keep nodes whose name, alias, tag, or description contains the keyword."""
-    needle, nodes = keyword.lower(), graph.nodes_by_rank
+    """Keep nodes whose name, an alias, a tag or the description contains
+    the keyword, both sides under :func:`~titan_kg.kg.fold`."""
+    needle, nodes = fold(keyword), graph.nodes_by_rank
     return tuple(tuple(rank for rank in branch if _node_matches(nodes[rank], needle))
                  for branch in frontier)
 
@@ -210,30 +210,26 @@ def execute(
     )
 
 
-def resolve_names(graph: KnowledgeGraph, names: Iterable[str]) -> tuple[str, ...]:
-    """The ids of the nodes each name or alias matches, name by name; a
-    name that matches no node raises :class:`StartKindMismatch`."""
-    ids: list[str] = []
-    for name in names:
-        found = graph.find_by_name(name)
-        if not found:
-            raise StartKindMismatch(f"no node named {name!r} in the graph")
-        ids.extend(found)
-    return tuple(ids)
-
-
 def run_path(
     graph: KnowledgeGraph,
     registry: RelationRegistry,
     program: PathProgram,
-    start_ids: tuple[str, ...],
+    start_names: Iterable[str],
 ) -> tuple[TypedProgram, ExecutionResult]:
-    """Validate a program for its start nodes, then execute it.
+    """Resolve the start names, validate the program for them, execute it.
 
-    A type-seeded program ignores ``start_ids``.  Otherwise each distinct
+    Each name starts the nodes :meth:`KnowledgeGraph.find_by_name` gives
+    it; a name that matches no node raises :class:`StartKindMismatch`.  A
+    type-seeded program then ignores the start.  Otherwise each distinct
     kind among the start nodes is tried in order; the first kind the
     program type-checks for wins, and only nodes of that kind start it.
     """
+    start_ids: list[str] = []
+    for name in start_names:
+        found = graph.find_by_name(name)
+        if not found:
+            raise StartKindMismatch(f"no node named {name!r} in the graph")
+        start_ids.extend(found)
     if isinstance(program.steps[0], TypeSeed):
         typed = validate_program(program, registry)
         return typed, execute(graph, typed)

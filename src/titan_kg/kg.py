@@ -3,7 +3,7 @@
 The graph keeps one forward and one reverse edge for every relationship
 (the registry supplies the reverse name), synthesizes asset nodes from
 the platform lists on attack patterns, and indexes nodes by kind and by
-normalized name/alias for entity linking.
+folded name/alias (:func:`fold`) for entity linking.
 
 Export/import uses a line-oriented snapshot format (see docs/formats.md)
 whose byte output is deterministic, which is what the determinism tests
@@ -44,9 +44,9 @@ STIX_TYPE_TO_KIND: dict[str, EntityKind] = {
     "x-mitre-data-source": EntityKind.DATA_SOURCE,
 }
 
-# Adjectives/markers that yield a country tag when found in descriptions
-# or aliases; filters like "Russia" need something to match on nodes whose
-# name carries no geography.
+# Adjectives/markers that yield a country tag when found, as whole words,
+# in a description or an alias; filters like "Russia" need something to
+# match on nodes whose name carries no geography.
 _COUNTRY_MARKERS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("russia", ("russia", "russian")),
     ("china", ("china", "chinese")),
@@ -62,14 +62,9 @@ _COUNTRY_MARKERS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("israel", ("israel", "israeli")),
     ("united states", ("united states", "u.s.")),
 )
-# One scan finds every marker: the lookahead matches at each position
-# without consuming text, so overlapping markers ("united statesouth
-# korea") are all found.  At one position it reports only the first
-# alternative that matches, which is enough because no marker is a prefix
-# of another country's marker.
-_COUNTRY_RE = re.compile("(?=({}))".format(
-    "|".join(re.escape(m) for _, markers in _COUNTRY_MARKERS for m in markers)))
 _COUNTRY_OF = {m: tag for tag, markers in _COUNTRY_MARKERS for m in markers}
+_COUNTRY_RE = re.compile(r"(?<!\w)({})(?!\w)".format(
+    "|".join(map(re.escape, sorted(_COUNTRY_OF, key=len, reverse=True)))))
 _COUNTRY_RANK = {tag: i for i, (tag, _) in enumerate(_COUNTRY_MARKERS)}
 
 
@@ -120,9 +115,8 @@ class Census:
 
 @dataclass(frozen=True)
 class EntityMention:
-    """One linked span of a question: the node ids whose name matched."""
+    """One linked span of a question; ``find_by_name(text)`` is not empty."""
 
-    node_ids: tuple[str, ...]
     text: str
     start: int
     end: int
@@ -190,7 +184,9 @@ def parse_stix_bundle(data: bytes | str) -> list[RawStixObject]:
     return objects
 
 
-def _norm_name(text: str) -> str:
+def fold(text: str) -> str:
+    """The one rule by which outside text meets node text: casefold, then
+    collapse whitespace runs to single spaces and strip the ends."""
     return " ".join(text.casefold().split())
 
 
@@ -207,9 +203,10 @@ def _decode_field(text: str):
     return value
 
 
-def _country_tags(text: str) -> list[str]:
-    """Tags whose markers occur in ``text``, in the marker table's order."""
-    found = {_COUNTRY_OF[m] for m in _COUNTRY_RE.findall(text.lower())}
+def _country_tags(*fields: str) -> list[str]:
+    """Tags whose markers occur as whole words in a folded field, in the
+    marker table's order."""
+    found = {_COUNTRY_OF[m] for field in fields for m in _COUNTRY_RE.findall(fold(field))}
     return sorted(found, key=_COUNTRY_RANK.__getitem__)
 
 
@@ -273,8 +270,8 @@ class KnowledgeGraph:
         for i, node in enumerate(self.nodes_by_rank):
             by_kind[node.kind].append(i)
             # Most nodes have no aliases, and so one key: no set to build.
-            for key in ({_norm_name(c) for c in (node.name, *node.aliases)} if node.aliases
-                        else (_norm_name(node.name),)):
+            for key in ({fold(c) for c in (node.name, *node.aliases)} if node.aliases
+                        else (fold(node.name),)):
                 if key:
                     by_name.setdefault(key, []).append(node.id)
         self._kind_ranks = {kind: tuple(ranks) for kind, ranks in by_kind.items()}
@@ -311,8 +308,8 @@ class KnowledgeGraph:
         return tuple(sorted(set().union(*map(adjacency.__getitem__, ranks)))) if adjacency else ()
 
     def find_by_name(self, name: str) -> tuple[str, ...]:
-        """Node ids whose name or alias equals ``name`` (case-insensitive)."""
-        return self._name_index.get(_norm_name(name), ())
+        """Node ids whose name or alias equals ``name`` under :func:`fold`."""
+        return self._name_index.get(fold(name), ())
 
     def all_edges(self) -> Iterator[tuple[str, str, str]]:
         return iter(self._edges)
@@ -424,8 +421,8 @@ def build_graph(
         if not obj.name:
             skipped.append(f"node {obj.id}: empty name")
             continue
-        tags = {t.lower() for t in (*obj.labels, *obj.platforms)}
-        tags.update(_country_tags(obj.description + " " + " ".join(obj.aliases)))
+        tags = {fold(t) for t in (*obj.labels, *obj.platforms)}
+        tags.update(_country_tags(obj.description, *obj.aliases))
         tags.discard("")
         nodes[obj.id] = Node(
             id=obj.id, name=obj.name, kind=kind,
@@ -490,7 +487,7 @@ def build_graph(
         if asset_id not in nodes:
             nodes[asset_id] = Node(
                 id=asset_id, name=platform, kind=EntityKind.ASSET,
-                tags=(platform.lower(),),
+                tags=(fold(platform),),
             )
     for obj in techniques:
         if obj.id in nodes:
@@ -517,9 +514,9 @@ _EDGE_PUNCT = string.punctuation + "“”‘’"
 def link_entities(question: str, graph: KnowledgeGraph) -> list[EntityMention]:
     """Find graph entities mentioned in a question.
 
-    Case-insensitive longest-match-first scan of the question against node
-    names and aliases; a match consumes its words, so shorter overlapping
-    matches are suppressed.  Mentions come back in span order.
+    Longest-match-first scan of the question against node names and
+    aliases under :func:`fold`; a match consumes its words, so shorter
+    overlapping matches are suppressed.  Mentions come back in span order.
     """
     tokens: list[tuple[int, int]] = []
     for m in _WORD.finditer(question):
@@ -533,18 +530,12 @@ def link_entities(question: str, graph: KnowledgeGraph) -> list[EntityMention]:
     limit = min(graph._max_name_words, 10)
     i = 0
     while i < len(tokens):
-        matched = False
         for j in range(min(len(tokens), i + limit), i, -1):
             span_text = question[tokens[i][0]:tokens[j - 1][1]]
-            ids = graph.find_by_name(span_text)
-            if ids:
-                mentions.append(EntityMention(
-                    node_ids=ids, text=span_text,
-                    start=tokens[i][0], end=tokens[j - 1][1],
-                ))
+            if graph.find_by_name(span_text):
+                mentions.append(EntityMention(span_text, tokens[i][0], tokens[j - 1][1]))
                 i = j
-                matched = True
                 break
-        if not matched:
+        else:
             i += 1
     return mentions

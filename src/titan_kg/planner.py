@@ -22,8 +22,8 @@ from typing import Iterable, Protocol
 
 from .datagen import Sample
 from .errors import PlannerUnavailable, TitanError, UnparseablePlan
-from .executor import ExecutionResult, resolve_names, run_path
-from .kg import KnowledgeGraph, _norm_name, link_entities
+from .executor import ExecutionResult, run_path
+from .kg import KnowledgeGraph, fold, link_entities
 from .ontology import RelationRegistry, build_default_registry
 from .pathlang import PathProgram, _split_names, parse_path
 
@@ -150,7 +150,7 @@ class MockPlanner:
         self._registry = registry or build_default_registry()
         self._index: dict[str, Sample] = {}
         for sample in samples:
-            self._index.setdefault(_norm_name(sample.question), sample)
+            self._index.setdefault(fold(sample.question), sample)
         self._keys = sorted(self._index)
         # Bit i of a mask stands for self._keys[i].  _masks maps a token to
         # the questions holding it; _size_masks pairs each token-set size,
@@ -200,7 +200,7 @@ class MockPlanner:
         return best
 
     def plan(self, request: PlannerRequest) -> PlannerResponse:
-        key = _norm_name(request.question)
+        key = fold(request.question)
         sample = self._index.get(key)
         guessed = sample is None
         if sample is None:
@@ -311,12 +311,8 @@ def run_question(
     if response.path is None:
         raise UnparseablePlan("planner returned no usable path",
                               raw_text=response.raw_text)
-    if response.start_entities:
-        start_ids = resolve_names(graph, response.start_entities)
-    else:
-        # NoCoT-style response: link the question's words against the
-        # graph's node names.
-        mentions = link_entities(question, graph)
-        start_ids = tuple(nid for m in mentions for nid in m.node_ids)
-    typed, result = run_path(graph, registry, response.path, start_ids)
+    # A NoCoT-style response names no start: link the question's words
+    # against the graph's node names.
+    start_names = response.start_entities or [m.text for m in link_entities(question, graph)]
+    typed, result = run_path(graph, registry, response.path, start_names)
     return result, typed.program, response.cot

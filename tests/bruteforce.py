@@ -13,8 +13,9 @@ subsequence, the oracle for the bit-parallel LCS behind ROUGE-L.
 
 ``bleu`` counts n-grams by slicing, the oracle for ``eval.bleu``.
 
-``country_tags`` scans the lowered text once per marker, the oracle for
-ingest's single-regex country tagging.
+``country_tags`` scans each folded field once per marker and checks the
+characters around every occurrence, the oracle for ingest's single-regex
+whole-word country tagging.
 
 ``relations_from`` lists a kind's relations off the registry's signatures.
 
@@ -24,8 +25,10 @@ scan of the signatures from the source kind, the oracles for the registry's
 verbs derived from its signatures.
 
 ``canonical_key`` encodes a program's steps as plain tuples with filter
-keywords lowercased and select names casefolded, the oracle for
-``eval.exact_match``.
+keywords and select names folded, the oracle for ``eval.exact_match``.
+
+``_fold`` restates the package's one text-to-graph comparison rule
+(casefold, then collapse whitespace runs) for the oracles here.
 
 ``successors`` maps ids through the graph's rank-level traversal.
 """
@@ -94,9 +97,13 @@ def alias_resolvable_from_some_kind(registry, token: str) -> bool:
     return False
 
 
+def _fold(text: str) -> str:
+    return " ".join(text.casefold().split())
+
+
 def canonical_key(program) -> tuple:
-    """Exact-match key: one plain tuple per step, with filter keywords
-    lowercased and select names casefolded."""
+    """Exact-match key: one plain tuple per step, with filter keywords and
+    select names folded."""
     from titan_kg import pathlang as pl
 
     key = []
@@ -106,9 +113,9 @@ def canonical_key(program) -> tuple:
         elif isinstance(step, pl.Traverse):
             key.append(("rel", step.rel))
         elif isinstance(step, pl.Filter):
-            key.append(("filter", step.keyword.lower()))
+            key.append(("filter", _fold(step.keyword)))
         elif isinstance(step, pl.Select):
-            key.append(("select", tuple(n.casefold() for n in step.names)))
+            key.append(("select", tuple(_fold(n) for n in step.names)))
         elif isinstance(step, pl.ExecCommon):
             key.append(("exec_common",))
         else:
@@ -162,23 +169,23 @@ def steps_from_program(program):
 
 
 def _matches_keyword(node: dict, keyword: str) -> bool:
-    kw = keyword.lower()
-    if kw in node["name"].lower():
+    kw = _fold(keyword)
+    if kw in _fold(node["name"]):
         return True
     for alias in node["aliases"]:
-        if kw in alias.lower():
+        if kw in _fold(alias):
             return True
     for tag in node["tags"]:
-        if kw in tag:
+        if kw in _fold(tag):
             return True
-    return kw in node["description"].lower()
+    return kw in _fold(node["description"])
 
 
 def _same_name(node: dict, name: str) -> bool:
-    wanted = " ".join(name.casefold().split())
-    if " ".join(node["name"].casefold().split()) == wanted:
+    wanted = _fold(name)
+    if _fold(node["name"]) == wanted:
         return True
-    return any(" ".join(a.casefold().split()) == wanted for a in node["aliases"])
+    return any(_fold(a) == wanted for a in node["aliases"])
 
 
 def brute_execute(nodes: dict, edges: list, steps: list, start_ids=None,
@@ -256,13 +263,29 @@ def lcs_length(a: list, b: list) -> int:
     return prev[-1]
 
 
-def country_tags(text: str) -> list[str]:
-    """Country tags whose markers occur in ``text``, in the marker table's order."""
+def _whole_word_in(marker: str, text: str) -> bool:
+    """True when ``marker`` occurs in ``text`` with no word character
+    (a letter, digit or underscore) right before or after it."""
+    def word(ch: str) -> bool:
+        return ch.isalnum() or ch == "_"
+
+    start = text.find(marker)
+    while start >= 0:
+        end = start + len(marker)
+        if not (start and word(text[start - 1])) and not (end < len(text) and word(text[end])):
+            return True
+        start = text.find(marker, start + 1)
+    return False
+
+
+def country_tags(*fields: str) -> list[str]:
+    """Country tags whose markers occur as whole words in a folded field,
+    in the marker table's order."""
     from titan_kg.kg import _COUNTRY_MARKERS
 
-    lowered = text.lower()
+    folded = [_fold(field) for field in fields]
     return [tag for tag, markers in _COUNTRY_MARKERS
-            if any(m in lowered for m in markers)]
+            if any(_whole_word_in(m, text) for m in markers for text in folded)]
 
 
 def bleu(cand: list, ref: list, max_n: int = 4) -> float:

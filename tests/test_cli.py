@@ -500,6 +500,13 @@ def test_unwritable_out_is_one_line_error(snapshot, tmp_path, capsys, command, e
     _one_line_error(capsys, f"{error}: ")
 
 
+def test_ingest_checks_out_before_parsing(tmp_path, capsys):
+    bundle = tmp_path / "bad.json"
+    bundle.write_text("{not json", "utf-8")
+    assert main(["ingest", str(bundle), "--out", str(tmp_path)]) == 1
+    _one_line_error(capsys, "IsADirectoryError: ")
+
+
 def test_eval_prints_no_report_when_out_is_unwritable(tmp_path, capsys):
     dataset = tmp_path / "dataset.jsonl"
     dataset.write_text('{"question": "q", "path": "<PATH> uses_malware </PATH>"}\n', "utf-8")

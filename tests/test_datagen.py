@@ -15,7 +15,7 @@ from titan_kg.datagen import (
     synthesize_cot,
 )
 from titan_kg.errors import TemplateSchemaError
-from titan_kg.executor import resolve_names, run_path
+from titan_kg.executor import run_path
 from titan_kg.kg import build_graph, parse_stix_bundle
 from titan_kg.ontology import EntityKind
 from titan_kg.pathlang import parse_path, profile, validate_program
@@ -169,14 +169,15 @@ def test_samples_reexecute_to_recorded_answers(fixture_graph, shared_name_graph,
         for template in core_templates:
             for sample in instantiate_template(template, graph, DatasetConfig(rng_seed=11),
                                                registry):
-                start_ids = resolve_names(graph, sample.start_entities)
-                typed, result = run_path(graph, registry,
-                                         parse_path(sample.path, registry), start_ids)
+                typed, result = run_path(graph, registry, parse_path(sample.path, registry),
+                                         sample.start_entities)
                 names = tuple(dict.fromkeys(n.name for n in result.answers))
                 assert names == sample.answers, sample.template_id
                 # Independent oracle agrees, from the start nodes of the
                 # path's start kind.
-                start = {nid for nid in start_ids if graph.node(nid).kind is typed.start_kind}
+                start = {nid for name in sample.start_entities
+                         for nid in graph.find_by_name(name)
+                         if graph.node(nid).kind is typed.start_kind}
                 brute = brute_execute(nodes, edges, steps_from_program(typed.program),
                                       start_ids=start)
                 assert {graph.node(nid).name for nid in brute} == set(names)

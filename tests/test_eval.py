@@ -54,8 +54,8 @@ def test_exact_match_case_insensitive_operands():
 
 
 def test_exact_match_folds_operands_as_execution_reads_them(registry):
-    # A filter matches lowercased text and a select casefolded names, so
-    # "Straße" and "STRASSE" are two filter keywords but one select name.
+    # Filters and selects both fold their operands, so "Straße" and
+    # "STRASSE" are one filter keyword and one select name.
     graph = KnowledgeGraph([Node("malware--s", "Straße Loader", EntityKind.MALWARE),
                             Node("malware--o", "Other", EntityKind.MALWARE)], [])
 
@@ -65,8 +65,8 @@ def test_exact_match_folds_operands_as_execution_reads_them(registry):
 
     filters = [parse_path(f"is_malware_type → filter {keyword}", registry)
                for keyword in ("Straße", "STRASSE")]
-    assert exact_match(*filters) == 0
-    assert [answers(p) for p in filters] == [["Straße Loader"], []]
+    assert exact_match(*filters) == 1
+    assert [answers(p) for p in filters] == [["Straße Loader"]] * 2
     selects = [parse_path(f'is_malware_type → select "{name}" Other', registry)
                for name in ("Straße Loader", "STRASSE LOADER")]
     assert exact_match(*selects) == 1

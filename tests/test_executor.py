@@ -8,7 +8,6 @@ from titan_kg.errors import (
 )
 from titan_kg.executor import (
     execute,
-    resolve_names,
     run_path,
     step_exec_common,
     step_exec_difference,
@@ -118,6 +117,27 @@ def test_filter_matches_description_substring(fixture_graph):
 def test_filter_no_match_is_empty(fixture_graph):
     out = step_filter(fixture_graph, _frontier(fixture_graph, (G1, G2)), "zzz-nothing")
     assert _ids(fixture_graph, out) == ((),)
+
+
+def test_filter_folds_keyword_and_node_text_alike():
+    graph = KnowledgeGraph([Node("malware--s", "Straße Loader", EntityKind.MALWARE),
+                            Node("malware--o", "Other", EntityKind.MALWARE,
+                                 description="Runs   on\nmany hosts")], [])
+    frontier = (graph.kind_ranks(EntityKind.MALWARE),)
+    for keyword in ("STRASSE", "straße", "Strasse LOADER"):
+        assert _ids(graph, step_filter(graph, frontier, keyword)) == (("malware--s",),)
+    assert _ids(graph, step_filter(graph, frontier, "on many")) == (("malware--o",),)
+
+
+def test_filter_matches_upper_case_tag_of_loaded_snapshot():
+    # Ingest folds the tags it writes; a snapshot written elsewhere may not.
+    graph = KnowledgeGraph.load_snapshot(
+        'TITAN-SNAPSHOT\t1\n'
+        'NODE\tmalware--t\tmalware\t"Tagged"\t[]\t["Ransomware"]\t""\n'
+        'NODE\tmalware--u\tmalware\t"Untagged"\t[]\t[]\t""\n')
+    frontier = (graph.kind_ranks(EntityKind.MALWARE),)
+    for keyword in ("ransomware", "RANSOMWARE"):
+        assert _ids(graph, step_filter(graph, frontier, keyword)) == (("malware--t",),)
 
 
 def test_filter_output_is_subset(fixture_graph):
@@ -290,23 +310,31 @@ def test_result_text_pins_trace_edges(fixture_graph, registry):
     )
 
 
-def test_resolve_names_keeps_name_order_and_rejects_unknown_names(fixture_graph):
-    assert resolve_names(fixture_graph, ["markirat", "Sys10"]) == (MARKIRAT, SYS10)
-    assert resolve_names(fixture_graph, []) == ()
+def test_run_path_resolves_start_names_and_rejects_unknown_names(fixture_graph, registry):
+    program = parse_path("uses_attack_pattern", registry)
+    typed, result = run_path(fixture_graph, registry, program, ["markirat", " SYS10 "])
+    assert result.start_nodes == (MARKIRAT, SYS10)
+    with pytest.raises(StartKindMismatch, match="NoSuchThing"):
+        run_path(fixture_graph, registry, program, ["Sys10", "NoSuchThing"])
+    with pytest.raises(MissingStartKind):
+        run_path(fixture_graph, registry, program, [])
+    # Names resolve before the type seed is seen, so an unknown one is refused.
     with pytest.raises(StartKindMismatch):
-        resolve_names(fixture_graph, ["Sys10", "NoSuchThing"])
+        run_path(fixture_graph, registry, parse_path("is_malware_type", registry), ["Nope"])
 
 
 def test_run_path_starts_from_the_first_kind_that_type_checks(fixture_graph, registry):
     # attributed_to applies to a campaign, not to a malware.
     program = parse_path("attributed_to → uses_malware", registry)
-    typed, result = run_path(fixture_graph, registry, program, (SYS10, C1, MARKIRAT))
+    typed, result = run_path(fixture_graph, registry, program,
+                             ("Sys10", "Unitronics Defacement Campaign", "MarkiRAT"))
     assert typed.start_kind is EntityKind.CAMPAIGN
     assert result.start_nodes == (C1,)
     assert _answer_ids(result) == {SYS10, MARKIRAT}
     # Both kinds type-check uses_attack_pattern; the first one's nodes start it.
     typed, result = run_path(fixture_graph, registry,
-                             parse_path("uses_attack_pattern", registry), (MARKIRAT, C1, SYS10))
+                             parse_path("uses_attack_pattern", registry),
+                             ("MarkiRAT", "Unitronics Defacement Campaign", "Sys10"))
     assert typed.start_kind is EntityKind.MALWARE
     assert result.start_nodes == (MARKIRAT, SYS10)  # (kind, name, id) order
 
@@ -315,11 +343,12 @@ def test_run_path_errors(fixture_graph, registry):
     with pytest.raises(MissingStartKind):
         run_path(fixture_graph, registry, parse_path("uses_attack_pattern", registry), ())
     with pytest.raises(TypeFlowError):
-        run_path(fixture_graph, registry, parse_path("mitigated_by", registry), (SYS10, C1))
+        run_path(fixture_graph, registry, parse_path("mitigated_by", registry),
+                 ("Sys10", "Unitronics Defacement Campaign"))
 
 
 def test_run_path_type_seed_ignores_start(fixture_graph, registry):
     typed, result = run_path(fixture_graph, registry,
-                             parse_path("is_campaign_type", registry), (SYS10,))
+                             parse_path("is_campaign_type", registry), ("Sys10",))
     assert typed.start_kind is EntityKind.CAMPAIGN
     assert result.start_nodes == (C1,)

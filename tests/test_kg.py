@@ -14,6 +14,7 @@ from titan_kg.kg import (
     Node,
     RawStixObject,
     build_graph,
+    _country_tags,
     link_entities,
     node_census,
     parse_stix_bundle,
@@ -303,28 +304,39 @@ def test_country_tags_from_descriptions(fixture_graph):
     assert "iran" in fixture_graph.node("intrusion-set--0002").tags
 
 
+def test_country_tags_are_whole_words_per_field():
+    assert _country_tags("A loader that drops Piranha.") == []
+    assert _country_tags("Targets firms in Indiana.") == []
+    assert _country_tags("A crew based in the north", "Korea Team") == []
+    assert _country_tags("united statesouth korea") == []
+    assert _country_tags("pakistanindia") == []
+    assert _country_tags("Works for the U.S. government.") == ["united states"]
+    assert _country_tags("A North\n Korean crew", "Iranian") == ["iran", "north korea"]
+
+
 def test_link_entities_single_name(fixture_graph):
     mentions = link_entities("Which techniques does Sys10 use?", fixture_graph)
     assert [m.text for m in mentions] == ["Sys10"]
-    assert mentions[0].node_ids == ("malware--0001",)
+    assert fixture_graph.find_by_name(mentions[0].text) == ("malware--0001",)
 
 
 def test_link_entities_span_order_and_punctuation(fixture_graph):
     mentions = link_entities(
         "What techniques are used by Sys10 but not by MarkiRAT?", fixture_graph)
-    assert [m.node_ids[0] for m in mentions] == ["malware--0001", "malware--0002"]
+    assert [fixture_graph.find_by_name(m.text)[0] for m in mentions] == [
+        "malware--0001", "malware--0002"]
     assert mentions[0].start < mentions[1].start
 
 
 def test_link_entities_longest_match_wins(fixture_graph):
     mentions = link_entities(
         "Tell me about the Unitronics Defacement Campaign impact.", fixture_graph)
-    assert [m.node_ids[0] for m in mentions] == ["campaign--0001"]
+    assert [fixture_graph.find_by_name(m.text)[0] for m in mentions] == ["campaign--0001"]
 
 
 def test_link_entities_alias_match(fixture_graph):
     mentions = link_entities("Is Voodoo Bear active?", fixture_graph)
-    assert [m.node_ids[0] for m in mentions] == ["intrusion-set--0001"]
+    assert [fixture_graph.find_by_name(m.text)[0] for m in mentions] == ["intrusion-set--0001"]
 
 
 def test_link_entities_no_match(fixture_graph):
@@ -339,7 +351,7 @@ def test_duplicate_names_link_to_all_matches(registry):
     graph = build_graph(parse_stix_bundle(doc), registry)
     assert graph.find_by_name("twin") == ("malware--a", "malware--b")
     mentions = link_entities("Does Twin use anything?", graph)
-    assert mentions[0].node_ids == ("malware--a", "malware--b")
+    assert graph.find_by_name(mentions[0].text) == ("malware--a", "malware--b")
 
 
 def test_component_with_dangling_source_ref_is_reported(registry):

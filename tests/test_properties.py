@@ -9,9 +9,9 @@ The bit-parallel LCS behind ROUGE-L is checked against the dynamic program
 on random token lists long enough to span several 64-bit words, and BLEU
 against n-gram counting by slicing, to the last bit of the float.
 
-Ingest's single-regex country tagging is checked against a scan per
-marker on texts glued from marker fragments in mixed case, so markers
-overlap and share letters.
+Ingest's single-regex whole-word country tagging is checked against a
+scan per marker and field on fields glued from marker fragments in mixed
+case, so markers overlap, share letters and touch word characters.
 
 Snapshot load is checked on the fixture graph's snapshot: any order of its
 records, with repeated EDGE lines, loads to the same graph, and a mutated
@@ -24,7 +24,7 @@ misses of them, quotes, whitespace and any other character: every program
 that can be built renders to text that parses back to it, in both forms,
 and planner output either parses or raises ``UnparseablePlan``.
 
-Path exact match is checked against the casefolded key of the oracle on
+Path exact match is checked against the folded key of the oracle on
 program pairs whose filter keywords and select names differ only in case.
 """
 
@@ -100,14 +100,14 @@ TOKEN = st.sampled_from(("a", "b", "c", "uses_malware"))
 TOKEN_LISTS = st.integers(0, 200).flatmap(lambda n: st.lists(TOKEN, min_size=n, max_size=n))
 # Markers, pairs of markers that share letters ("united statesouth korea"),
 # marker halves and separators, each in one of four cases.  The fourth
-# swaps in letters that str.lower and a case-insensitive regex fold
-# differently: U+0130 and U+017F, which lower() keeps apart from "i" and
-# "s", and U+212A, which lower() turns into "k".
+# swaps in letters that casefold does not map one to one onto "i", "s"
+# and "k": U+0130 folds to "i" plus a combining dot, U+017F to "s" and
+# U+212A to "k".
 MARKERS = [m for _, markers in _COUNTRY_MARKERS for m in markers]
 OVERLAPS = {a + b[k:] for a in MARKERS for b in MARKERS
             for k in range(1, min(len(a), len(b))) if a.endswith(b[:k])}
 FRAGMENT = st.sampled_from(sorted({*MARKERS, *OVERLAPS, *(m[:len(m) // 2] for m in MARKERS),
-                                   *(m[len(m) // 2:] for m in MARKERS), " ", "x"}))
+                                   *(m[len(m) // 2:] for m in MARKERS), " ", "x", "_", "."}))
 CASES = (str.lower, str.upper, str.title,
          lambda text: text.translate({ord("i"): "\u0130", ord("s"): "\u017f",
                                       ord("k"): "\u212a"}))
@@ -271,12 +271,14 @@ def test_bleu_matches_sliced_ngram_count(a, b):
     assert bleu(" ".join(a), " ".join(b)) == brute_bleu(a, b)
 
 
-@example(text="united statesouth korea")
-@example(text="pakistanindia")
-@example(text="Pakistaniindia")
-@given(text=COUNTRY_TEXT)
-def test_country_tags_match_marker_scan(text):
-    assert _country_tags(text) == country_tags(text)
+# Markers glued to other words are not whole words: these give [].
+@example(fields=["united statesouth korea"])
+@example(fields=["pakistanindia"])
+@example(fields=["Pakistaniindia"])
+@example(fields=["A crew from the north", "Korea Team"])
+@given(fields=st.lists(COUNTRY_TEXT, max_size=3))
+def test_country_tags_match_marker_scan(fields):
+    assert _country_tags(*fields) == country_tags(*fields)
 
 
 @given(data=st.data())
