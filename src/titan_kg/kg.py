@@ -278,7 +278,11 @@ class KnowledgeGraph:
         self._by_kind = {kind: self.ids(ranks) for kind, ranks in by_kind.items()}
         self._name_index: dict[str, tuple[str, ...]] = {
             key: tuple(ids) for key, ids in by_name.items()}
-        self._max_name_words = max((len(k.split()) for k in self._name_index), default=1)
+        heads: dict[str, int] = {}  # first word of a key -> the most words of any key it starts
+        for words in map(str.split, self._name_index):
+            if heads.get(words[0], 0) < len(words):
+                heads[words[0]] = len(words)
+        self._name_heads = heads
 
     # --- lookups ---
 
@@ -518,22 +522,27 @@ def link_entities(question: str, graph: KnowledgeGraph) -> list[EntityMention]:
     aliases under :func:`fold`; a match consumes its words, so shorter
     overlapping matches are suppressed.  Mentions come back in span order.
     """
-    tokens: list[tuple[int, int]] = []
+    tokens: list[tuple[int, int, int]] = []  # trimmed start and end, word end
     for m in _WORD.finditer(question):
         text = m.group()
         start = m.start() + (len(text) - len(text.lstrip(_EDGE_PUNCT)))
         end = m.end() - (len(text) - len(text.rstrip(_EDGE_PUNCT)))
         if start < end:
-            tokens.append((start, end))
+            tokens.append((start, end, m.end()))
 
+    # casefold makes and removes no whitespace, so a span's first folded word
+    # is its first token casefolded, whole if the span runs on, else trimmed;
+    # and a span folds to at least as many words as it has tokens.
     mentions: list[EntityMention] = []
-    limit = min(graph._max_name_words, 10)
     i = 0
     while i < len(tokens):
+        start, end, word_end = tokens[i]
+        limit = max(graph._name_heads.get(question[start:word_end].casefold(), 0),
+                    graph._name_heads.get(question[start:end].casefold(), 0))
         for j in range(min(len(tokens), i + limit), i, -1):
-            span_text = question[tokens[i][0]:tokens[j - 1][1]]
+            span_text = question[start:tokens[j - 1][1]]
             if graph.find_by_name(span_text):
-                mentions.append(EntityMention(span_text, tokens[i][0], tokens[j - 1][1]))
+                mentions.append(EntityMention(span_text, start, tokens[j - 1][1]))
                 i = j
                 break
         else:

@@ -25,7 +25,7 @@ from .errors import PlannerUnavailable, TitanError, UnparseablePlan
 from .executor import ExecutionResult, run_path
 from .kg import KnowledgeGraph, fold, link_entities
 from .ontology import RelationRegistry, build_default_registry
-from .pathlang import PathProgram, _split_names, parse_path
+from .pathlang import PathProgram, TypeSeed, _split_names, parse_path
 
 logger = logging.getLogger(__name__)
 
@@ -164,6 +164,7 @@ class MockPlanner:
                 masks[token] = masks.get(token, 0) | bit
         self._masks = masks
         self._size_masks = sorted(by_size.items())
+        self._programs: dict[str, PathProgram] = {}  # path text -> program, parsed once
 
     def _nearest(self, tokens: set[str]) -> int:
         """Position in ``self._keys`` of the question nearest ``tokens``."""
@@ -208,7 +209,8 @@ class MockPlanner:
                 return PlannerResponse(raw_text="", cot=None, path=None, guessed=True)
             sample = self._index[self._keys[self._nearest(set(key.split()))]]
 
-        path = parse_path(sample.path, self._registry)
+        if (path := self._programs.get(sample.path)) is None:
+            path = self._programs[sample.path] = parse_path(sample.path, self._registry)
         if request.mode == "cot":
             return PlannerResponse(
                 raw_text=sample.cot, cot=sample.cot, path=path,
@@ -312,7 +314,9 @@ def run_question(
         raise UnparseablePlan("planner returned no usable path",
                               raw_text=response.raw_text)
     # A NoCoT-style response names no start: link the question's words
-    # against the graph's node names.
-    start_names = response.start_entities or [m.text for m in link_entities(question, graph)]
+    # against the graph's node names.  A type-seeded path needs no start.
+    start_names = response.start_entities
+    if not start_names and not isinstance(response.path.steps[0], TypeSeed):
+        start_names = [m.text for m in link_entities(question, graph)]
     typed, result = run_path(graph, registry, response.path, start_names)
     return result, typed.program, response.cot

@@ -31,6 +31,10 @@ keywords and select names folded, the oracle for ``eval.exact_match``.
 (casefold, then collapse whitespace runs) for the oracles here.
 
 ``successors`` maps ids through the graph's rank-level traversal.
+
+``link_entities`` tries every span of words from every word, longest
+first, against the folded names, the oracle for entity linking's
+head-bounded scan.
 """
 
 from __future__ import annotations
@@ -304,3 +308,41 @@ def bleu(cand: list, ref: list, max_n: int = 4) -> float:
         log_sum += math.log(clipped / sum(cand_ngrams.values()) if clipped else 1e-9)
     brevity = 1.0 if len(cand) >= len(ref) else math.exp(1 - len(ref) / len(cand))
     return brevity * math.exp(log_sum / effective_n)
+
+
+def link_entities(question: str, names) -> list[tuple[str, int, int]]:
+    """(text, start, end) of each linked span of ``question``.
+
+    Words are runs of non-whitespace with edge punctuation (ASCII and curly
+    quotes) trimmed; words that trim to nothing are dropped.  From each
+    word, every run of words up to the last is tried, longest first, against
+    ``names`` folded; a match consumes its words.
+    """
+    import string
+
+    punct = string.punctuation + "\u201c\u201d\u2018\u2019"
+    keys = {_fold(name) for name in names}
+    words, start = [], None
+    for i, ch in enumerate(question + " "):
+        if ch.isspace() and start is not None:
+            left, right = start, i
+            while left < right and question[left] in punct:
+                left += 1
+            while right > left and question[right - 1] in punct:
+                right -= 1
+            if left < right:
+                words.append((left, right))
+            start = None
+        elif not ch.isspace() and start is None:
+            start = i
+    mentions, i = [], 0
+    while i < len(words):
+        for j in range(len(words), i, -1):
+            text = question[words[i][0]:words[j - 1][1]]
+            if _fold(text) in keys:
+                mentions.append((text, words[i][0], words[j - 1][1]))
+                i = j
+                break
+        else:
+            i += 1
+    return mentions

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from titan_kg import planner
 from titan_kg.cli import main
 
 from conftest import FIXTURE_BUNDLE
@@ -329,6 +330,48 @@ def test_ask_mock_nocot_uses_entity_linking(snapshot, tmp_path, capsys):
     assert "cot\t" not in captured.out
     for answer in record["answers"]:
         assert answer in captured.out
+
+
+TYPE_SEEDED_ROW = {"question": "Which ransomware malware is like Sys10?",
+                   "path": "is_malware_type → filter ransomware"}
+
+
+@pytest.mark.parametrize("refuse_linking", [False, True])
+def test_ask_nocot_type_seeded_full_output(snapshot, tmp_path, capsys, monkeypatch,
+                                           refuse_linking):
+    # The path ignores the start, so the question's "Sys10" is never linked.
+    if refuse_linking:
+        def refuse(question, graph):
+            raise AssertionError(f"linked {question!r}")
+        monkeypatch.setattr(planner, "link_entities", refuse)
+    dataset = tmp_path / "seeded.jsonl"
+    dataset.write_text(json.dumps(TYPE_SEEDED_ROW) + "\n", "utf-8")
+    code = main(["ask", "--snapshot", str(snapshot), "--question", TYPE_SEEDED_ROW["question"],
+                 "--mode", "nocot", "--planner", "mock", "--dataset", str(dataset)])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "path\t<PATH> is_malware_type <SEP> filter ransomware </PATH>\n"
+        "answers\t1\n"
+        "  malware\tLitePower\tmalware--0004\n"
+        "start\t4\tmalware--0003 malware--0004 malware--0002 malware--0001\n"
+        "trace\n"
+        "  step 1\tis_malware_type\tin=4\tout=4\tedges=0\n"
+        "  step 2\tfilter ransomware\tin=4\tout=1\tedges=0\n"
+    )
+
+
+def test_ask_unparseable_stored_path_is_one_line_error(snapshot, tmp_path, capsys):
+    # The planner builds over a row whose path does not parse; only
+    # planning that row fails.
+    dataset = tmp_path / "bad-path.jsonl"
+    dataset.write_text(json.dumps(TYPE_SEEDED_ROW) + "\n"
+                       + json.dumps({"question": "bad", "path": "uses → → mitigated_by"}) + "\n",
+                       "utf-8")
+    ask = ["ask", "--snapshot", str(snapshot), "--planner", "mock", "--dataset", str(dataset)]
+    assert main(ask + ["--question", TYPE_SEEDED_ROW["question"]]) == 0
+    capsys.readouterr()
+    assert main(ask + ["--question", "bad"]) == 1
+    _one_line_error(capsys, "PathSyntaxError: ")
 
 
 def test_ask_remote_without_endpoint_config(snapshot, capsys, monkeypatch):

@@ -343,6 +343,14 @@ def test_link_entities_no_match(fixture_graph):
     assert link_entities("Nothing relevant here at all.", fixture_graph) == []
 
 
+def test_link_entities_has_no_word_cap():
+    name = "Operation One Two Three Four Five Six Seven Eight Nine Ten Eleven"
+    graph = KnowledgeGraph([Node("campaign--long", name, EntityKind.CAMPAIGN),
+                            Node("campaign--short", "Operation One", EntityKind.CAMPAIGN)], ())
+    mentions = link_entities(f"Who ran {name.upper()}?", graph)
+    assert [(m.text, m.start) for m in mentions] == [(name.upper(), 8)]
+
+
 def test_duplicate_names_link_to_all_matches(registry):
     doc = json.dumps({"objects": [
         {"type": "malware", "id": "malware--a", "name": "Twin"},

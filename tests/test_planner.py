@@ -5,9 +5,11 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 from hypothesis import given, strategies as st
 
+from titan_kg import planner as planner_module
 from titan_kg.datagen import DatasetConfig, Sample, generate_dataset
-from titan_kg.errors import PlannerUnavailable, UnparseablePlan
-from titan_kg.pathlang import render_path
+from titan_kg.errors import PathSyntaxError, PlannerUnavailable, UnparseablePlan
+from titan_kg.kg import fold
+from titan_kg.pathlang import parse_path, render_path
 from titan_kg.planner import (
     EndpointConfig,
     MockPlanner,
@@ -244,6 +246,37 @@ def test_mock_empty_index_yields_no_path(registry):
     response = planner.plan(PlannerRequest(question="anything"))
     assert response.guessed is True
     assert response.path is None
+
+
+def test_mock_parses_each_stored_path_once(small_dataset, registry, monkeypatch):
+    parsed = []
+
+    def counting_parse_path(text, reg):
+        parsed.append(text)
+        return parse_path(text, reg)
+
+    monkeypatch.setattr(planner_module, "parse_path", counting_parse_path)
+    indexed: dict[str, Sample] = {}
+    for sample in small_dataset.train:
+        indexed.setdefault(fold(sample.question), sample)
+    paths = {sample.path for sample in indexed.values()}
+    assert len(paths) < len(indexed)  # questions share stored paths
+    planner = MockPlanner(small_dataset.train, registry)
+    assert parsed == []
+    for sample in indexed.values():
+        for mode in ("cot", "nocot"):
+            response = planner.plan(PlannerRequest(question=sample.question, mode=mode))
+            assert response.path == parse_path(sample.path, registry)
+    assert sorted(parsed) == sorted(paths)
+
+
+def test_mock_bad_stored_path_fails_only_when_planned(registry):
+    planner = MockPlanner([_sample("good question", "<PATH> uses_malware </PATH>"),
+                           _sample("bad question", "uses → → mitigated_by")], registry)
+    assert planner.plan(PlannerRequest(question="good question")).path is not None
+    for _ in range(2):
+        with pytest.raises(PathSyntaxError):
+            planner.plan(PlannerRequest(question="bad question"))
 
 
 def test_request_validation():

@@ -26,6 +26,12 @@ and planner output either parses or raises ``UnparseablePlan``.
 
 Path exact match is checked against the folded key of the oracle on
 program pairs whose filter keywords and select names differ only in case.
+
+Entity linking is checked against a scan of every span from every word on
+graphs whose names and aliases share first words, run up to twelve words,
+hold punctuation-only words and letters whose casefold expands (ß, ﬁ, İ),
+and on questions that glue recased names to edge and curly-quote
+punctuation with Unicode whitespace.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from titan_kg.kg import (
     _country_tags,
     _decode_field,
     build_graph,
+    link_entities,
     parse_stix_bundle,
 )
 from titan_kg.ontology import EntityKind, build_default_registry
@@ -69,6 +76,7 @@ from bruteforce import (
     canonical_key,
     country_tags,
     lcs_length,
+    link_entities as brute_link_entities,
     relations_from,
     steps_from_program,
     successors,
@@ -155,6 +163,20 @@ CASE_WORD = st.sampled_from(("Sys10", "a b", "straße", "STRASSE", "İ", "ı", "
                              "ΣΟΦΟΣ", "σοφος", "σοφοσ", "ﬁle", "\u212a"))
 RECASE = st.sampled_from((lambda text: text, str.lower, str.upper, str.title,
                           str.swapcase, str.casefold))
+# Name words: case variants that casefold alike, letters whose casefold
+# expands (ß to "ss", ﬁ to "fi", İ to "i" and a combining dot), words of
+# punctuation only, and words with punctuation inside or at the end ("U.S."
+# heads a name only with its final dot).  Names of one word and of eleven or
+# more share first words.
+LINK_WORD = st.sampled_from(("Agent", "AGENT", "Tesla", "straße", "STRASSE", "ﬁle", "FILE",
+                             "İ", "i\u0307", "ı", "Bear", "...", "—", "U.S.", "O'Neil", "x"))
+LINK_SPACE = st.sampled_from((" ", "  ", "\t", "\n", "\u2003", "\x1c", "\x85", "\u3000"))
+LINK_NAME = (st.integers(1, 3) | st.integers(11, 12)).flatmap(
+    lambda n: st.lists(st.tuples(LINK_SPACE, LINK_WORD), min_size=n, max_size=n)).map(
+    lambda pairs: "".join(space + word for space, word in pairs)[1:])
+LINK_NAMES = st.lists(LINK_NAME, min_size=1, max_size=2)
+EDGE = st.sampled_from(("", "", "?", ",", ".", '"', "(", ")", "“", "”", "‘", "’", "!?", "'s"))
+GLUE = LINK_SPACE | st.just("")
 
 
 @st.composite
@@ -436,3 +458,23 @@ def test_exact_match_agrees_with_folded_key(data):
     pred = _draw_cased_program(data)
     ref = _recased(data, pred if data.draw(st.booleans()) else _draw_cased_program(data))
     assert exact_match(pred, ref) == int(canonical_key(pred) == canonical_key(ref))
+
+
+@st.composite
+def naming_graphs(draw) -> KnowledgeGraph:
+    """Malware nodes, each with a drawn name and up to one alias."""
+    return KnowledgeGraph([Node(f"malware--{i}", names[0], EntityKind.MALWARE, tuple(names[1:]))
+                           for i, names in enumerate(draw(st.lists(LINK_NAMES, max_size=4)))],
+                          ())
+
+
+@given(graph=naming_graphs(), data=st.data())
+def test_link_entities_matches_span_scan(graph, data):
+    names = [name for node in graph.nodes_by_rank for name in (node.name, *node.aliases)]
+    piece = LINK_WORD | LINK_SPACE
+    if names:
+        piece |= st.tuples(st.sampled_from(names), RECASE).map(lambda pair: pair[1](pair[0]))
+    question = "".join(before + text + after + glue for before, text, after, glue in data.draw(
+        st.lists(st.tuples(EDGE, piece, EDGE, GLUE), max_size=8)))
+    assert ([(m.text, m.start, m.end) for m in link_entities(question, graph)]
+            == brute_link_entities(question, names))
