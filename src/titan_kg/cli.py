@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
 import sys
 from pathlib import Path
 
 from . import datagen
-from .errors import MalformedInput, TitanError
-from .eval import aggregate_report, score_predictions
+from .errors import MalformedInput, TemplateSchemaError, TitanError
+from .eval import aggregate_report, load_predictions, score_predictions
 from .executor import run_path
 from .kg import BuildOptions, KnowledgeGraph, build_graph, node_census, parse_stix_bundle
 from .ontology import EntityKind, build_default_registry
@@ -50,16 +49,14 @@ def _read_text(path: str) -> str:
                              f"{exc.start})") from exc
 
 
-def _load_dataset(path: str) -> list[datagen.Sample]:
+def _load(path: str, reader):
+    """``reader`` of the file's text; a MalformedInput or TemplateSchemaError
+    it raises is raised again naming the file."""
     text = _read_text(path)
     try:
-        return datagen.load_dataset(text)
-    except MalformedInput as exc:
-        raise MalformedInput(f"{path} {exc}") from exc
-
-
-def _load_graph(snapshot: str) -> KnowledgeGraph:
-    return KnowledgeGraph.load_snapshot(_read_text(snapshot))
+        return reader(text)
+    except (MalformedInput, TemplateSchemaError) as exc:
+        raise type(exc)(f"{path} {exc}") from exc
 
 
 def _census(graph: KnowledgeGraph) -> dict[str, int]:
@@ -89,7 +86,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_census(args) -> int:
-    graph = _load_graph(args.snapshot)
+    graph = _load(args.snapshot, KnowledgeGraph.load_snapshot)
     actual = _census(graph)
     if not args.expected:
         for key, count in actual.items():
@@ -117,7 +114,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_exec(args) -> int:
-    graph = _load_graph(args.snapshot)
+    graph = _load(args.snapshot, KnowledgeGraph.load_snapshot)
     registry = build_default_registry()
     program = parse_path(args.path, registry)
     typed, result = run_path(graph, registry, program, args.start)
@@ -127,12 +124,12 @@ def cmd_exec(args) -> int:
 
 
 def cmd_ask(args) -> int:
-    graph = _load_graph(args.snapshot)
+    graph = _load(args.snapshot, KnowledgeGraph.load_snapshot)
     registry = build_default_registry()
     if args.planner == "mock":
         if not args.dataset:
             raise TitanError("the mock planner needs --dataset to build its index")
-        samples = _load_dataset(args.dataset)
+        samples = _load(args.dataset, datagen.load_dataset)
         planner = MockPlanner(samples, registry)
     else:
         planner = RemotePlanner(EndpointConfig.from_env(), registry)
@@ -146,10 +143,11 @@ def cmd_ask(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    graph = _load_graph(args.snapshot)
+    graph = _load(args.snapshot, KnowledgeGraph.load_snapshot)
     registry = build_default_registry()
-    document = _read_text(args.templates) if args.templates else datagen.default_template_text()
-    templates = datagen.load_templates(document, registry)
+    read = lambda document: datagen.load_templates(document, registry)
+    templates = (_load(args.templates, read) if args.templates
+                 else read(datagen.default_template_text()))
     config = datagen.DatasetConfig(rng_seed=args.seed, max_per_template=args.max_per_template,
                                    test_fraction=args.test_fraction, keep_empty=args.keep_empty)
     split, table = datagen.generate_dataset(templates, graph, config, registry)
@@ -163,26 +161,9 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _prediction(path: str, lineno: int, line: str) -> dict:
-    """One predictions line: a JSON object whose "path" and "cot", when
-    present, are strings or null."""
-    try:
-        pred = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"{path} line {lineno}: not JSON ({exc.msg})") from exc
-    if not isinstance(pred, dict):
-        raise MalformedInput(f"{path} line {lineno}: expected a JSON object, "
-                             f"got {type(pred).__name__}")
-    for field in ("path", "cot"):
-        if not isinstance(pred.get(field), (str, type(None))):
-            raise MalformedInput(f"{path} line {lineno}: {field!r} is not a string")
-    return pred
-
-
 def cmd_eval(args) -> int:
-    references = _load_dataset(args.dataset)
-    predictions = [_prediction(args.predictions, lineno, line) for lineno, line in
-                   enumerate(_read_text(args.predictions).splitlines(), 1) if line.strip()]
+    references = _load(args.dataset, datagen.load_dataset)
+    predictions = _load(args.predictions, load_predictions)
     records = score_predictions(references, predictions, build_default_registry())
     report = aggregate_report(records)
     if args.out:

@@ -164,7 +164,7 @@ def load_templates(
     registry = registry or build_default_registry()
     templates: list[QuestionTemplate] = []
     seen_ids: set[str] = set()
-    for lineno, line in enumerate(document.splitlines(), 1):
+    for lineno, line in enumerate(document.split("\n"), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -1,4 +1,4 @@
-"""Path exact-match and text-overlap scoring with bucketed reporting.
+"""Predictions reading, path exact-match and text-overlap scoring, bucketed reports.
 
 Text metrics share one tokenizer, pinned for reproducibility: lowercase,
 replace punctuation except underscores with spaces (relation tokens
@@ -12,10 +12,10 @@ import math
 import string
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .datagen import Sample
-from .errors import TitanError
+from .errors import MalformedInput, TitanError
 from .kg import fold
 from .ontology import RelationRegistry
 from .pathlang import (
@@ -125,9 +125,34 @@ def bleu(candidate: str, reference: str) -> float:
     return brevity * math.exp(log_sum / effective_n)
 
 
-@dataclass(frozen=True)
-class EvalRecord:
-    """Score of one prediction against its reference."""
+def load_predictions(text: str) -> list[dict]:
+    """Predictions of a JSONL file; a bad line raises MalformedInput naming it.
+
+    Each line is a JSON object whose "path" and "cot", when present, are
+    strings or null.  Records end at ``\n`` only, as in
+    :func:`~titan_kg.datagen.load_dataset`; blank lines are skipped.
+    """
+    predictions = []
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            pred = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedInput(f"line {lineno}: not JSON ({exc.msg})") from exc
+        if not isinstance(pred, dict):
+            raise MalformedInput(f"line {lineno}: expected a JSON object, "
+                                 f"got {type(pred).__name__}")
+        for field in ("path", "cot"):
+            if not isinstance(pred.get(field), (str, type(None))):
+                raise MalformedInput(f"line {lineno}: {field!r} is not a string")
+        predictions.append(pred)
+    return predictions
+
+
+class EvalRecord(NamedTuple):
+    """Score of one prediction against its reference: EM, then the text
+    metrics, which are None unless both CoTs are non-empty."""
 
     bucket: str
     operators: frozenset[str]
@@ -160,19 +185,13 @@ def score_predictions(references: Sequence[Sample],
         else:
             em = exact_match(pred_program, ref_program)
         pred_cot = pred.get("cot") or ""
-        has_text = bool(pred_cot and ref.cot)
-        records.append(EvalRecord(
-            bucket=ref.bucket, operators=frozenset(ref.operators),
-            em=em,
-            rouge_l=rouge_l(pred_cot, ref.cot) if has_text else None,
-            rouge_1=rouge_1(pred_cot, ref.cot) if has_text else None,
-            bleu=bleu(pred_cot, ref.cot) if has_text else None,
-        ))
+        text_scores = ((rouge_l(pred_cot, ref.cot), rouge_1(pred_cot, ref.cot),
+                        bleu(pred_cot, ref.cot)) if pred_cot and ref.cot else ())
+        records.append(EvalRecord(ref.bucket, frozenset(ref.operators), em, *text_scores))
     return records
 
 
-@dataclass(frozen=True)
-class BucketStats:
+class BucketStats(NamedTuple):
     count: int
     em: float
     rouge_l: float | None
@@ -191,27 +210,24 @@ class BucketReport:
         lines = [header, "-" * len(header)]
         for name in (*LENGTH_BUCKETS, *OPERATOR_BUCKETS, "overall"):
             stats = self.rows.get(name)
-            if stats is None:
-                continue
-            fmt = lambda v: f"{v:>8.3f}" if v is not None else f"{'-':>8}"
-            lines.append(f"{name:<18}{stats.count:>6}{stats.em:>8.3f}"
-                         f"{fmt(stats.rouge_l)}{fmt(stats.rouge_1)}{fmt(stats.bleu)}")
+            if stats is not None:
+                lines.append(f"{name:<18}{stats.count:>6}" + "".join(
+                    f"{'-':>8}" if v is None else f"{v:>8.3f}" for v in stats[1:]))
         lines.append("BERTScore: not computed")
         return "\n".join(lines) + "\n"
 
     def to_records(self) -> str:
-        out = []
-        for name, stats in self.rows.items():
-            out.append(json.dumps({
-                "bucket": name, "count": stats.count, "em": stats.em,
-                "rouge_l": stats.rouge_l, "rouge_1": stats.rouge_1,
-                "bleu": stats.bleu,
-            }, ensure_ascii=False))
-        return "\n".join(out) + "\n"
+        return "\n".join(json.dumps({"bucket": name, **stats._asdict()}, ensure_ascii=False)
+                         for name, stats in self.rows.items()) + "\n"
 
 
-def _mean(values: list[float]) -> float | None:
-    return sum(values) / len(values) if values else None
+def _mean(group: list[EvalRecord], score: str) -> float | None:
+    """Mean of ``score`` over the records that carry it.  When none does,
+    the record's default: None for a text metric; EM has none, so 0.0."""
+    values = [v for v in (getattr(r, score) for r in group) if v is not None]
+    if values:
+        return sum(values) / len(values)
+    return EvalRecord._field_defaults.get(score, 0.0)
 
 
 def aggregate_report(records: list[EvalRecord]) -> BucketReport:
@@ -228,17 +244,7 @@ def aggregate_report(records: list[EvalRecord]) -> BucketReport:
             groups.setdefault(flag, []).append(rec)
     groups["overall"] = list(records)
 
-    rows = {}
-    for name, group in groups.items():
-        if not group:
-            rows[name] = BucketStats(count=0, em=0.0, rouge_l=None,
-                                     rouge_1=None, bleu=None)
-            continue
-        rows[name] = BucketStats(
-            count=len(group),
-            em=sum(r.em for r in group) / len(group),
-            rouge_l=_mean([r.rouge_l for r in group if r.rouge_l is not None]),
-            rouge_1=_mean([r.rouge_1 for r in group if r.rouge_1 is not None]),
-            bleu=_mean([r.bleu for r in group if r.bleu is not None]),
-        )
-    return BucketReport(rows=rows)
+    scores = BucketStats._fields[1:]
+    return BucketReport(rows={
+        name: BucketStats(len(group), *(_mean(group, score) for score in scores))
+        for name, group in groups.items()})

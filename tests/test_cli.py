@@ -277,6 +277,16 @@ def test_gen_drops_select_binding_of_name_with_quote(tmp_path, capsys):
     assert not any('"Q"' in row["path"] for row in rows)
 
 
+def test_gen_bad_template_corpus_error_names_the_file(snapshot, tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"id": "x", "text": "Which malware?", "path": "is_malware_type",
+                                  "answer_kind": "nope"}) + "\n", "utf-8")
+    assert main(["gen", "--snapshot", str(snapshot), "--templates", str(corpus),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = _one_line_error(capsys, f"TemplateSchemaError: {corpus} template x: ")
+    assert "valid answer_kind" in err
+
+
 def test_gen_rejects_bad_seed(snapshot, tmp_path):
     with pytest.raises(SystemExit):
         main(["gen", "--snapshot", str(snapshot), "--seed", "-1",
@@ -462,6 +472,32 @@ def test_eval_rotated_predictions_full_output(snapshot, tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out == EVAL_ROTATED_STDOUT
     assert report_out.read_text("utf-8") == EVAL_ROTATED_REPORT
+
+
+def test_eval_reads_raw_unicode_line_separators_in_cots(snapshot, tmp_path, capsys):
+    # JSON leaves U+0085, U+2028 and U+2029 unescaped; a CoT holding one
+    # scores as the same CoT written with escapes.
+    outdir = tmp_path / "dataset"
+    assert main(["gen", "--snapshot", str(snapshot), "--seed", "3",
+                 "--out", str(outdir)]) == 0
+    test_file = outdir / "test.jsonl"
+    rows = [json.loads(line) for line in test_file.read_text("utf-8").splitlines()]
+    separators = "\x85\u2028\u2029"
+    outputs = []
+    for ensure_ascii in (True, False):
+        predictions = tmp_path / f"preds-{ensure_ascii}.jsonl"
+        predictions.write_text("".join(
+            json.dumps({"path": row["path"],
+                        "cot": row["cot"].replace(" ", separators[i % 3], 2)},
+                       ensure_ascii=ensure_ascii) + "\n"
+            for i, row in enumerate(rows)), "utf-8")
+        report_out = tmp_path / f"report-{ensure_ascii}.jsonl"
+        capsys.readouterr()
+        assert main(["eval", "--dataset", str(test_file), "--predictions", str(predictions),
+                     "--out", str(report_out)]) == 0
+        outputs.append((capsys.readouterr().out, report_out.read_text("utf-8")))
+    assert all(ch in predictions.read_text("utf-8") for ch in separators)
+    assert outputs[0] == outputs[1]
 
 
 def test_eval_length_mismatch_fails(snapshot, tmp_path, capsys):

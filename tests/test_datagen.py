@@ -301,6 +301,18 @@ def test_dataset_round_trip_with_unicode_line_separators():
     assert load_dataset(dataset_to_jsonl(samples)) == samples
 
 
+def test_template_records_end_at_newline_only(registry):
+    # A raw U+2028 in a template's text must not end its record.
+    lines = default_template_text().split("\n")
+    index = next(i for i, line in enumerate(lines) if line.startswith("{"))
+    record = json.loads(lines[index])
+    record["text"] = record["text"].replace(" ", "\u2028", 1)
+    lines[index] = json.dumps(record, ensure_ascii=False)
+    templates = load_templates("\n".join(lines), registry)
+    assert len(templates) == len(load_templates(default_template_text(), registry))
+    assert templates[0].text == record["text"]
+
+
 def test_default_corpus_text_parses_as_jsonl():
     for line in default_template_text().splitlines():
         line = line.strip()

@@ -7,11 +7,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+from hypothesis import given, strategies as st
+
+from titan_kg.errors import MalformedInput
 from titan_kg.eval import (
     EvalRecord,
     aggregate_report,
     bleu,
     exact_match,
+    load_predictions,
     rouge_1,
     rouge_l,
     tokenize,
@@ -234,3 +239,45 @@ def test_report_records_do_not_depend_on_hash_seed():
 def test_report_text_mentions_unavailable_bertscore():
     report = aggregate_report([_record("L1", 1)])
     assert "BERTScore: not computed" in report.to_text()
+
+
+def test_empty_report_full_output():
+    # No records still make an overall row: count 0, EM 0 and no text metrics.
+    report = aggregate_report([])
+    assert report.to_text() == (
+        "bucket                 n      EM     R-L     R-1    BLEU\n"
+        "--------------------------------------------------------\n"
+        "overall                0   0.000       -       -       -\n"
+        "BERTScore: not computed\n")
+    assert report.to_records() == (
+        '{"bucket": "overall", "count": 0, "em": 0.0, "rouge_l": null, '
+        '"rouge_1": null, "bleu": null}\n')
+
+
+# Texts that often hold the code points str.splitlines breaks at but JSON
+# leaves unescaped.
+_PREDICTION_TEXT = st.text(st.sampled_from("\x85\u2028\u2029") | st.characters(
+    exclude_categories=("Cs",)), max_size=12)
+_PREDICTION = st.fixed_dictionaries({}, optional={"path": st.none() | _PREDICTION_TEXT,
+                                                  "cot": st.none() | _PREDICTION_TEXT})
+
+
+@given(st.lists(st.tuples(_PREDICTION, st.integers(0, 2)), max_size=6))
+def test_load_predictions_round_trip(rows):
+    text = "".join("\n" * blanks + json.dumps(pred, ensure_ascii=False) + "\n"
+                   for pred, blanks in rows)
+    assert load_predictions(text) == [pred for pred, _ in rows]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("[1]", "line 4: expected a JSON object, got list"),
+    ('{"path": 5}', "line 4: 'path' is not a string"),
+    ('{"path": "p", "cot": ["x"]}', "line 4: 'cot' is not a string"),
+    ("{not json", "line 4: not JSON ("),
+])
+def test_load_predictions_error_names_its_line(line, message):
+    # Blank lines are skipped but still counted.
+    text = '{"path": "p"}\n\n  \n' + line + '\n{"path": "q"}\n'
+    with pytest.raises(MalformedInput) as info:
+        load_predictions(text)
+    assert str(info.value).startswith(message)
