@@ -16,7 +16,7 @@ from . import datagen
 from .errors import MalformedInput, TemplateSchemaError, TitanError
 from .eval import aggregate_report, load_predictions, score_predictions
 from .executor import run_path
-from .kg import BuildOptions, KnowledgeGraph, build_graph, node_census, parse_stix_bundle
+from .kg import KnowledgeGraph, build_graph, node_census, parse_stix_bundle
 from .ontology import EntityKind, build_default_registry
 from .pathlang import parse_path, render_path
 from .planner import EndpointConfig, MockPlanner, RemotePlanner, run_question
@@ -74,8 +74,8 @@ def cmd_ingest(args) -> int:
     for bundle_path in args.bundles:
         objects.extend(parse_stix_bundle(_read_bytes(bundle_path)))
     registry = build_default_registry(include_subtechniques=not args.no_subtechniques)
-    graph = build_graph(objects, registry, BuildOptions(
-        drop_revoked=not args.keep_revoked, lenient=not args.strict))
+    graph = build_graph(objects, registry, drop_revoked=not args.keep_revoked,
+                        lenient=not args.strict)
     Path(args.out).write_text(graph.export_snapshot(), "utf-8")
     for key, count in _census(graph).items():
         print(f"{key}\t{count}")
@@ -93,7 +93,7 @@ def cmd_census(args) -> int:
             print(f"{key}\t{count}")
         return 0
     expected: dict[str, int] = {}
-    for lineno, raw in enumerate(_read_text(args.expected).splitlines(), 1):
+    for lineno, raw in enumerate(_read_text(args.expected).split("\n"), 1):
         raw = raw.strip()
         if not raw or raw.startswith("#"):
             continue
@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("bundles", nargs="+", help="STIX bundle JSON file(s)")
     p.add_argument("--out", required=True, help="snapshot output path")
     p.add_argument("--strict", action="store_true",
-                   help="fail on relationships with no registry signature")
+                   help="fail on edges with no registry signature")
     p.add_argument("--keep-revoked", action="store_true",
                    help="keep revoked/deprecated objects")
     p.add_argument("--no-subtechniques", action="store_true",

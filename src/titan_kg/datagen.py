@@ -169,9 +169,9 @@ def load_templates(
         if not line or line.startswith("#"):
             continue
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TemplateSchemaError(f"line {lineno}: not valid JSON: {exc.msg}") from exc
+            rec = json_object(line, ("text", "path", "answer_kind", "start"))
+        except ValueError as exc:
+            raise TemplateSchemaError(f"line {lineno}: {exc}") from exc
         tid = rec.get("id")
         if not tid or not isinstance(tid, str):
             raise TemplateSchemaError(f"line {lineno}: missing template id")
@@ -412,6 +412,21 @@ def profile_table(split: DatasetSplit) -> str:
 
 def dataset_to_jsonl(samples: Iterable[Sample]) -> str:
     return "".join(sample.to_json() + "\n" for sample in samples)
+
+
+def json_object(line: str, strings: Iterable[str]) -> dict:
+    """The JSON object on one JSONL line whose ``strings`` fields, where
+    present, are strings or null; anything else raises ValueError."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not JSON ({exc.msg})") from exc
+    if not isinstance(rec, dict):
+        raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
+    for field in strings:
+        if not isinstance(rec.get(field), (str, type(None))):
+            raise ValueError(f"{field!r} is not a string")
+    return rec
 
 
 def load_dataset(text: str) -> list[Sample]:

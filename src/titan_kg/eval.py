@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
-from .datagen import Sample
+from .datagen import Sample, json_object
 from .errors import MalformedInput, TitanError
 from .kg import fold
 from .ontology import RelationRegistry
@@ -137,16 +137,9 @@ def load_predictions(text: str) -> list[dict]:
         if not line.strip():
             continue
         try:
-            pred = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedInput(f"line {lineno}: not JSON ({exc.msg})") from exc
-        if not isinstance(pred, dict):
-            raise MalformedInput(f"line {lineno}: expected a JSON object, "
-                                 f"got {type(pred).__name__}")
-        for field in ("path", "cot"):
-            if not isinstance(pred.get(field), (str, type(None))):
-                raise MalformedInput(f"line {lineno}: {field!r} is not a string")
-        predictions.append(pred)
+            predictions.append(json_object(line, ("path", "cot")))
+        except ValueError as exc:
+            raise MalformedInput(f"line {lineno}: {exc}") from exc
     return predictions
 
 

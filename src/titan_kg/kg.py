@@ -1,9 +1,9 @@
 """STIX bundle ingestion and the immutable typed knowledge graph.
 
-The graph keeps one forward and one reverse edge for every relationship
-(the registry supplies the reverse name), synthesizes asset nodes from
-the platform lists on attack patterns, and indexes nodes by kind and by
-folded name/alias (:func:`fold`) for entity linking.
+Every edge is typed by a registry signature and kept together with its
+registry reverse.  The graph synthesizes asset nodes from the platform
+lists on attack patterns, and indexes nodes by kind and by folded
+name/alias (:func:`fold`) for entity linking.
 
 Export/import uses a line-oriented snapshot format (see docs/formats.md)
 whose byte output is deterministic, which is what the determinism tests
@@ -98,12 +98,6 @@ class Node:
     @property
     def sort_key(self) -> tuple[str, str, str]:
         return (self.kind.value, self.name.casefold(), self.id)
-
-
-@dataclass(frozen=True)
-class BuildOptions:
-    drop_revoked: bool = True
-    lenient: bool = True
 
 
 @dataclass(frozen=True)
@@ -386,18 +380,22 @@ class KnowledgeGraph:
 def build_graph(
     objects: Iterable[RawStixObject],
     registry: RelationRegistry | None = None,
-    options: BuildOptions | None = None,
+    *,
+    drop_revoked: bool = True,
+    lenient: bool = True,
 ) -> KnowledgeGraph:
     """Assemble the typed bidirectional graph from raw STIX objects.
 
-    Relationship verbs are rewritten to typed names (``uses`` toward a
-    malware node becomes ``uses_malware``) and every accepted edge is
-    paired with its registry reverse.  Relationships that fit no registry
-    signature are collected into ``graph.skipped`` when lenient, and raise
-    :class:`UnknownSignature` otherwise.
+    Every edge (a relationship, a data component's containment in its data
+    source, a technique's platform asset) is typed by the registry
+    signature for its source kind and its verb plus the target kind's slug
+    (``uses`` toward a malware node becomes ``uses_malware``), and is paired
+    with that signature's reverse.  An edge that fits no signature is
+    collected into ``graph.skipped`` when ``lenient``, and raises
+    :class:`UnknownSignature` otherwise.  ``drop_revoked`` leaves out
+    revoked and deprecated objects.
     """
     registry = registry or build_default_registry()
-    options = options or BuildOptions()
 
     nodes: dict[str, Node] = {}
     kinds: dict[str, EntityKind] = {}
@@ -420,7 +418,7 @@ def build_graph(
             components.append(obj)
         elif kind is EntityKind.ATTACK_PATTERN:
             techniques.append(obj)
-        if options.drop_revoked and (obj.revoked or obj.deprecated):
+        if drop_revoked and (obj.revoked or obj.deprecated):
             continue
         if not obj.name:
             skipped.append(f"node {obj.id}: empty name")
@@ -435,18 +433,30 @@ def build_graph(
 
     edges: set[tuple[str, str, str]] = set()
 
-    def add_edge(src: str, sig: RelationSignature, dst: str) -> None:
-        edges.add((src, sig.name, dst))
-        edges.add((dst, sig.inverse_name, src))
-
     def reject(message: str) -> None:
-        if options.lenient:
+        if lenient:
             skipped.append(message)
         else:
             raise UnknownSignature(message)
 
-    # (STIX verb, source kind, target kind) -> the signature it was typed as.
+    # (verb, source kind, target kind) -> the signature it was typed as.
     typed: dict[tuple[str, EntityKind, EntityKind], RelationSignature] = {}
+
+    def add_edge(what: str, src: Node, verb: str, dst: Node) -> None:
+        """``src --verb--> dst`` and its reverse, typed by the registry;
+        ``what`` names the edge's origin in a skip reason."""
+        sig = typed.get((verb, src.kind, dst.kind))
+        if sig is None:
+            name = verb.replace("-", "_")
+            try:
+                sig = registry.signature_of(src.kind, f"{name}_{dst.kind.slug}")
+            except NoSuchSignature:
+                reject(f"{what}: no signature for ({src.kind.value}, {name}, {dst.kind.value})")
+                return
+            typed[verb, src.kind, dst.kind] = sig
+        edges.add((src.id, sig.name, dst.id))
+        edges.add((dst.id, sig.inverse_name, src.id))
+
     for obj in relationships:
         if not obj.relationship_type:
             reject(f"relationship {obj.id}: missing relationship_type")
@@ -455,52 +465,30 @@ def build_graph(
         if src is None or dst is None:
             skipped.append(f"relationship {obj.id}: endpoint missing or dropped")
             continue
-        sig = typed.get((obj.relationship_type, src.kind, dst.kind))
-        if sig is None:
-            verb = obj.relationship_type.replace("-", "_")
-            rel = f"{verb}_{dst.kind.slug}"
-            try:
-                sig = registry.signature_of(src.kind, rel)
-            except NoSuchSignature:
-                reject(f"relationship {obj.id}: no signature for "
-                       f"({src.kind.value}, {verb}, {dst.kind.value})")
-                continue
-            if sig.target_kind is not dst.kind:
-                reject(f"relationship {obj.id}: target kind mismatch for {rel}")
-                continue
-            typed[obj.relationship_type, src.kind, dst.kind] = sig
-        add_edge(src.id, sig, dst.id)
+        add_edge(f"relationship {obj.id}", src, obj.relationship_type, dst)
 
     # Data source -> data component containment.
     for obj in components:
         if obj.id not in nodes or not obj.data_source_ref:
             continue
         if obj.data_source_ref in nodes:
-            add_edge(obj.id, registry.signature_of(nodes[obj.id].kind, "provided_by_data_source"),
-                     obj.data_source_ref)
+            add_edge(f"node {obj.id}", nodes[obj.id], "provided_by", nodes[obj.data_source_ref])
         else:
             skipped.append(f"node {obj.id}: data source ref missing or dropped")
 
-    # Assets synthesized from the platform lists on attack patterns.
-    platforms: dict[str, str] = {}
+    # Assets synthesized from the platform lists on attack patterns; the
+    # first spelling of a platform names its asset.
     for obj in techniques:
         if obj.id in nodes:
             for platform in obj.platforms:
-                platforms.setdefault(_asset_id(platform), platform)
-    for asset_id, platform in platforms.items():
-        if asset_id not in nodes:
-            nodes[asset_id] = Node(
-                id=asset_id, name=platform, kind=EntityKind.ASSET,
-                tags=(fold(platform),),
-            )
-    for obj in techniques:
-        if obj.id in nodes:
-            for platform in obj.platforms:
-                add_edge(obj.id, registry.signature_of(nodes[obj.id].kind, "targets_asset"),
-                         _asset_id(platform))
+                asset_id = _asset_id(platform)
+                if asset_id not in nodes:
+                    nodes[asset_id] = Node(id=asset_id, name=platform, kind=EntityKind.ASSET,
+                                           tags=(fold(platform),))
+                add_edge(f"node {obj.id}", nodes[obj.id], "targets", nodes[asset_id])
 
     if skipped:
-        logger.info("build_graph skipped %d relationship(s)/object(s)", len(skipped))
+        logger.info("build_graph skipped %d edge(s)/object(s)", len(skipped))
     return KnowledgeGraph(nodes.values(), edges, skipped=tuple(skipped))
 
 

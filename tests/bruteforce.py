@@ -32,6 +32,10 @@ keywords and select names folded, the oracle for ``eval.exact_match``.
 
 ``successors`` maps ids through the graph's rank-level traversal.
 
+``bad_edges`` checks every edge of a graph against a table scanned from the
+registry's signatures (it restates ``bench/checks.py``'s ``missing_reverses``),
+the oracle for ingest's edge typing.
+
 ``link_entities`` tries every span of words from every word, longest
 first, against the folded names, the oracle for entity linking's
 head-bounded scan.
@@ -130,6 +134,20 @@ def canonical_key(program) -> tuple:
 def successors(graph, ids, rel) -> tuple:
     """Distinct targets of ``rel`` edges from ``ids``, in (kind, name, id) order."""
     return graph.ids(graph.successor_ranks(graph.ranks(ids), rel))
+
+
+def bad_edges(graph, registry) -> list:
+    """Edges with no signature from their source's kind, with a target of
+    another kind than the signature's, or without the reverse edge."""
+    table = {(sig.source_kind, sig.name): sig for sig in registry.signatures}
+    edges = set(graph.all_edges())
+    bad = []
+    for src, rel, dst in sorted(edges):
+        sig = table.get((graph.node(src).kind, rel))
+        if (sig is None or graph.node(dst).kind is not sig.target_kind
+                or (dst, sig.inverse_name, src) not in edges):
+            bad.append((src, rel, dst))
+    return bad
 
 
 def tables_from_graph(graph):

@@ -9,7 +9,7 @@ import pytest
 from titan_kg import planner
 from titan_kg.cli import main
 
-from conftest import FIXTURE_BUNDLE
+from conftest import FIXTURE_BUNDLE, MISTYPED_TARGETS
 
 
 @pytest.fixture()
@@ -51,6 +51,20 @@ def test_ingest_full_output(tmp_path, capsys):
     out = tmp_path / "graph.snap"
     assert main(["ingest", str(FIXTURE_BUNDLE), "--out", str(out)]) == 0
     assert capsys.readouterr().out == CENSUS_TABLE + f"skipped\t2\nsnapshot\t{out}\n"
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED_TARGETS))
+def test_ingest_skips_edge_to_a_node_of_the_wrong_kind(case, tmp_path, capsys):
+    source, objects = MISTYPED_TARGETS[case]
+    bundle, out = tmp_path / "bundle.json", tmp_path / "graph.snap"
+    bundle.write_text(json.dumps(objects), "utf-8")
+    assert main(["ingest", str(bundle), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "malware\t1" in lines and "edges\t0" in lines
+    assert [line for line in lines if line.startswith("skipped")] == ["skipped\t1"]
+    assert main(["ingest", str(bundle), "--out", str(out), "--strict"]) == 1
+    err = _one_line_error(capsys, "UnknownSignature: ")
+    assert f"node {source}: no signature for" in err
 
 
 def test_census_full_output(snapshot, capsys):
@@ -285,6 +299,15 @@ def test_gen_bad_template_corpus_error_names_the_file(snapshot, tmp_path, capsys
                  "--out", str(tmp_path / "out")]) == 1
     err = _one_line_error(capsys, f"TemplateSchemaError: {corpus} template x: ")
     assert "valid answer_kind" in err
+
+
+def test_gen_template_record_of_wrong_json_type_error_names_the_file(snapshot, tmp_path,
+                                                                   capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("# a comment\n[1]\n", "utf-8")
+    assert main(["gen", "--snapshot", str(snapshot), "--templates", str(corpus),
+                 "--out", str(tmp_path / "out")]) == 1
+    _one_line_error(capsys, f"TemplateSchemaError: {corpus} line 2: expected a JSON object")
 
 
 def test_gen_rejects_bad_seed(snapshot, tmp_path):
@@ -665,6 +688,17 @@ def test_eval_malformed_dataset_is_one_line_error(tmp_path, capsys, line):
     assert code == 1
     err = _one_line_error(capsys, "MalformedInput: ")
     assert "bad.jsonl line 2" in err
+
+
+def test_census_expected_table_records_end_at_newline_only(snapshot, tmp_path, capsys):
+    # A comment holding U+2028 stays one record; str.splitlines breaks it.
+    expected = tmp_path / "expected.tsv"
+    expected.write_text("# Z\u00e4hlung\u2028Stand 2024\nmalware\t4\n", "utf-8")
+    assert main(["census", "--snapshot", str(snapshot), "--expected", str(expected)]) == 0
+    assert capsys.readouterr().out == (
+        "kind                actual  expected  delta%\n"
+        "malware                  4         4     0.0\n"
+    )
 
 
 def test_census_snapshot_directory_is_one_line_error(tmp_path, capsys):

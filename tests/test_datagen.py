@@ -93,6 +93,22 @@ def test_select_placeholder_kind_checked(registry):
         load_templates(line, registry)
 
 
+@pytest.mark.parametrize("line, reason", [
+    ("[1]", "expected a JSON object, got list"),
+    ('"x"', "expected a JSON object, got str"),
+    (_template_line(text=7), "'text' is not a string"),
+    (_template_line(path=7), "'path' is not a string"),
+    (_template_line(answer_kind=[1]), "'answer_kind' is not a string"),
+    (_template_line(start=["[malware]"]), "'start' is not a string"),
+    ("{not json", "not JSON ("),
+], ids=["list", "string", "text", "path", "answer_kind", "start", "not-json"])
+def test_record_of_wrong_json_type_is_schema_error_naming_the_line(line, reason, registry):
+    document = "# comment\n" + _template_line(id="ok") + "\n" + line + "\n"
+    with pytest.raises(TemplateSchemaError) as err:
+        load_templates(document, registry)
+    assert str(err.value).startswith(f"line 3: {reason}")
+
+
 def test_duplicate_ids_rejected(registry):
     document = _template_line() + "\n" + _template_line()
     with pytest.raises(TemplateSchemaError):

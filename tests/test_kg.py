@@ -9,7 +9,6 @@ import pytest
 
 from titan_kg.errors import MalformedBundle, UnknownSignature
 from titan_kg.kg import (
-    BuildOptions,
     KnowledgeGraph,
     Node,
     RawStixObject,
@@ -22,6 +21,7 @@ from titan_kg.kg import (
 from titan_kg.ontology import EntityKind
 
 from bruteforce import successors
+from conftest import MISTYPED_TARGETS
 from scalegen import build_scale_bundle
 
 # Hand-enumerated census of tests/fixtures/fixture_bundle.json: the revoked
@@ -157,11 +157,11 @@ def test_fixture_skip_report(fixture_graph):
 
 def test_strict_mode_raises_on_unknown_signature(fixture_objects, registry):
     with pytest.raises(UnknownSignature):
-        build_graph(fixture_objects, registry, BuildOptions(lenient=False))
+        build_graph(fixture_objects, registry, lenient=False)
 
 
 def test_keep_revoked_option(fixture_objects, registry):
-    graph = build_graph(fixture_objects, registry, BuildOptions(drop_revoked=False))
+    graph = build_graph(fixture_objects, registry, drop_revoked=False)
     census = node_census(graph)
     assert census.per_kind[EntityKind.MALWARE] == 5
 
@@ -370,6 +370,20 @@ def test_component_with_dangling_source_ref_is_reported(registry):
     graph = build_graph(parse_stix_bundle(doc), registry)
     assert graph.edge_count == 0
     assert any("data source ref" in entry for entry in graph.skipped)
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED_TARGETS))
+def test_edge_to_a_node_of_the_wrong_kind_is_skipped(case, registry):
+    source, bundle = MISTYPED_TARGETS[case]
+    malware = bundle[0]["id"]
+    graph = build_graph(parse_stix_bundle(json.dumps(bundle)), registry)
+    assert graph.edge_count == 0
+    assert graph.node(malware).kind is EntityKind.MALWARE
+    assert len(graph.skipped) == 1
+    assert f"node {source}: no signature for" in graph.skipped[0]
+    assert "malware)" in graph.skipped[0]
+    with pytest.raises(UnknownSignature, match=source):
+        build_graph(parse_stix_bundle(json.dumps(bundle)), registry, lenient=False)
 
 
 def test_realistic_bundle_with_distractor_objects(registry):

@@ -13,6 +13,13 @@ Ingest's single-regex whole-word country tagging is checked against a
 scan per marker and field on fields glued from marker fragments in mixed
 case, so markers overlap, share letters and touch word characters.
 
+Ingest is checked on small random bundles whose ids come from one shared
+pool, so objects of two types collide, relationships and data-source refs
+point at any id, and a node can hold the id a platform asset would take;
+verbs include unknown ones and platforms come in several cases.  The build
+either raises or yields a graph in which every edge fits a signature, meets
+its target kind and has its reverse, leniently and under strict mode.
+
 Snapshot load is checked on the fixture graph's snapshot: any order of its
 records, with repeated EDGE lines, loads to the same graph, and a mutated
 snapshot either loads or raises a ``TitanError``.  Its value-field decoder
@@ -42,7 +49,14 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from titan_kg.errors import MalformedOperator, SelectNameUnresolved, TitanError, UnparseablePlan
+from titan_kg.errors import (
+    MalformedBundle,
+    MalformedOperator,
+    SelectNameUnresolved,
+    TitanError,
+    UnknownSignature,
+    UnparseablePlan,
+)
 from titan_kg.eval import _lcs_length, bleu, exact_match
 from titan_kg.executor import execute
 from titan_kg.kg import (
@@ -72,6 +86,7 @@ from titan_kg.planner import parse_planner_output
 
 from bruteforce import (
     bleu as brute_bleu,
+    bad_edges,
     brute_execute,
     canonical_key,
     country_tags,
@@ -122,6 +137,39 @@ CASES = (str.lower, str.upper, str.title,
 CASED_FRAGMENT = st.tuples(FRAGMENT, st.sampled_from(CASES)).map(
     lambda pair: pair[1](pair[0]))
 COUNTRY_TEXT = st.lists(CASED_FRAGMENT, max_size=12).map("".join)
+# STIX bundles over a shared id pool, in any order: one object per id, maybe
+# one more that takes an id, perhaps with another type, and relationships
+# between any ids.  Every object has platforms, which differ in case, and a
+# data-source ref to any id; types and verbs include unknown ones.
+STIX_IDS = ("x--1", "x--2", "x--3", "asset--windows")
+STIX_TYPES = ("attack-pattern", "malware", "intrusion-set", "x-mitre-data-component",
+              "x-mitre-data-source", "identity")
+
+
+def stix_node(ids):
+    return st.fixed_dictionaries({
+        "type": st.sampled_from(STIX_TYPES),
+        "id": ids,
+        "name": st.sampled_from(("A", "B", "")),
+        "x_mitre_platforms": st.lists(
+            st.sampled_from(("Windows", "windows", "WINDOWS", "Linux")), max_size=3),
+        "x_mitre_data_source_ref": st.sampled_from(STIX_IDS),
+    }, optional={"revoked": st.booleans()})
+
+
+STIX_RELATIONSHIP = st.fixed_dictionaries({
+    "type": st.just("relationship"),
+    "id": st.sampled_from(("relationship--1", "relationship--2")),
+    "relationship_type": st.sampled_from(("uses", "detects", "targets", "provided-by",
+                                          "related-to", "")),
+    "source_ref": st.sampled_from(STIX_IDS),
+    "target_ref": st.sampled_from(STIX_IDS),
+})
+STIX_BUNDLE = st.tuples(
+    st.tuples(*map(stix_node, map(st.just, STIX_IDS))),
+    st.lists(stix_node(st.sampled_from(STIX_IDS)), max_size=1),
+    st.lists(STIX_RELATIONSHIP, max_size=6),
+).flatmap(lambda parts: st.permutations([*parts[0], *parts[1], *parts[2]]))
 SNAPSHOT = build_graph(parse_stix_bundle(FIXTURE_BUNDLE.read_bytes()), REGISTRY).export_snapshot()
 HEADER, *RECORDS = SNAPSHOT.splitlines()
 EDGE_LINES = [line for line in RECORDS if line.startswith("EDGE\t")]
@@ -301,6 +349,22 @@ def test_bleu_matches_sliced_ngram_count(a, b):
 @given(fields=st.lists(COUNTRY_TEXT, max_size=3))
 def test_country_tags_match_marker_scan(fields):
     assert _country_tags(*fields) == country_tags(*fields)
+
+
+# A malware node holding the id of the technique's Windows asset.
+@example(bundle=[{"type": "malware", "id": "asset--windows", "name": "M"},
+                 {"type": "attack-pattern", "id": "x--1", "name": "T",
+                  "x_mitre_platforms": ["windows"]}])
+@given(bundle=STIX_BUNDLE)
+def test_ingest_builds_only_typed_edges_with_reverses(bundle):
+    objects = parse_stix_bundle(json.dumps(bundle))
+    for lenient, refusals in ((True, MalformedBundle),
+                              (False, (MalformedBundle, UnknownSignature))):
+        try:
+            graph = build_graph(objects, REGISTRY, lenient=lenient)
+        except refusals:
+            continue
+        assert bad_edges(graph, REGISTRY) == []
 
 
 @given(data=st.data())
