@@ -58,19 +58,12 @@ def _derive_seed(*parts) -> int:
 
 
 @dataclass(frozen=True)
-class Placeholder:
-    token: str
-    kind: EntityKind
-
-
-@dataclass(frozen=True)
 class QuestionTemplate:
     id: str
     text: str
-    path: PathProgram
     typed_path: TypedProgram
-    start_slot: str | None          # placeholder token bound to the start entity
-    placeholders: tuple[Placeholder, ...]  # in first-appearance order in the text
+    start_slot: str | None              # placeholder token bound to the start entity
+    placeholders: dict[str, EntityKind]  # token -> kind, in text order
 
 
 @dataclass(frozen=True)
@@ -99,19 +92,22 @@ class Sample:
 
     @classmethod
     def from_json(cls, line: str) -> "Sample":
-        """One dataset line; a field of the wrong JSON type raises TypeError."""
-        rec = json.loads(line)
-        bucket = rec.get("bucket") or {}
-        texts = {"question": rec["question"], "cot": rec.get("cot", ""), "path": rec["path"],
-                 "template_id": rec.get("template_id", ""), "bucket": bucket.get("length", "")}
+        """One dataset line; a record of the wrong JSON shape raises ValueError."""
+        rec = json_object(line, ())
+        bucket = {} if rec.get("bucket") is None else rec["bucket"]
+        if not isinstance(bucket, dict):
+            raise ValueError("'bucket' is not an object")
+        texts = {"question": rec.get("question"), "cot": rec.get("cot", ""),
+                 "path": rec.get("path"), "template_id": rec.get("template_id", ""),
+                 "bucket": bucket.get("length", "")}
         lists = {"start_entities": rec.get("start_entities", []),
                  "answers": rec.get("answers", []), "operators": bucket.get("operators", [])}
         for name, value in texts.items():
             if not isinstance(value, str):
-                raise TypeError(f"{name!r} is not a string")
+                raise ValueError(f"{name!r} is not a string")
         for name, value in lists.items():
             if not (isinstance(value, list) and set(map(type, value)) <= {str}):
-                raise TypeError(f"{name!r} is not a list of strings")
+                raise ValueError(f"{name!r} is not a list of strings")
         return cls(**texts, **{name: tuple(value) for name, value in lists.items()})
 
 
@@ -127,17 +123,6 @@ class DatasetConfig:
     max_per_template: int | None = 40
     test_fraction: float = 0.2
     keep_empty: bool = False
-
-
-def _placeholders_in(text: str) -> list[str]:
-    return list(dict.fromkeys(m.group(0) for m in _PLACEHOLDER.finditer(text)))
-
-
-def _placeholder_kind(token: str) -> EntityKind:
-    m = _PLACEHOLDER.fullmatch(token)
-    if m is None or m.group(1) not in KIND_BY_TOKEN:
-        raise TemplateSchemaError(f"bad placeholder {token!r}")
-    return KIND_BY_TOKEN[m.group(1)]
 
 
 def _select_slots(program: PathProgram) -> list[str]:
@@ -194,14 +179,16 @@ def load_templates(
         except TitanError as exc:
             raise fail(f"path does not parse: {exc}") from exc
 
+        placeholders: dict[str, EntityKind] = {}
+        for m in _PLACEHOLDER.finditer(text):
+            if m.group(1) not in KIND_BY_TOKEN:
+                raise fail(f"bad placeholder {m.group(0)!r}")
+            placeholders[m.group(0)] = KIND_BY_TOKEN[m.group(1)]
         start_slot = rec.get("start")
-        text_slots = _placeholders_in(text)
-        select_slots = _select_slots(program)
-        path_slots = ([start_slot] if start_slot else []) + select_slots
-        if sorted(set(text_slots)) != sorted(set(path_slots)):
-            raise fail(f"placeholders in text {text_slots} do not match "
+        path_slots = ([start_slot] if start_slot else []) + _select_slots(program)
+        if sorted(placeholders) != sorted(set(path_slots)):
+            raise fail(f"placeholders in text {list(placeholders)} do not match "
                        f"path slots {path_slots}")
-        placeholders = tuple(Placeholder(t, _placeholder_kind(t)) for t in text_slots)
 
         has_seed = isinstance(program.steps[0], TypeSeed)
         if start_slot and has_seed:
@@ -209,9 +196,9 @@ def load_templates(
         if not start_slot and not has_seed:
             raise fail("path needs either a type seed or a start slot")
 
-        start_kind = _placeholder_kind(start_slot) if start_slot else None
         try:
-            typed = validate_program(program, registry, start_kind=start_kind)
+            typed = validate_program(program, registry,
+                                     start_kind=placeholders.get(start_slot))
         except TitanError as exc:
             raise fail(f"path does not type-check: {exc}") from exc
         if typed.answer_kind is not answer_kind:
@@ -223,12 +210,12 @@ def load_templates(
             if isinstance(step, Select):
                 at_kind = typed.kinds[i]
                 for name in step.names:
-                    if _PLACEHOLDER.fullmatch(name) and _placeholder_kind(name) is not at_kind:
+                    if placeholders.get(name, at_kind) is not at_kind:
                         raise fail(f"select placeholder {name!r} has the wrong kind "
                                    f"(frontier is {at_kind.value!r})")
 
         templates.append(QuestionTemplate(
-            id=tid, text=text, path=program, typed_path=typed,
+            id=tid, text=text, typed_path=typed,
             start_slot=start_slot, placeholders=placeholders,
         ))
     return templates
@@ -279,7 +266,7 @@ def _candidate_bindings(
 ) -> list[tuple[str, ...]]:
     """Entity-id tuples for the template's placeholders, deterministic
     under the rng; same-kind slots never bind the same entity twice."""
-    pools = [graph.nodes_of_kind(p.kind) for p in template.placeholders]
+    pools = [graph.nodes_of_kind(kind) for kind in template.placeholders.values()]
     if not pools:
         return [()]
     if any(not pool for pool in pools):
@@ -322,14 +309,14 @@ def instantiate_template(
     rng = random.Random(_derive_seed(config.rng_seed, template.id))
     samples: list[Sample] = []
     for combo in _candidate_bindings(template, graph, rng, config.max_per_template):
-        binding = {p.token: graph.node(nid).name
-                   for p, nid in zip(template.placeholders, combo)}
+        binding = {token: graph.node(nid).name
+                   for token, nid in zip(template.placeholders, combo)}
         question = template.text
         for token, name in binding.items():
             question = question.replace(token, name)
         start_names = (binding[template.start_slot],) if template.start_slot else ()
         try:
-            program = _substitute_path(template.path, binding)
+            program = _substitute_path(template.typed_path.program, binding)
             typed, result = run_path(graph, registry, program, start_names)
             if typed.start_kind is not template.typed_path.start_kind:
                 raise StartKindMismatch(
@@ -440,9 +427,6 @@ def load_dataset(text: str) -> list[Sample]:
         try:
             if line.strip():
                 samples.append(Sample.from_json(line))
-        except json.JSONDecodeError as exc:
-            raise MalformedInput(f"line {lineno}: not JSON ({exc.msg})") from exc
-        except (KeyError, AttributeError, TypeError) as exc:
-            raise MalformedInput(f"line {lineno}: not a dataset sample "
-                                 f"({type(exc).__name__}: {exc})") from exc
+        except ValueError as exc:
+            raise MalformedInput(f"line {lineno}: {exc}") from exc
     return samples

@@ -61,8 +61,8 @@ class RelationSignature:
     """One typed, directed relation: ``source --name--> target``.
 
     ``inverse_name`` is the relation that traverses the same edges
-    backwards; the registry always contains the matching reverse
-    signature ``(target, inverse_name, source, name)``.
+    backwards.  The registry stores each forward signature together with
+    its reverse ``(target, inverse_name, source, name)``.
     """
 
     source_kind: EntityKind
@@ -71,8 +71,11 @@ class RelationSignature:
     inverse_name: str
 
 
-# Forward signatures; the registry adds the reverse of each.
-_FORWARD: tuple[tuple[EntityKind, str, EntityKind, str], ...] = (
+Forward = tuple[EntityKind, str, EntityKind, str]
+
+# Forward signatures (source, name, target, inverse); the registry adds the
+# reverse of each.
+_FORWARD: tuple[Forward, ...] = (
     (EntityKind.MALWARE, "uses_attack_pattern", EntityKind.ATTACK_PATTERN, "used_by_malware"),
     (EntityKind.TOOL, "uses_attack_pattern", EntityKind.ATTACK_PATTERN, "used_by_tool"),
     (EntityKind.INTRUSION_SET, "uses_attack_pattern", EntityKind.ATTACK_PATTERN, "used_by_intrusion_set"),
@@ -88,7 +91,7 @@ _FORWARD: tuple[tuple[EntityKind, str, EntityKind, str], ...] = (
     (EntityKind.ATTACK_PATTERN, "targets_asset", EntityKind.ASSET, "targeted_by_attack_pattern"),
 )
 
-_SUBTECHNIQUE_FORWARD = (
+_SUBTECHNIQUE_FORWARD: Forward = (
     EntityKind.ATTACK_PATTERN,
     "subtechnique_of_attack_pattern",
     EntityKind.ATTACK_PATTERN,
@@ -99,36 +102,24 @@ _SUBTECHNIQUE_FORWARD = (
 class RelationRegistry:
     """Catalog of relation signatures keyed by (source kind, name).
 
-    Immutable after construction and therefore safe for unrestricted
-    concurrent reads.
+    Built from forward signatures ``(source, name, target, inverse)``, each
+    stored together with its reverse ``(target, inverse, source, name)``,
+    so the catalog is closed under inversion by construction.  Immutable
+    after construction and therefore safe for unrestricted concurrent reads.
     """
 
-    def __init__(self, signatures: Iterable[RelationSignature]):
+    def __init__(self, forward: Iterable[Forward]):
         self._by_key: dict[tuple[EntityKind, str], RelationSignature] = {}
-        for sig in signatures:
-            key = (sig.source_kind, sig.name)
-            if key in self._by_key and self._by_key[key] != sig:
-                raise ValueError(f"duplicate signature for {sig.source_kind.value}/{sig.name}")
-            self._by_key[key] = sig
-        self._names = frozenset(sig.name for sig in self._by_key.values())
-        self._check()
+        for src, name, dst, inv in forward:
+            self._by_key[src, name] = RelationSignature(src, name, dst, inv)
+            self._by_key[dst, inv] = RelationSignature(dst, inv, src, name)
+        self._names = frozenset(name for _, name in self._by_key)
         # Short verb (a name without its target suffix) -> source kind ->
         # the names that complete it from that kind.
         self._verbs: dict[str, dict[EntityKind, set[str]]] = {}
         for sig in self._by_key.values():
             verb = sig.name[:-len(sig.target_kind.slug) - 1]
             self._verbs.setdefault(verb, {}).setdefault(sig.source_kind, set()).add(sig.name)
-
-    def _check(self) -> None:
-        for sig in self._by_key.values():
-            if not sig.name.endswith("_" + sig.target_kind.slug):
-                raise ValueError(f"relation {sig.name!r} does not encode target kind "
-                                 f"{sig.target_kind.value!r}")
-            rev = self._by_key.get((sig.target_kind, sig.inverse_name))
-            if rev is None:
-                raise ValueError(f"missing reverse of {sig.source_kind.value}/{sig.name}")
-            if rev.target_kind is not sig.source_kind or rev.inverse_name != sig.name:
-                raise ValueError(f"inconsistent reverse of {sig.source_kind.value}/{sig.name}")
 
     # --- queries ---
 
@@ -187,12 +178,6 @@ class RelationRegistry:
 @lru_cache(maxsize=4)
 def build_default_registry(include_subtechniques: bool = True) -> RelationRegistry:
     """The canonical relation set, closed under inversion."""
-    forward = list(_FORWARD)
     if include_subtechniques:
-        forward.append(_SUBTECHNIQUE_FORWARD)
-    sigs = []
-    for src, name, dst, inv in forward:
-        sigs.append(RelationSignature(src, name, dst, inv))
-        sigs.append(RelationSignature(dst, inv, src, name))
-    return RelationRegistry(sigs)
-
+        return RelationRegistry(_FORWARD + (_SUBTECHNIQUE_FORWARD,))
+    return RelationRegistry(_FORWARD)

@@ -67,6 +67,28 @@ def test_ingest_skips_edge_to_a_node_of_the_wrong_kind(case, tmp_path, capsys):
     assert f"node {source}: no signature for" in err
 
 
+SUBTECHNIQUE_BUNDLE = [
+    {"type": "attack-pattern", "id": "attack-pattern--p", "name": "Parent"},
+    {"type": "attack-pattern", "id": "attack-pattern--c", "name": "Child"},
+    {"type": "relationship", "id": "relationship--r", "relationship_type": "subtechnique-of",
+     "source_ref": "attack-pattern--c", "target_ref": "attack-pattern--p"}]
+
+
+def test_ingest_without_subtechniques_skips_subtechnique_edges(tmp_path, capsys):
+    bundle, out = tmp_path / "bundle.json", tmp_path / "graph.snap"
+    bundle.write_text(json.dumps(SUBTECHNIQUE_BUNDLE), "utf-8")
+    assert main(["ingest", str(bundle), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "edges\t2" in lines and not any(line.startswith("skipped") for line in lines)
+    assert main(["ingest", str(bundle), "--out", str(out), "--no-subtechniques"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "nodes\t2" in lines and "edges\t0" in lines and "skipped\t1" in lines
+    assert main(["ingest", str(bundle), "--out", str(out), "--no-subtechniques",
+                 "--strict"]) == 1
+    _one_line_error(capsys, "UnknownSignature: relationship relationship--r: no signature "
+                            "for (attack-pattern, subtechnique_of, attack-pattern)")
+
+
 def test_census_full_output(snapshot, capsys):
     assert main(["census", "--snapshot", str(snapshot)]) == 0
     assert capsys.readouterr().out == CENSUS_TABLE
@@ -301,6 +323,16 @@ def test_gen_bad_template_corpus_error_names_the_file(snapshot, tmp_path, capsys
     assert "valid answer_kind" in err
 
 
+def test_gen_bad_placeholder_error_names_the_template(snapshot, tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"id": "x", "text": "Which [foo] is it?", "start": "[foo]",
+                                  "path": "uses", "answer_kind": "malware"}) + "\n", "utf-8")
+    assert main(["gen", "--snapshot", str(snapshot), "--templates", str(corpus),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"TemplateSchemaError: {corpus} template x: bad placeholder '[foo]'\n")
+
+
 def test_gen_template_record_of_wrong_json_type_error_names_the_file(snapshot, tmp_path,
                                                                    capsys):
     corpus = tmp_path / "corpus.jsonl"
@@ -415,6 +447,14 @@ def test_ask_remote_without_endpoint_config(snapshot, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("PlannerUnavailable: ")
+
+
+def test_ask_mock_with_empty_dataset_is_one_line_error(snapshot, tmp_path, capsys):
+    dataset = tmp_path / "empty.jsonl"
+    dataset.write_text("", "utf-8")
+    assert main(["ask", "--snapshot", str(snapshot), "--question", "q",
+                 "--planner", "mock", "--dataset", str(dataset)]) == 1
+    assert capsys.readouterr().err == "UnparseablePlan: planner returned no usable path\n"
 
 
 def test_ask_mock_needs_dataset(snapshot, capsys):
@@ -675,6 +715,20 @@ def test_ask_malformed_dataset_is_one_line_error(snapshot, tmp_path, capsys, lin
     assert code == 1
     err = _one_line_error(capsys, "MalformedInput: ")
     assert "bad.jsonl line 1" in err
+
+
+@pytest.mark.parametrize("line, reason", [
+    ('["x"]', "expected a JSON object, got list"),
+    ('{"question": "q", "path": "is_malware_type", "bucket": "L1"}',
+     "'bucket' is not an object"),
+], ids=["list", "bucket"])
+def test_ask_dataset_row_of_wrong_shape_names_the_line(snapshot, tmp_path, capsys, line,
+                                                       reason):
+    dataset = tmp_path / "bad.jsonl"
+    dataset.write_text(line + "\n", "utf-8")
+    assert main(["ask", "--snapshot", str(snapshot), "--question", "q",
+                 "--planner", "mock", "--dataset", str(dataset)]) == 1
+    assert capsys.readouterr().err == f"MalformedInput: {dataset} line 1: {reason}\n"
 
 
 @pytest.mark.parametrize("line", MALFORMED_SAMPLES)

@@ -14,7 +14,7 @@ from titan_kg.datagen import (
     load_templates,
     synthesize_cot,
 )
-from titan_kg.errors import TemplateSchemaError
+from titan_kg.errors import MalformedInput, TemplateSchemaError
 from titan_kg.executor import run_path
 from titan_kg.kg import build_graph, parse_stix_bundle
 from titan_kg.ontology import EntityKind
@@ -40,11 +40,11 @@ def test_shipped_corpus_loads(core_templates):
     assert len(core_templates) >= 40
     ids = [t.id for t in core_templates]
     assert len(ids) == len(set(ids))
-    buckets = {profile(t.path).bucket for t in core_templates}
+    buckets = {profile(t.typed_path.program).bucket for t in core_templates}
     assert buckets == {"L1", "L2", "L3", "L4+"}
     flags = set()
     for t in core_templates:
-        flags |= profile(t.path).operators
+        flags |= profile(t.typed_path.program).operators
     assert flags == {"filter", "select", "exec_common", "exec_difference"}
 
 
@@ -54,7 +54,7 @@ def test_load_single_template(registry):
     template = templates[0]
     assert template.start_slot == "[malware]"
     assert template.typed_path.answer_kind is EntityKind.COURSE_OF_ACTION
-    assert [p.token for p in template.placeholders] == ["[malware]"]
+    assert list(template.placeholders.items()) == [("[malware]", EntityKind.MALWARE)]
 
 
 def test_empty_document_loads_nothing(registry):
@@ -101,12 +101,30 @@ def test_select_placeholder_kind_checked(registry):
     (_template_line(answer_kind=[1]), "'answer_kind' is not a string"),
     (_template_line(start=["[malware]"]), "'start' is not a string"),
     ("{not json", "not JSON ("),
-], ids=["list", "string", "text", "path", "answer_kind", "start", "not-json"])
+    (json.dumps({"text": "t", "path": "is_malware_type", "answer_kind": "malware"}),
+     "missing template id"),
+], ids=["list", "string", "text", "path", "answer_kind", "start", "not-json", "no-id"])
 def test_record_of_wrong_json_type_is_schema_error_naming_the_line(line, reason, registry):
     document = "# comment\n" + _template_line(id="ok") + "\n" + line + "\n"
     with pytest.raises(TemplateSchemaError) as err:
         load_templates(document, registry)
     assert str(err.value).startswith(f"line 3: {reason}")
+
+
+@pytest.mark.parametrize("overrides, reason", [
+    ({"text": "Which [foo] is it?", "start": "[foo]", "path": "uses", "answer_kind": "malware"},
+     "bad placeholder '[foo]'"),
+    ({"path": "uses_attack_pattern stray"}, "path does not parse: unexpected tokens after "
+                                             "relation 'uses_attack_pattern': 'stray'"),
+    ({"path": "is_malware_type", "answer_kind": "malware"},
+     "start slot conflicts with a type-seeded path"),
+    ({"text": "Which techniques?", "start": None}, "path needs either a type seed or a start slot"),
+], ids=["bad-placeholder", "unparsed-path", "start-and-seed", "no-start"])
+def test_bad_template_is_schema_error_naming_the_template(overrides, reason, registry):
+    document = _template_line(id="ok") + "\n" + _template_line(id="x", **overrides) + "\n"
+    with pytest.raises(TemplateSchemaError) as err:
+        load_templates(document, registry)
+    assert str(err.value) == f"template x: {reason}"
 
 
 def test_duplicate_ids_rejected(registry):
@@ -315,6 +333,25 @@ def test_dataset_round_trip_with_unicode_line_separators():
                Sample(question="q", cot="", path="<PATH> p </PATH>", start_entities=(),
                       answers=("x",), template_id="t", bucket="L1", operators=())]
     assert load_dataset(dataset_to_jsonl(samples)) == samples
+
+
+@pytest.mark.parametrize("line, reason", [
+    ('["x"]', "expected a JSON object, got list"),
+    ('{"question": "q", "path": "is_malware_type", "bucket": "L1"}',
+     "'bucket' is not an object"),
+    ('{"question": "q", "path": "is_malware_type", "bucket": []}',
+     "'bucket' is not an object"),
+    ('{"path": "is_malware_type"}', "'question' is not a string"),
+    ('{"question": "q", "path": null}', "'path' is not a string"),
+    ('{"question": "q", "path": "is_malware_type", "cot": null}', "'cot' is not a string"),
+    ("{not json", "not JSON (Expecting property name enclosed in double quotes)"),
+], ids=["list", "bucket", "empty-list-bucket", "no-question", "null-path", "null-cot",
+        "not-json"])
+def test_malformed_dataset_line_names_the_line(line, reason):
+    text = '{"question": "a", "path": "is_malware_type"}\n' + line + "\n"
+    with pytest.raises(MalformedInput) as err:
+        load_dataset(text)
+    assert str(err.value) == f"line 2: {reason}"
 
 
 def test_template_records_end_at_newline_only(registry):

@@ -99,6 +99,21 @@ def test_non_bundle_is_malformed():
         parse_stix_bundle('"a string"')
 
 
+@pytest.mark.parametrize("data, message", [
+    (b'[{"type": "malware", "name": "\xff"}]', "bundle is not valid UTF-8: "),
+    ('[{"type": "malware", "id": "malware--m"}, 7]', "object #1 is not a JSON object"),
+], ids=["not-utf8", "not-an-object"])
+def test_bundle_error_message(data, message):
+    with pytest.raises(MalformedBundle) as err:
+        parse_stix_bundle(data)
+    assert str(err.value).startswith(message)
+
+
+def test_graph_rejects_node_with_empty_name():
+    with pytest.raises(ValueError, match="^node 'malware--m' has an empty name$"):
+        KnowledgeGraph([Node("malware--m", "", EntityKind.MALWARE)], [])
+
+
 def test_object_without_id_is_malformed():
     with pytest.raises(MalformedBundle):
         parse_stix_bundle(json.dumps({"objects": [{"type": "malware"}]}))

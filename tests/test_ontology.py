@@ -3,6 +3,7 @@ import pytest
 from titan_kg.errors import NoSuchSignature, UnknownRelation
 from titan_kg.ontology import (
     EntityKind,
+    RelationRegistry,
     build_default_registry,
     kind_for_seed_relation,
     seed_relation_name,
@@ -46,7 +47,9 @@ def test_inverse_is_keyed_by_source_kind(registry):
     assert from_technique.inverse_name == "uses_attack_pattern"
 
 
-def test_involution_holds_for_all_signatures(registry):
+@pytest.mark.parametrize("include_subtechniques", [True, False])
+def test_involution_holds_for_all_signatures(include_subtechniques):
+    registry = build_default_registry(include_subtechniques)
     for sig in registry.signatures:
         rev = registry.signature_of(sig.target_kind, sig.inverse_name)
         assert rev.target_kind is sig.source_kind
@@ -55,7 +58,9 @@ def test_involution_holds_for_all_signatures(registry):
         assert again == sig
 
 
-def test_typedness_every_name_ends_with_target_slug(registry):
+@pytest.mark.parametrize("include_subtechniques", [True, False])
+def test_typedness_every_name_ends_with_target_slug(include_subtechniques):
+    registry = build_default_registry(include_subtechniques)
     for sig in registry.signatures:
         assert sig.name.endswith("_" + sig.target_kind.slug), sig
 
@@ -157,9 +162,21 @@ def test_subtechniques_can_be_disabled():
         trimmed.normalize("subtechnique_of")
 
 
-def test_no_two_signatures_share_source_and_name(registry):
-    keys = [(s.source_kind, s.name) for s in registry.signatures]
-    assert len(keys) == len(set(keys))
+def test_no_two_signatures_share_source_and_name():
+    # Twice the forward signatures (14, or 13 without subtechniques): a
+    # forward entry whose key repeated another's would leave fewer.
+    for include_subtechniques, count in ((True, 28), (False, 26)):
+        keys = [(s.source_kind, s.name)
+                for s in build_default_registry(include_subtechniques).signatures]
+        assert len(keys) == len(set(keys)) == count
+
+
+def test_registry_stores_each_forward_signature_with_its_reverse():
+    registry = RelationRegistry([(EntityKind.MALWARE, "uses_attack_pattern",
+                                  EntityKind.ATTACK_PATTERN, "used_by_malware")])
+    assert registry.to_table() == (
+        "attack-pattern\tused_by_malware\tmalware\tuses_attack_pattern\n"
+        "malware\tuses_attack_pattern\tattack-pattern\tused_by_malware\n")
 
 
 JUNK = ("", "_", "__", "uses_", "_malware", "Uses", "USES", "uses ", " uses", "used by",

@@ -97,6 +97,22 @@ def test_filter_needs_keyword():
         parse_path("<PATH> is_malware_type <SEP> filter </PATH>")
 
 
+@pytest.mark.parametrize("text, error, message", [
+    ('is_malware_type → select a"b c', PathSyntaxError, "stray quote in 'a\"b c'"),
+    ("is_malware_type x", PathSyntaxError, "unexpected tokens after 'is_malware_type': 'x'"),
+    ("is_malware_type → select a b → uses → exec_common now", MalformedOperator,
+     "exec_common takes no arguments"),
+    ("is_malware_type → select a b → uses → exec_difference x", MalformedOperator,
+     "exec_difference takes no arguments"),
+    ("uses_attack_pattern x", PathSyntaxError,
+     "unexpected tokens after relation 'uses_attack_pattern': 'x'"),
+], ids=["stray-quote", "after-seed", "common-args", "difference-args", "after-relation"])
+def test_segment_with_stray_text_rejected(text, error, message, registry):
+    with pytest.raises(error) as err:
+        parse_path(text, registry)
+    assert type(err.value) is error and str(err.value) == message
+
+
 def test_operator_placement_rules():
     with pytest.raises(OperatorPlacementError):
         parse_path("is_malware_type → exec_common")  # no earlier select

@@ -359,6 +359,15 @@ def test_remote_planner_missing_close_tag(stub_server, registry):
         planner.plan(PlannerRequest(question="q"))
 
 
+def test_remote_planner_reply_without_choices(stub_server, registry):
+    handler, base_url = stub_server
+    handler.replies.append((200, {"id": "x"}))
+    planner = RemotePlanner(_config(base_url), registry)
+    with pytest.raises(UnparseablePlan,
+                       match="^endpoint reply missing message content: 'choices'$"):
+        planner.plan(PlannerRequest(question="q"))
+
+
 def test_remote_planner_retries_then_succeeds(stub_server, registry):
     handler, base_url = stub_server
     handler.replies.append((500, {"error": "boom"}))
