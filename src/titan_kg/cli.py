@@ -164,7 +164,10 @@ def cmd_gen(args) -> int:
 def cmd_eval(args) -> int:
     references = _load(args.dataset, datagen.load_dataset)
     predictions = _load(args.predictions, load_predictions)
-    records = score_predictions(references, predictions, build_default_registry())
+    try:
+        records = score_predictions(references, predictions, build_default_registry())
+    except MalformedInput as exc:  # an unparseable reference path, by record
+        raise MalformedInput(f"{args.dataset} {exc}") from exc
     report = aggregate_report(records)
     if args.out:
         Path(args.out).write_text(report.to_records(), "utf-8")

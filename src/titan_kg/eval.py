@@ -12,7 +12,10 @@ import math
 import string
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from functools import lru_cache
+from itertools import count, repeat
+from operator import add, mul
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .datagen import Sample, json_object
 from .errors import MalformedInput, TitanError
@@ -52,14 +55,22 @@ def exact_match(pred: PathProgram, ref: PathProgram) -> int:
     return int(list(map(_folded, pred.steps)) == list(map(_folded, ref.steps)))
 
 
-def _lcs_length(a: list[str], b: list[str]) -> int:
-    """Length of the longest common subsequence of two token lists.
+@lru_cache(maxsize=1)  # the three metrics score a pair in turn: tokenize it once
+def _coded(candidate: str, reference: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Both texts' tokens, each numbered by its first appearance in ``cand + ref``."""
+    cand, ref = tokenize(candidate), tokenize(reference)
+    codes = dict(zip(dict.fromkeys(cand + ref), count()))
+    return tuple(map(codes.__getitem__, cand)), tuple(map(codes.__getitem__, ref))
+
+
+def _lcs_length(a: Sequence, b: Sequence) -> int:
+    """Length of the longest common subsequence of two token sequences.
 
     Bit-parallel (Allison & Dix 1986; Hyyrö 2004): bit i of ``row`` is
     position i of ``a``, and each token of ``b`` updates the whole row with
     a few integer operations.  The set bits of the final row count the LCS.
     """
-    masks: dict[str, int] = {}
+    masks: dict = {}
     for i, token in enumerate(a):
         masks[token] = masks.get(token, 0) | (1 << i)
     row = 0
@@ -67,6 +78,12 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
         x = masks.get(token, 0) | row
         row = x & ~(x - ((row << 1) | 1))
     return row.bit_count()
+
+
+def _clipped(cand: Iterable, ref: Iterable) -> int:
+    """Items of ``cand``, each counted at most as often as it occurs in ``ref``."""
+    c, r = Counter(cand), Counter(ref)
+    return sum(map(min, c.values(), map(r.get, c, repeat(0))))
 
 
 def _f1(overlap: int, n_cand: int, n_ref: int) -> float:
@@ -80,7 +97,7 @@ def _f1(overlap: int, n_cand: int, n_ref: int) -> float:
 
 def rouge_l(candidate: str, reference: str) -> float:
     """Token-level longest-common-subsequence F1."""
-    cand, ref = tokenize(candidate), tokenize(reference)
+    cand, ref = _coded(candidate, reference)
     if not cand or not ref:
         return 0.0
     return _f1(_lcs_length(cand, ref), len(cand), len(ref))
@@ -88,17 +105,13 @@ def rouge_l(candidate: str, reference: str) -> float:
 
 def rouge_1(candidate: str, reference: str) -> float:
     """Clipped unigram-overlap F1."""
-    cand, ref = tokenize(candidate), tokenize(reference)
+    cand, ref = _coded(candidate, reference)
     if not cand or not ref:
         return 0.0
-    return _f1(sum((Counter(cand) & Counter(ref)).values()), len(cand), len(ref))
+    return _f1(_clipped(cand, ref), len(cand), len(ref))
 
 
 BLEU_MAX_N = 4
-
-
-def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(zip(*[tokens[i:] for i in range(n)]))
 
 
 def bleu(candidate: str, reference: str) -> float:
@@ -109,17 +122,20 @@ def bleu(candidate: str, reference: str) -> float:
     short to populate are excluded (effective order), so identical texts
     score exactly 1.0 regardless of length.
     """
-    cand, ref = tokenize(candidate), tokenize(reference)
+    cand, ref = _coded(candidate, reference)
     if not cand or not ref:
         return 0.0
-    epsilon = 1e-9
+    base = len(cand) + len(ref)  # above every token code
     effective_n = min(BLEU_MAX_N, len(cand))
+    cand_grams, ref_grams = cand, ref
     log_sum = 0.0
     for n in range(1, effective_n + 1):
-        cand_ngrams = _ngrams(cand, n)
-        clipped = sum((cand_ngrams & _ngrams(ref, n)).values())
+        if n > 1:  # an n-gram is one int, its token codes as digits in ``base``
+            cand_grams = list(map(add, map(mul, cand_grams, repeat(base)), cand[n - 1:]))
+            ref_grams = list(map(add, map(mul, ref_grams, repeat(base)), ref[n - 1:]))
+        clipped = _clipped(cand_grams, ref_grams)
         # The candidate has len(cand) - n + 1 n-grams (n <= len(cand)).
-        precision = clipped / (len(cand) - n + 1) if clipped else epsilon
+        precision = clipped / (len(cand) - n + 1) if clipped else 1e-9
         log_sum += math.log(precision)
     brevity = 1.0 if len(cand) >= len(ref) else math.exp(1 - len(ref) / len(cand))
     return brevity * math.exp(log_sum / effective_n)
@@ -162,21 +178,27 @@ def score_predictions(references: Sequence[Sample],
 
     A prediction's "path" and "cot" are strings or absent/None.  A missing,
     null or unparseable path scores as a miss; the text metrics are None
-    unless both CoTs are non-empty.
+    unless both CoTs are non-empty.  Each distinct path text is parsed once;
+    an unparseable reference path raises MalformedInput naming its record.
     """
+    @lru_cache(maxsize=None)  # one parse per distinct path text
+    def program(text: str) -> PathProgram | None:
+        try:
+            return parse_path(text, registry)
+        except TitanError:  # None, not the error: each raise of it grows its traceback
+            return None
+
     if len(predictions) != len(references):
         raise TitanError(f"predictions ({len(predictions)}) and dataset "
                          f"({len(references)}) have different lengths")
     records = []
-    for ref, pred in zip(references, predictions):
-        ref_program = parse_path(ref.path, registry)
-        em = 0
-        try:
-            pred_program = parse_path(pred.get("path") or "", registry)
-        except TitanError:
-            pass  # a missing, null or unparseable path scores as a miss
-        else:
-            em = exact_match(pred_program, ref_program)
+    for number, (ref, pred) in enumerate(zip(references, predictions), 1):
+        try:  # an unparseable reference path is parsed again, to raise its reason
+            ref_program = program(ref.path) or parse_path(ref.path, registry)
+        except TitanError as exc:
+            raise MalformedInput(f"record {number}: {exc}") from exc
+        pred_program = program(pred.get("path") or "")
+        em = 0 if pred_program is None else exact_match(pred_program, ref_program)
         pred_cot = pred.get("cot") or ""
         text_scores = ((rouge_l(pred_cot, ref.cot), rouge_1(pred_cot, ref.cot),
                         bleu(pred_cot, ref.cot)) if pred_cot and ref.cot else ())

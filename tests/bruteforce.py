@@ -11,7 +11,10 @@ Step encoding (plain tuples, no pathlang types):
 ``lcs_length`` is the textbook dynamic program for the longest common
 subsequence, the oracle for the bit-parallel LCS behind ROUGE-L.
 
-``bleu`` counts n-grams by slicing, the oracle for ``eval.bleu``.
+``tokenize`` restates the text metrics' tokenizer character by character.
+On its token lists, ``rouge_l`` is the F1 of ``lcs_length``, ``rouge_1``
+clips unigram counts with ``Counter &`` and ``bleu`` counts n-grams by
+slicing: the oracles for ``eval.rouge_l``, ``eval.rouge_1`` and ``eval.bleu``.
 
 ``country_tags`` scans each folded field once per marker and checks the
 characters around every occurrence, the oracle for ingest's single-regex
@@ -308,6 +311,38 @@ def country_tags(*fields: str) -> list[str]:
     folded = [_fold(field) for field in fields]
     return [tag for tag, markers in _COUNTRY_MARKERS
             if any(_whole_word_in(m, text) for m in markers for text in folded)]
+
+
+def tokenize(text: str) -> list[str]:
+    """Lowercase, each ASCII punctuation character but ``_`` made a space,
+    split on whitespace."""
+    import string
+
+    return "".join(" " if ch in string.punctuation and ch != "_" else ch
+                   for ch in text.lower()).split()
+
+
+def _f1(overlap: int, n_cand: int, n_ref: int) -> float:
+    if overlap == 0:
+        return 0.0
+    precision, recall = overlap / n_cand, overlap / n_ref
+    return 2 * precision * recall / (precision + recall)
+
+
+def rouge_l(cand: list, ref: list) -> float:
+    """F1 of the longest common subsequence of two token lists."""
+    if not cand or not ref:
+        return 0.0
+    return _f1(lcs_length(cand, ref), len(cand), len(ref))
+
+
+def rouge_1(cand: list, ref: list) -> float:
+    """F1 of the clipped unigram overlap of two token lists."""
+    from collections import Counter
+
+    if not cand or not ref:
+        return 0.0
+    return _f1(sum((Counter(cand) & Counter(ref)).values()), len(cand), len(ref))
 
 
 def bleu(cand: list, ref: list, max_n: int = 4) -> float:

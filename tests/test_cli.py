@@ -744,6 +744,21 @@ def test_eval_malformed_dataset_is_one_line_error(tmp_path, capsys, line):
     assert "bad.jsonl line 2" in err
 
 
+def test_eval_unparseable_reference_path_names_file_and_record(tmp_path, capsys):
+    # The first prediction holds the bad path too, so it is parsed (and
+    # fails) as a prediction before the reference on record 2 reads it.
+    dataset = tmp_path / "refs.jsonl"
+    dataset.write_text('{"question": "a", "path": "is_malware_type"}\n'
+                       '{"question": "b", "path": "<PATH> bogus_rel </PATH>"}\n', "utf-8")
+    predictions = tmp_path / "preds.jsonl"
+    predictions.write_text('{"path": "<PATH> bogus_rel </PATH>"}\n'
+                           '{"path": "is_malware_type"}\n', "utf-8")
+    assert main(["eval", "--dataset", str(dataset), "--predictions", str(predictions)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"MalformedInput: {dataset} record 2: unknown relation 'bogus_rel'\n"
+    assert captured.out == ""
+
+
 def test_census_expected_table_records_end_at_newline_only(snapshot, tmp_path, capsys):
     # A comment holding U+2028 stays one record; str.splitlines breaks it.
     expected = tmp_path / "expected.tsv"

@@ -5,20 +5,25 @@ import random
 import string
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import titan_kg.eval as ev
+from titan_kg.datagen import Sample
 from titan_kg.errors import MalformedInput
 from titan_kg.eval import (
     EvalRecord,
+    _coded,
     aggregate_report,
     bleu,
     exact_match,
     load_predictions,
     rouge_1,
     rouge_l,
+    score_predictions,
     tokenize,
 )
 from titan_kg.executor import execute
@@ -171,6 +176,56 @@ def test_metrics_ignore_trailing_whitespace():
     assert rouge_l("a b c", "a b c   ") == 1.0
     assert rouge_1("a b c", " a b c") == 1.0
     assert bleu("a b c d", "a b c d  ") == 1.0
+
+
+def test_interleaved_scorer_calls_match_fresh_computation():
+    # The scorers share a one-entry tokenization memo: a call on another
+    # pair, on the same candidate with another reference, or on the pair
+    # swapped must not see the last pair's tokens.
+    a, b = "The cat sat, on the mat.", "the CAT sat on a mat"
+    c, d = "uses_malware uses_malware then uses_attack_pattern", "USES_MALWARE"
+    calls = [(rouge_l, a, b), (bleu, c, d), (rouge_1, a, b), (bleu, b, a), (rouge_1, a, d),
+             (rouge_l, a, b), (bleu, a, b), (rouge_l, d, c), (rouge_1, "", b), (bleu, a, b)]
+
+    def fresh(metric, cand, ref):
+        _coded.cache_clear()
+        return metric(cand, ref)
+
+    expected = [fresh(*call) for call in calls]
+    _coded.cache_clear()
+    assert [metric(cand, ref) for metric, cand, ref in calls] == expected
+
+
+def _sample(path, cot=""):
+    return Sample(question="q", cot=cot, path=path, start_entities=(), answers=(),
+                  template_id="t", bucket="L1", operators=())
+
+
+def test_score_predictions_parses_each_distinct_path_once(registry, monkeypatch):
+    calls = Counter()
+
+    def counted(text, registry=None):
+        calls[text] += 1
+        return parse_path(text, registry)
+
+    monkeypatch.setattr(ev, "parse_path", counted)
+    bogus = "<PATH> bogus_rel </PATH>"
+    references = [_sample("is_malware_type"), _sample("uses_malware")] * 3
+    predictions = [{"path": bogus}, {"path": "uses_malware"}] * 3
+    records = score_predictions(references, predictions, registry)
+    assert [r.em for r in records] == [0, 1] * 3
+    assert calls == {"is_malware_type": 1, "uses_malware": 1, bogus: 1}
+
+
+def test_score_predictions_calls_the_scorers_by_module_name(registry, monkeypatch):
+    # The benchmark's per-layer timings (bench/layers.py) wrap the scorers
+    # where the module holds them, so score_predictions must look them up there.
+    monkeypatch.setattr(ev, "rouge_l", lambda cand, ref: 0.25)
+    monkeypatch.setattr(ev, "rouge_1", lambda cand, ref: 0.5)
+    monkeypatch.setattr(ev, "bleu", lambda cand, ref: 0.75)
+    [record] = score_predictions([_sample("uses_malware", cot="a b")],
+                                 [{"path": "uses_malware", "cot": "a c"}], registry)
+    assert (record.em, record.rouge_l, record.rouge_1, record.bleu) == (1, 0.25, 0.5, 0.75)
 
 
 def _record(bucket, em, operators=(), **metrics):

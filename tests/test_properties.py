@@ -7,7 +7,10 @@ with their registry reverse.  Programs are random valid programs over them.
 
 The bit-parallel LCS behind ROUGE-L is checked against the dynamic program
 on random token lists long enough to span several 64-bit words, and BLEU
-against n-gram counting by slicing, to the last bit of the float.
+against n-gram counting by slicing, to the last bit of the float.  All
+three text metrics are checked to the last bit against their oracles on
+raw strings: words in mixed case, ``_`` tokens and repeats, glued by ASCII
+punctuation and whitespace or by nothing, and empty texts.
 
 Ingest's single-regex whole-word country tagging is checked against a
 scan per marker and field on fields glued from marker fragments in mixed
@@ -57,7 +60,7 @@ from titan_kg.errors import (
     UnknownSignature,
     UnparseablePlan,
 )
-from titan_kg.eval import _lcs_length, bleu, exact_match
+from titan_kg.eval import _lcs_length, bleu, exact_match, rouge_1, rouge_l
 from titan_kg.executor import execute
 from titan_kg.kg import (
     _COUNTRY_MARKERS,
@@ -93,9 +96,12 @@ from bruteforce import (
     lcs_length,
     link_entities as brute_link_entities,
     relations_from,
+    rouge_1 as brute_rouge_1,
+    rouge_l as brute_rouge_l,
     steps_from_program,
     successors,
     tables_from_graph,
+    tokenize as brute_tokenize,
 )
 from conftest import FIXTURE_BUNDLE
 
@@ -121,6 +127,17 @@ WALK_AFTER_SELECT = st.sampled_from((1, 2, 0))
 # The length is drawn first: a plain list strategy rarely grows past 64.
 TOKEN = st.sampled_from(("a", "b", "c", "uses_malware"))
 TOKEN_LISTS = st.integers(0, 200).flatmap(lambda n: st.lists(TOKEN, min_size=n, max_size=n))
+# Raw metric texts: words in mixed case, with ``_`` tokens, each followed by
+# ASCII punctuation, whitespace or nothing (which glues it to the next word).
+# Enough distinct words that a short pair holds more distinct tokens than
+# either side has tokens; up to 90 words, so the LCS spans two 64-bit words.
+TEXT_WORD = st.sampled_from(("a", "A", "b", "B", "c", "d", "e", "uses_malware", "USES_malware",
+                             "_", "x_", "Sys10"))
+TEXT_GLUE = st.sampled_from(("", " ", "  ", "\t\n", ",", ", ", ".", "-", "'", "(", ")",
+                             "!?", '"', "__"))
+TEXTS = st.integers(0, 90).flatmap(lambda n: st.lists(
+    st.tuples(TEXT_WORD, TEXT_GLUE), min_size=n, max_size=n)).map(
+    lambda parts: "".join(word + glue for word, glue in parts))
 # Markers, pairs of markers that share letters ("united statesouth korea"),
 # marker halves and separators, each in one of four cases.  The fourth
 # swaps in letters that casefold does not map one to one onto "i", "s"
@@ -339,6 +356,19 @@ def test_bit_parallel_lcs_matches_dynamic_program(a, b):
 @given(a=TOKEN_LISTS, b=TOKEN_LISTS)
 def test_bleu_matches_sliced_ngram_count(a, b):
     assert bleu(" ".join(a), " ".join(b)) == brute_bleu(a, b)
+
+
+@example(a="", b="a")
+@example(a="a b c", b="c a")
+@example(a="A, b", b="")
+@example(a="a  A\ta.", b="(a)-A")
+@example(a="Uses_Malware, uses_malware; uses-malware", b="USES_MALWARE uses malware")
+@given(a=TEXTS, b=TEXTS)
+def test_text_metrics_match_oracles_on_strings(a, b):
+    cand, ref = brute_tokenize(a), brute_tokenize(b)
+    assert rouge_l(a, b) == brute_rouge_l(cand, ref)
+    assert rouge_1(a, b) == brute_rouge_1(cand, ref)
+    assert bleu(a, b) == brute_bleu(cand, ref)
 
 
 # Markers glued to other words are not whole words: these give [].
