@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import datagen
-from .errors import MalformedInput, TemplateSchemaError, TitanError
+from .errors import MalformedInput, TitanError
 from .eval import aggregate_report, load_predictions, score_predictions
 from .executor import run_path
 from .kg import KnowledgeGraph, build_graph, node_census, parse_stix_bundle
@@ -34,29 +34,31 @@ def _checked(convert, accept, message: str):
     return parse
 
 
-def _read_bytes(path: str) -> bytes:
-    try:
-        return Path(path).read_bytes()
+def _load(path: str, reader):
+    """``reader`` of the file's text; a MalformedInput it raises is raised
+    again naming the file, as is a file that is a directory or not UTF-8."""
+    try:  # bytes, then decode: text mode would read a lone "\r" as a newline
+        text = Path(path).read_bytes().decode("utf-8")
     except IsADirectoryError as exc:
         raise MalformedInput(f"{path}: is a directory, not a file") from exc
-
-
-def _read_text(path: str) -> str:
-    try:
-        return _read_bytes(path).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedInput(f"{path}: not UTF-8 text ({exc.reason} at byte "
                              f"{exc.start})") from exc
-
-
-def _load(path: str, reader):
-    """``reader`` of the file's text; a MalformedInput or TemplateSchemaError
-    it raises is raised again naming the file."""
-    text = _read_text(path)
     try:
         return reader(text)
-    except (MalformedInput, TemplateSchemaError) as exc:
+    except MalformedInput as exc:
         raise type(exc)(f"{path} {exc}") from exc
+
+
+def _census_table(text: str) -> dict[str, int]:
+    """An expected-census table: ``key<TAB>count`` records, ``#`` comments."""
+    def row(line: str) -> tuple[str, int]:
+        try:
+            key, count = line.split("\t")
+            return key, int(count)
+        except ValueError as exc:
+            raise ValueError(f"expected kind<TAB>count, got {line!r}") from exc
+    return dict(datagen.read_records(text, row, comments=True))
 
 
 def _census(graph: KnowledgeGraph) -> dict[str, int]:
@@ -72,7 +74,7 @@ def cmd_ingest(args) -> int:
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
     objects = []
     for bundle_path in args.bundles:
-        objects.extend(parse_stix_bundle(_read_bytes(bundle_path)))
+        objects.extend(_load(bundle_path, parse_stix_bundle))
     registry = build_default_registry(include_subtechniques=not args.no_subtechniques)
     graph = build_graph(objects, registry, drop_revoked=not args.keep_revoked,
                         lenient=not args.strict)
@@ -92,17 +94,7 @@ def cmd_census(args) -> int:
         for key, count in actual.items():
             print(f"{key}\t{count}")
         return 0
-    expected: dict[str, int] = {}
-    for lineno, raw in enumerate(_read_text(args.expected).split("\n"), 1):
-        raw = raw.strip()
-        if not raw or raw.startswith("#"):
-            continue
-        try:
-            key, value = raw.split("\t")
-            expected[key] = int(value)
-        except ValueError as exc:
-            raise MalformedInput(f"{args.expected} line {lineno}: expected "
-                                 f"kind<TAB>count, got {raw!r}") from exc
+    expected = _load(args.expected, _census_table)
     print(f"{'kind':<18}{'actual':>8}{'expected':>10}{'delta%':>8}")
     for key, actual_count in actual.items():
         if key not in expected:

@@ -147,19 +147,13 @@ def load_templates(
     placeholder kinds, and its final kind must equal ``answer_kind``.
     """
     registry = registry or build_default_registry()
-    templates: list[QuestionTemplate] = []
     seen_ids: set[str] = set()
-    for lineno, line in enumerate(document.split("\n"), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            rec = json_object(line, ("text", "path", "answer_kind", "start"))
-        except ValueError as exc:
-            raise TemplateSchemaError(f"line {lineno}: {exc}") from exc
+
+    def template(line: str) -> QuestionTemplate:
+        rec = json_object(line, ("text", "path", "answer_kind", "start"))
         tid = rec.get("id")
         if not tid or not isinstance(tid, str):
-            raise TemplateSchemaError(f"line {lineno}: missing template id")
+            raise ValueError("missing template id")
         if tid in seen_ids:
             raise TemplateSchemaError(f"template {tid}: duplicate id")
         seen_ids.add(tid)
@@ -214,11 +208,10 @@ def load_templates(
                         raise fail(f"select placeholder {name!r} has the wrong kind "
                                    f"(frontier is {at_kind.value!r})")
 
-        templates.append(QuestionTemplate(
-            id=tid, text=text, typed_path=typed,
-            start_slot=start_slot, placeholders=placeholders,
-        ))
-    return templates
+        return QuestionTemplate(id=tid, text=text, typed_path=typed,
+                                start_slot=start_slot, placeholders=placeholders)
+
+    return read_records(document, template, TemplateSchemaError, comments=True)
 
 
 def synthesize_cot(
@@ -416,17 +409,27 @@ def json_object(line: str, strings: Iterable[str]) -> dict:
     return rec
 
 
-def load_dataset(text: str) -> list[Sample]:
-    """Samples of a JSONL dataset; a bad line raises MalformedInput naming it.
+def read_records(text: str, read, error=MalformedInput, comments: bool = False) -> list:
+    """``read`` of each record of a line-record file, in file order.
 
     Records end at ``\n`` only: JSON leaves U+0085, U+2028 and U+2029
-    unescaped, and ``str.splitlines`` would break a record at them.
+    unescaped, and ``str.splitlines`` would break a record at them.  A record
+    is read stripped of surrounding whitespace, so CRLF reads as LF.  Blank
+    lines, and ``#`` lines where ``comments`` is set, are skipped but
+    counted; a ValueError from ``read`` is raised as ``error`` naming the line.
     """
-    samples = []
+    records = []
     for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if not line or (comments and line.startswith("#")):
+            continue
         try:
-            if line.strip():
-                samples.append(Sample.from_json(line))
+            records.append(read(line))
         except ValueError as exc:
-            raise MalformedInput(f"line {lineno}: {exc}") from exc
-    return samples
+            raise error(f"line {lineno}: {exc}") from exc
+    return records
+
+
+def load_dataset(text: str) -> list[Sample]:
+    """Samples of a JSONL dataset; a bad line raises MalformedInput naming it."""
+    return read_records(text, Sample.from_json)

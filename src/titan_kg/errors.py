@@ -12,7 +12,8 @@ class TitanError(Exception):
 
 class MalformedInput(TitanError):
     """An input file cannot be read, or one of its lines has the wrong form;
-    the message names the file and, where there is one, the line."""
+    the message names the file and, where there is one, the line.  Bundles,
+    snapshots and template corpora raise its subclasses below."""
 
 
 # --- ontology ---------------------------------------------------------------
@@ -27,8 +28,8 @@ class NoSuchSignature(TitanError):
 
 # --- kg ---------------------------------------------------------------------
 
-class MalformedBundle(TitanError):
-    """The input document is not a usable STIX bundle."""
+class MalformedBundle(MalformedInput):
+    """The input document is not a usable STIX bundle or graph snapshot."""
 
 
 class UnknownSignature(TitanError):
@@ -69,7 +70,7 @@ class SelectNameUnresolved(TitanError):
 
 # --- datagen ----------------------------------------------------------------
 
-class TemplateSchemaError(TitanError):
+class TemplateSchemaError(MalformedInput):
     """A question template violates the corpus schema or type-checks."""
 
 

@@ -17,7 +17,7 @@ from itertools import count, repeat
 from operator import add, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .datagen import Sample, json_object
+from .datagen import Sample, json_object, read_records
 from .errors import MalformedInput, TitanError
 from .kg import fold
 from .ontology import RelationRegistry
@@ -142,21 +142,11 @@ def bleu(candidate: str, reference: str) -> float:
 
 
 def load_predictions(text: str) -> list[dict]:
-    """Predictions of a JSONL file; a bad line raises MalformedInput naming it.
-
-    Each line is a JSON object whose "path" and "cot", when present, are
-    strings or null.  Records end at ``\n`` only, as in
-    :func:`~titan_kg.datagen.load_dataset`; blank lines are skipped.
-    """
-    predictions = []
-    for lineno, line in enumerate(text.split("\n"), 1):
-        if not line.strip():
-            continue
-        try:
-            predictions.append(json_object(line, ("path", "cot")))
-        except ValueError as exc:
-            raise MalformedInput(f"line {lineno}: {exc}") from exc
-    return predictions
+    """Predictions of a JSONL file, read by
+    :func:`~titan_kg.datagen.read_records`; a bad line raises MalformedInput
+    naming it.  Each line is a JSON object whose "path" and "cot", when
+    present, are strings or null."""
+    return read_records(text, lambda line: json_object(line, ("path", "cot")))
 
 
 class EvalRecord(NamedTuple):

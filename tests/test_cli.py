@@ -828,6 +828,90 @@ def test_snapshot_node_field_of_wrong_type_is_one_line_error(snapshot, capsys, f
     assert "snapshot line 2:" in err
 
 
+def test_ingest_error_names_the_bundle_it_is_in(tmp_path, capsys):
+    bad, out = tmp_path / "bad.json", tmp_path / "graph.snap"
+    bad.write_text('[{"name": "no type or id"}]', "utf-8")
+    assert main(["ingest", str(FIXTURE_BUNDLE), str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"MalformedBundle: {bad} object #0 lacks a usable type/id\n")
+    assert not out.exists()
+
+
+def test_ingest_bundle_not_utf8_names_the_file(tmp_path, capsys):
+    bundle = tmp_path / "binary.json"
+    bundle.write_bytes(b"[\xff]")
+    assert main(["ingest", str(bundle), "--out", str(tmp_path / "graph.snap")]) == 1
+    assert capsys.readouterr().err == (
+        f"MalformedInput: {bundle}: not UTF-8 text (invalid start byte at byte 1)\n")
+
+
+def test_snapshot_bad_record_error_names_the_file_and_line(snapshot, capsys):
+    code = _census_of_edited_snapshot(
+        snapshot, lambda lines: [lines[0], "BOGUS\trecord", *lines[1:]])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"MalformedBundle: {snapshot} snapshot line 2: unrecognized record\n")
+
+
+# Two rows that read both as dataset samples and as predictions.
+LINE_RECORD_ROWS = [
+    json.dumps({"question": "Which malware is there?", "path": "<PATH> is_malware_type </PATH>",
+                "cot": "Start from all malware."}),
+    json.dumps({"question": "Which tools are there?", "path": "<PATH> is_tool_type </PATH>",
+                "cot": "Start from all tools."}),
+]
+
+LINE_RECORDS = {
+    "dataset": LINE_RECORD_ROWS,
+    "predictions": LINE_RECORD_ROWS,
+    "corpus": [
+        json.dumps({"id": "m", "text": "Which attack patterns does the malware [malware] use?",
+                    "path": "<PATH> uses_attack_pattern </PATH>", "start": "[malware]",
+                    "answer_kind": "attack-pattern"}),
+        json.dumps({"id": "t", "text": "Which tools are there?",
+                    "path": "<PATH> is_tool_type </PATH>", "answer_kind": "tool"}),
+    ],
+    "census": ["malware\t4", "nodes\t21"],
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(LINE_RECORDS))
+def test_line_record_files_share_one_line_rule(fmt, snapshot, tmp_path, capsys):
+    path, rows = tmp_path / f"{fmt}.txt", tmp_path / "rows.jsonl"
+    rows.write_text("\n".join(LINE_RECORD_ROWS) + "\n", "utf-8")
+    argv = {"dataset": ["eval", "--dataset", str(path), "--predictions", str(rows)],
+            "predictions": ["eval", "--dataset", str(rows), "--predictions", str(path)],
+            "corpus": ["gen", "--snapshot", str(snapshot), "--templates", str(path),
+                       "--out", str(tmp_path / "out")],
+            "census": ["census", "--snapshot", str(snapshot), "--expected", str(path)]}[fmt]
+
+    def run(lines, end="\n"):
+        path.write_bytes("".join(line + end for line in lines).encode("utf-8"))
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    records = LINE_RECORDS[fmt]
+    plain = run(records)
+    assert plain[0] == 0 and plain[1], plain
+    assert run(records, "\r\n") == plain
+    commented = run([records[0], "# a note", records[1]])
+    if fmt in ("corpus", "census"):
+        assert commented == plain
+    else:
+        assert commented == (1, "", f"MalformedInput: {path} line 2: not JSON (Expecting value)\n")
+
+
+def test_eval_predictions_one_line_short_is_one_line_error(tmp_path, capsys):
+    dataset, predictions = tmp_path / "refs.jsonl", tmp_path / "preds.jsonl"
+    dataset.write_text("\n".join(LINE_RECORD_ROWS) + "\n", "utf-8")
+    predictions.write_text(LINE_RECORD_ROWS[0] + "\n", "utf-8")
+    assert main(["eval", "--dataset", str(dataset), "--predictions", str(predictions)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "TitanError: predictions (1) and dataset (2) have different lengths\n"
+    assert captured.out == ""
+
+
 _IMPORT_SCRIPT = """
 import sys
 before = set(sys.modules)

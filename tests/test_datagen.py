@@ -12,6 +12,7 @@ from titan_kg.datagen import (
     instantiate_template,
     load_dataset,
     load_templates,
+    read_records,
     synthesize_cot,
 )
 from titan_kg.errors import MalformedInput, TemplateSchemaError
@@ -372,3 +373,12 @@ def test_default_corpus_text_parses_as_jsonl():
         if not line or line.startswith("#"):
             continue
         json.loads(line)
+
+
+def test_read_records_skips_blank_and_comment_lines_but_counts_them():
+    text = "7\r\n\n  # a note\n 8 \n\u2028\nx\n"
+    with pytest.raises(TemplateSchemaError, match=r"^line 6: invalid literal"):
+        read_records(text, int, TemplateSchemaError, comments=True)
+    assert read_records(text[:-2], int, comments=True) == [7, 8]
+    with pytest.raises(MalformedInput, match=r"^line 3: invalid literal"):
+        read_records(text, int)
