@@ -10,11 +10,12 @@ import argparse
 import errno
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 from . import datagen
-from .errors import MalformedInput, TitanError
-from .eval import aggregate_report, load_predictions, score_predictions
+from .errors import MalformedBundle, MalformedInput, TitanError
+from .eval import aggregate_report, load_predictions, reference_programs, score_predictions
 from .executor import run_path
 from .kg import KnowledgeGraph, build_graph, node_census, parse_stix_bundle
 from .ontology import EntityKind, build_default_registry
@@ -72,12 +73,15 @@ def _census(graph: KnowledgeGraph) -> dict[str, int]:
 def cmd_ingest(args) -> int:
     if Path(args.out).is_dir():  # the error the write would raise, before the parse
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
-    objects = []
-    for bundle_path in args.bundles:
-        objects.extend(_load(bundle_path, parse_stix_bundle))
+    bundles = [(path, _load(path, parse_stix_bundle)) for path in args.bundles]
     registry = build_default_registry(include_subtechniques=not args.no_subtechniques)
-    graph = build_graph(objects, registry, drop_revoked=not args.keep_revoked,
-                        lenient=not args.strict)
+    try:
+        graph = build_graph(chain.from_iterable(objects for _, objects in bundles), registry,
+                            drop_revoked=not args.keep_revoked, lenient=not args.strict)
+    except MalformedBundle as exc:  # an id two kinds share: name the bundles using it
+        holders = [path for path, objects in bundles
+                   if any(obj.id == exc.object_id for obj in objects)]
+        raise MalformedBundle(f"{', '.join(holders)}: {exc}") from exc
     Path(args.out).write_text(graph.export_snapshot(), "utf-8")
     for key, count in _census(graph).items():
         print(f"{key}\t{count}")
@@ -154,11 +158,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    registry = build_default_registry()
     references = _load(args.dataset, datagen.load_dataset)
     predictions = _load(args.predictions, load_predictions)
     try:
-        records = score_predictions(references, predictions, build_default_registry())
-    except MalformedInput as exc:  # an unparseable reference path, by record
+        records = score_predictions(references, predictions, registry)
+    except MalformedInput as exc:  # a reference path that does not parse:
+        # read the dataset again, parsing each path, to name the line it is on
+        _load(args.dataset, lambda text: reference_programs(text, registry))
         raise MalformedInput(f"{args.dataset} {exc}") from exc
     report = aggregate_report(records)
     if args.out:

@@ -29,7 +29,12 @@ class NoSuchSignature(TitanError):
 # --- kg ---------------------------------------------------------------------
 
 class MalformedBundle(MalformedInput):
-    """The input document is not a usable STIX bundle or graph snapshot."""
+    """The input document is not a usable STIX bundle or graph snapshot;
+    ``object_id``, when set, is the id of the object at fault."""
+
+    def __init__(self, message: str, object_id: str = ""):
+        super().__init__(message)
+        self.object_id = object_id
 
 
 class UnknownSignature(TitanError):

@@ -149,6 +149,17 @@ def load_predictions(text: str) -> list[dict]:
     return read_records(text, lambda line: json_object(line, ("path", "cot")))
 
 
+def reference_programs(text: str, registry: RelationRegistry) -> list[PathProgram]:
+    """The parsed path of each sample of a dataset; a path that does not
+    parse raises MalformedInput naming its line, as any bad line does."""
+    def read(line: str) -> PathProgram:
+        try:
+            return parse_path(Sample.from_json(line).path, registry)
+        except TitanError as exc:
+            raise ValueError(exc) from exc
+    return read_records(text, read)
+
+
 class EvalRecord(NamedTuple):
     """Score of one prediction against its reference: EM, then the text
     metrics, which are None unless both CoTs are non-empty."""

@@ -20,14 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import MalformedBundle, NoSuchSignature, UnknownSignature
-from .ontology import (
-    KIND_BY_TOKEN,
-    EntityKind,
-    RelationRegistry,
-    RelationSignature,
-    build_default_registry,
-)
+from .errors import MalformedBundle, UnknownSignature
+from .ontology import KIND_BY_TOKEN, EntityKind, RelationRegistry, build_default_registry
 
 logger = logging.getLogger(__name__)
 
@@ -388,12 +382,11 @@ def build_graph(
 
     Every edge (a relationship, a data component's containment in its data
     source, a technique's platform asset) is typed by the registry
-    signature for its source kind and its verb plus the target kind's slug
-    (``uses`` toward a malware node becomes ``uses_malware``), and is paired
-    with that signature's reverse.  An edge that fits no signature is
-    collected into ``graph.skipped`` when ``lenient``, and raises
-    :class:`UnknownSignature` otherwise.  ``drop_revoked`` leaves out
-    revoked and deprecated objects.
+    signature for its source kind, verb and target kind (``uses`` toward a
+    malware node is ``uses_malware``), and is paired with that signature's
+    reverse.  An edge that fits no signature is collected into
+    ``graph.skipped`` when ``lenient``, and raises :class:`UnknownSignature`
+    otherwise.  ``drop_revoked`` leaves out revoked and deprecated objects.
     """
     registry = registry or build_default_registry()
 
@@ -413,7 +406,7 @@ def build_graph(
             continue
         if kinds.setdefault(obj.id, kind) is not kind:
             raise MalformedBundle(f"id {obj.id!r} is used by objects of kinds "
-                                  f"{kinds[obj.id].value!r} and {kind.value!r}")
+                                  f"{kinds[obj.id].value!r} and {kind.value!r}", obj.id)
         if kind is EntityKind.DATA_COMPONENT:
             components.append(obj)
         elif kind is EntityKind.ATTACK_PATTERN:
@@ -439,21 +432,14 @@ def build_graph(
         else:
             raise UnknownSignature(message)
 
-    # (verb, source kind, target kind) -> the signature it was typed as.
-    typed: dict[tuple[str, EntityKind, EntityKind], RelationSignature] = {}
-
     def add_edge(what: str, src: Node, verb: str, dst: Node) -> None:
         """``src --verb--> dst`` and its reverse, typed by the registry;
         ``what`` names the edge's origin in a skip reason."""
-        sig = typed.get((verb, src.kind, dst.kind))
+        verb = verb.replace("-", "_")
+        sig = registry.signature_for_verb(src.kind, verb, dst.kind)
         if sig is None:
-            name = verb.replace("-", "_")
-            try:
-                sig = registry.signature_of(src.kind, f"{name}_{dst.kind.slug}")
-            except NoSuchSignature:
-                reject(f"{what}: no signature for ({src.kind.value}, {name}, {dst.kind.value})")
-                return
-            typed[verb, src.kind, dst.kind] = sig
+            reject(f"{what}: no signature for ({src.kind.value}, {verb}, {dst.kind.value})")
+            return
         edges.add((src.id, sig.name, dst.id))
         edges.add((dst.id, sig.inverse_name, src.id))
 

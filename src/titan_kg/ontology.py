@@ -41,19 +41,6 @@ class EntityKind(str, Enum):
 
 
 KIND_BY_TOKEN: dict[str, EntityKind] = {k.value: k for k in EntityKind}
-KIND_BY_SLUG: dict[str, EntityKind] = {k.slug: k for k in EntityKind}
-
-
-def seed_relation_name(kind: EntityKind) -> str:
-    """Pseudo-relation that seeds a frontier with every node of a kind."""
-    return f"is_{kind.slug}_type"
-
-
-def kind_for_seed_relation(token: str) -> EntityKind | None:
-    """Inverse of :func:`seed_relation_name`; None when not a seed token."""
-    if not (token.startswith("is_") and token.endswith("_type")):
-        return None
-    return KIND_BY_SLUG.get(token[len("is_"):-len("_type")])
 
 
 @dataclass(frozen=True)
@@ -115,11 +102,14 @@ class RelationRegistry:
             self._by_key[dst, inv] = RelationSignature(dst, inv, src, name)
         self._names = frozenset(name for _, name in self._by_key)
         # Short verb (a name without its target suffix) -> source kind ->
-        # the names that complete it from that kind.
+        # the names that complete it from that kind; and each signature by
+        # its (source kind, verb, target kind).
         self._verbs: dict[str, dict[EntityKind, set[str]]] = {}
+        self._by_verb: dict[tuple[EntityKind, str, EntityKind], RelationSignature] = {}
         for sig in self._by_key.values():
             verb = sig.name[:-len(sig.target_kind.slug) - 1]
             self._verbs.setdefault(verb, {}).setdefault(sig.source_kind, set()).add(sig.name)
+            self._by_verb[sig.source_kind, verb, sig.target_kind] = sig
 
     # --- queries ---
 
@@ -135,6 +125,12 @@ class RelationRegistry:
             raise NoSuchSignature(
                 f"no relation {token!r} from kind {source_kind.value!r}")
         return sig
+
+    def signature_for_verb(self, source_kind: EntityKind, verb: str,
+                           target_kind: EntityKind) -> RelationSignature | None:
+        """The signature named ``verb`` plus the target kind's slug, from
+        ``source_kind`` to ``target_kind``; None when there is none."""
+        return self._by_verb.get((source_kind, verb, target_kind))
 
     def normalize(self, token: str, source_kind: EntityKind | None = None) -> str:
         """Resolve ``token`` to a canonical relation name.

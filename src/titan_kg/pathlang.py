@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 from .errors import (
     MalformedOperator,
@@ -33,13 +33,7 @@ from .errors import (
     TypeFlowError,
     UnknownRelation,
 )
-from .ontology import (
-    EntityKind,
-    RelationRegistry,
-    build_default_registry,
-    kind_for_seed_relation,
-    seed_relation_name,
-)
+from .ontology import EntityKind, RelationRegistry, build_default_registry
 
 PATH_OPEN = "<PATH>"
 PATH_CLOSE = "</PATH>"
@@ -60,15 +54,22 @@ def _reject_framing(operand: str, markers: tuple[str, ...] = _FRAMING) -> None:
 class TypeSeed:
     kind: EntityKind
 
+    @property
+    def token(self) -> str:
+        """The pseudo-relation that seeds a frontier with every node of the kind."""
+        return f"is_{self.kind.slug}_type"
+
 
 @dataclass(frozen=True)
 class Traverse:
     rel: str
 
 
+# Each operator step declares its keyword once, as ``token``.
 @dataclass(frozen=True)
 class Filter:
     keyword: str
+    token: ClassVar[str] = "filter"
 
     def __post_init__(self):
         if not self.keyword.strip():
@@ -79,6 +80,7 @@ class Filter:
 @dataclass(frozen=True)
 class Select:
     names: tuple[str, ...]
+    token: ClassVar[str] = "select"
 
     def __post_init__(self):
         if len(self.names) < 2:
@@ -91,25 +93,21 @@ class Select:
 
 @dataclass(frozen=True)
 class ExecCommon:
-    pass
+    token: ClassVar[str] = "exec_common"
 
 
 @dataclass(frozen=True)
 class ExecDifference:
-    pass
+    token: ClassVar[str] = "exec_difference"
 
 
 PathStep = Union[TypeSeed, Traverse, Filter, Select, ExecCommon, ExecDifference]
 
-_OPERATOR_FLAGS = {
-    Filter: "filter",
-    Select: "select",
-    ExecCommon: "exec_common",
-    ExecDifference: "exec_difference",
-}
+_SEEDS = {seed.token: seed for seed in map(TypeSeed, EntityKind)}
+_COMBINERS = {cls.token: cls for cls in (ExecCommon, ExecDifference)}
 # Bucket names of dataset profiles and evaluation reports, in report order.
 LENGTH_BUCKETS = ("L1", "L2", "L3", "L4+")
-OPERATOR_BUCKETS = tuple(_OPERATOR_FLAGS.values())
+OPERATOR_BUCKETS = tuple(cls.token for cls in (Filter, Select, ExecCommon, ExecDifference))
 
 
 @dataclass(frozen=True)
@@ -144,7 +142,7 @@ class PathProgram:
                         "exec_common/exec_difference requires an earlier select")
 
 
-def _split_names(text: str) -> list[str]:
+def split_names(text: str) -> list[str]:
     """Whitespace-split with double-quote grouping for multiword names."""
     names: list[str] = []
     i, n = 0, len(text)
@@ -177,25 +175,20 @@ def _parse_segment(segment: str, registry: RelationRegistry) -> PathStep:
     head = words[0]
     rest = words[1] if len(words) > 1 else ""
 
-    seed_kind = kind_for_seed_relation(head)
-    if seed_kind is not None:
+    if head in _SEEDS:
         if rest:
             raise PathSyntaxError(f"unexpected tokens after {head!r}: {rest!r}")
-        return TypeSeed(seed_kind)
-    if head == "filter":
+        return _SEEDS[head]
+    if head == Filter.token:
         if not rest:
             raise MalformedOperator("filter requires a keyword")
         return Filter(" ".join(rest.split()))
-    if head == "select":
-        return Select(tuple(_split_names(rest)))
-    if head == "exec_common":
+    if head == Select.token:
+        return Select(tuple(split_names(rest)))
+    if head in _COMBINERS:
         if rest:
-            raise MalformedOperator("exec_common takes no arguments")
-        return ExecCommon()
-    if head == "exec_difference":
-        if rest:
-            raise MalformedOperator("exec_difference takes no arguments")
-        return ExecDifference()
+            raise MalformedOperator(f"{head} takes no arguments")
+        return _COMBINERS[head]()
 
     if rest:
         raise PathSyntaxError(f"unexpected tokens after relation {head!r}: {rest!r}")
@@ -244,18 +237,14 @@ def _render_name(name: str) -> str:
 
 
 def render_segment(step: PathStep) -> str:
-    if isinstance(step, TypeSeed):
-        return seed_relation_name(step.kind)
     if isinstance(step, Traverse):
         return step.rel
     if isinstance(step, Filter):
-        return f"filter {step.keyword}"
+        return f"{step.token} {step.keyword}"
     if isinstance(step, Select):
-        return "select " + " ".join(_render_name(n) for n in step.names)
-    if isinstance(step, ExecCommon):
-        return "exec_common"
-    if isinstance(step, ExecDifference):
-        return "exec_difference"
+        return f"{step.token} " + " ".join(_render_name(n) for n in step.names)
+    if isinstance(step, (TypeSeed, ExecCommon, ExecDifference)):
+        return step.token
     raise TypeError(f"not a path step: {step!r}")
 
 
@@ -352,6 +341,6 @@ def profile(program: PathProgram) -> PathProfile:
     """
     length = sum(1 for s in program.steps if isinstance(s, (TypeSeed, Traverse)))
     bucket = LENGTH_BUCKETS[min(max(length, 1), len(LENGTH_BUCKETS)) - 1]
-    flags = frozenset(flag for cls, flag in _OPERATOR_FLAGS.items()
-                      if any(isinstance(s, cls) for s in program.steps))
+    flags = frozenset(s.token for s in program.steps
+                      if not isinstance(s, (TypeSeed, Traverse)))
     return PathProfile(length=length, bucket=bucket, operators=flags)

@@ -25,11 +25,11 @@ from .errors import PlannerUnavailable, TitanError, UnparseablePlan
 from .executor import ExecutionResult, run_path
 from .kg import KnowledgeGraph, fold, link_entities
 from .ontology import RelationRegistry, build_default_registry
-from .pathlang import PathProgram, TypeSeed, _split_names, parse_path
+from .pathlang import PATH_CLOSE, PATH_OPEN, PathProgram, TypeSeed, parse_path, split_names
 
 logger = logging.getLogger(__name__)
 
-_PATH_BLOCK = re.compile(r"<PATH>.*?</PATH>", re.S)
+_PATH_BLOCK = re.compile(f"{re.escape(PATH_OPEN)}.*?{re.escape(PATH_CLOSE)}", re.S)
 _ENTITY_BLOCK = re.compile(r"<ENTITY>(.*?)</ENTITY>", re.S)
 # Client errors that can pass on their own (request timeout, rate limit);
 # every other 4xx reply fails the request without a retry.
@@ -123,12 +123,12 @@ def parse_planner_output(
         raise UnparseablePlan("no well-formed <PATH> block in planner output",
                               raw_text=raw_text)
 
-    cot = raw_text.split("<PATH>", 1)[0]
+    cot = raw_text.split(PATH_OPEN, 1)[0]
     entity_match = _ENTITY_BLOCK.search(cot)
     entities: tuple[str, ...] = ()
     if entity_match:
         try:
-            entities = tuple(_split_names(entity_match.group(1)))
+            entities = tuple(split_names(entity_match.group(1)))
         except TitanError as exc:
             raise UnparseablePlan(f"malformed <ENTITY> block: {exc}", raw_text=raw_text) from exc
         cot = cot[:entity_match.start()] + cot[entity_match.end():]

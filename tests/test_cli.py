@@ -755,8 +755,20 @@ def test_eval_unparseable_reference_path_names_file_and_record(tmp_path, capsys)
                            '{"path": "is_malware_type"}\n', "utf-8")
     assert main(["eval", "--dataset", str(dataset), "--predictions", str(predictions)]) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"MalformedInput: {dataset} record 2: unknown relation 'bogus_rel'\n"
+    assert captured.err == f"MalformedInput: {dataset} line 2: unknown relation 'bogus_rel'\n"
     assert captured.out == ""
+
+
+def test_eval_unparseable_reference_path_is_numbered_by_file_line(tmp_path, capsys):
+    # Line 2 is blank, so the bad path is the second record but on line 3.
+    dataset = tmp_path / "refs.jsonl"
+    dataset.write_text('{"question": "a", "path": "is_malware_type"}\n\n'
+                       '{"question": "b", "path": "<PATH> bogus_rel </PATH>"}\n', "utf-8")
+    predictions = tmp_path / "preds.jsonl"
+    predictions.write_text('{"path": "is_malware_type"}\n{"path": "is_malware_type"}\n', "utf-8")
+    assert main(["eval", "--dataset", str(dataset), "--predictions", str(predictions)]) == 1
+    assert capsys.readouterr().err == (
+        f"MalformedInput: {dataset} line 3: unknown relation 'bogus_rel'\n")
 
 
 def test_census_expected_table_records_end_at_newline_only(snapshot, tmp_path, capsys):
@@ -834,6 +846,18 @@ def test_ingest_error_names_the_bundle_it_is_in(tmp_path, capsys):
     assert main(["ingest", str(FIXTURE_BUNDLE), str(bad), "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         f"MalformedBundle: {bad} object #0 lacks a usable type/id\n")
+    assert not out.exists()
+
+
+def test_ingest_id_used_by_two_kinds_names_the_bundles_using_it(tmp_path, capsys):
+    a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "graph.snap"
+    a.write_text('[{"type": "malware", "id": "malware--x", "name": "X"}]', "utf-8")
+    b.write_text('[{"type": "tool", "id": "malware--x", "name": "X"}]', "utf-8")
+    argv = ["ingest", str(FIXTURE_BUNDLE), str(a), str(b), "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"MalformedBundle: {a}, {b}: id 'malware--x' is used by objects of kinds "
+        "'malware' and 'tool'\n")
     assert not out.exists()
 
 

@@ -1,13 +1,8 @@
 import pytest
 
 from titan_kg.errors import NoSuchSignature, UnknownRelation
-from titan_kg.ontology import (
-    EntityKind,
-    RelationRegistry,
-    build_default_registry,
-    kind_for_seed_relation,
-    seed_relation_name,
-)
+from titan_kg.ontology import EntityKind, RelationRegistry, build_default_registry
+from titan_kg.pathlang import Traverse, TypeSeed, parse_path
 
 from bruteforce import ALIASES, alias_normalize, alias_resolvable_from_some_kind
 
@@ -22,10 +17,11 @@ def test_exactly_nine_kinds():
 
 def test_seed_relation_round_trip():
     for kind in EntityKind:
-        assert kind_for_seed_relation(seed_relation_name(kind)) is kind
-    assert seed_relation_name(EntityKind.INTRUSION_SET) == "is_intrusion_set_type"
-    assert kind_for_seed_relation("is_wizard_type") is None
-    assert kind_for_seed_relation("uses_malware") is None
+        assert parse_path(TypeSeed(kind).token).steps == (TypeSeed(kind),)
+    assert TypeSeed(EntityKind.INTRUSION_SET).token == "is_intrusion_set_type"
+    with pytest.raises(UnknownRelation):
+        parse_path("is_wizard_type")
+    assert parse_path("uses_malware").steps == (Traverse("uses_malware"),)
 
 
 def test_uses_attack_pattern_from_malware(registry):
@@ -68,6 +64,23 @@ def test_typedness_every_name_ends_with_target_slug(include_subtechniques):
 def _cuts(name: str) -> list[str]:
     """``name`` cut at each underscore: the part before it and the part after."""
     return [part for i, ch in enumerate(name) if ch == "_" for part in (name[:i], name[i + 1:])]
+
+
+@pytest.mark.parametrize("include_subtechniques", [True, False])
+def test_signature_for_verb_finds_exactly_the_signatures_that_exist(include_subtechniques):
+    registry = build_default_registry(include_subtechniques)
+    verbs = {sig.name[:-len(sig.target_kind.slug) - 1] for sig in registry.signatures}
+    found = set()
+    for source in EntityKind:
+        for verb in verbs:
+            for target in EntityKind:
+                sig = registry.signature_for_verb(source, verb, target)
+                expected = [s for s in registry.signatures
+                            if (s.source_kind, s.name, s.target_kind)
+                            == (source, f"{verb}_{target.slug}", target)]
+                assert ([] if sig is None else [sig]) == expected, (source, verb, target)
+                found.add(sig)
+    assert found - {None} == set(registry.signatures)
 
 
 def test_alias_soundness(registry):

@@ -35,6 +35,28 @@ FIG_PATHS = [
 ]
 
 
+# Every seed token alone, and every operator keyword after the fewest steps
+# that may precede it.
+VOCABULARY = {
+    **{TypeSeed(kind).token: TypeSeed(kind).token for kind in EntityKind},
+    Filter.token: "is_malware_type → filter ransomware",
+    Select.token: "is_malware_type → select Cannon LitePower",
+    ExecCommon.token: "is_malware_type → select Cannon LitePower → exec_common",
+    ExecDifference.token: "is_malware_type → select Cannon LitePower → exec_difference",
+}
+
+
+@pytest.mark.parametrize("token", VOCABULARY)
+def test_every_seed_token_and_operator_keyword_round_trips(token):
+    text = VOCABULARY[token]
+    program = parse_path(text)
+    last = program.steps[-1]
+    assert type(last) in (TypeSeed, Filter, Select, ExecCommon, ExecDifference)
+    assert last.token == token
+    assert render_path(program, "display") == text
+    assert parse_path(render_path(program, "token")) == program
+
+
 def test_display_form_normalizes_aliases():
     program = parse_path(FIG_PATHS[0])
     assert program.steps == (
