@@ -18,7 +18,7 @@ from .errors import MalformedBundle, MalformedInput, TitanError
 from .eval import aggregate_report, load_predictions, reference_programs, score_predictions
 from .executor import run_path
 from .kg import KnowledgeGraph, build_graph, node_census, parse_stix_bundle
-from .ontology import EntityKind, build_default_registry
+from .ontology import build_default_registry
 from .pathlang import parse_path, render_path
 from .planner import EndpointConfig, MockPlanner, RemotePlanner, run_question
 
@@ -62,14 +62,6 @@ def _census_table(text: str) -> dict[str, int]:
     return dict(datagen.read_records(text, row, comments=True))
 
 
-def _census(graph: KnowledgeGraph) -> dict[str, int]:
-    """Node count per kind token, then the ``nodes`` and ``edges`` totals."""
-    census = node_census(graph)
-    counts = {kind.value: census.per_kind[kind] for kind in EntityKind}
-    counts.update(nodes=census.total_nodes, edges=census.total_edges)
-    return counts
-
-
 def cmd_ingest(args) -> int:
     if Path(args.out).is_dir():  # the error the write would raise, before the parse
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
@@ -83,7 +75,7 @@ def cmd_ingest(args) -> int:
                    if any(obj.id == exc.object_id for obj in objects)]
         raise MalformedBundle(f"{', '.join(holders)}: {exc}") from exc
     Path(args.out).write_text(graph.export_snapshot(), "utf-8")
-    for key, count in _census(graph).items():
+    for key, count in node_census(graph).items():
         print(f"{key}\t{count}")
     if graph.skipped:
         print(f"skipped\t{len(graph.skipped)}")
@@ -93,7 +85,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_census(args) -> int:
     graph = _load(args.snapshot, KnowledgeGraph.load_snapshot)
-    actual = _census(graph)
+    actual = node_census(graph)
     if not args.expected:
         for key, count in actual.items():
             print(f"{key}\t{count}")

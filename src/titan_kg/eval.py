@@ -26,9 +26,11 @@ from .pathlang import (
     OPERATOR_BUCKETS,
     Filter,
     PathProgram,
+    PathProfile,
     PathStep,
     Select,
     parse_path,
+    profile,
 )
 
 _PUNCT_TABLE = str.maketrans(
@@ -179,8 +181,9 @@ def score_predictions(references: Sequence[Sample],
 
     A prediction's "path" and "cot" are strings or absent/None.  A missing,
     null or unparseable path scores as a miss; the text metrics are None
-    unless both CoTs are non-empty.  Each distinct path text is parsed once;
-    an unparseable reference path raises MalformedInput naming its record.
+    unless both CoTs are non-empty.  Rows are bucketed by the reference
+    path's profile.  Each distinct path text is parsed once; an
+    unparseable reference path raises MalformedInput naming its record.
     """
     @lru_cache(maxsize=None)  # one parse per distinct path text
     def program(text: str) -> PathProgram | None:
@@ -189,13 +192,18 @@ def score_predictions(references: Sequence[Sample],
         except TitanError:  # None, not the error: each raise of it grows its traceback
             return None
 
+    @lru_cache(maxsize=None)  # once per path text; a bad one is parsed again, to raise
+    def reference(text: str) -> tuple[PathProgram, PathProfile]:
+        ref_program = program(text) or parse_path(text, registry)
+        return ref_program, profile(ref_program)
+
     if len(predictions) != len(references):
         raise TitanError(f"predictions ({len(predictions)}) and dataset "
                          f"({len(references)}) have different lengths")
     records = []
     for number, (ref, pred) in enumerate(zip(references, predictions), 1):
-        try:  # an unparseable reference path is parsed again, to raise its reason
-            ref_program = program(ref.path) or parse_path(ref.path, registry)
+        try:
+            ref_program, ref_profile = reference(ref.path)
         except TitanError as exc:
             raise MalformedInput(f"record {number}: {exc}") from exc
         pred_program = program(pred.get("path") or "")
@@ -203,7 +211,7 @@ def score_predictions(references: Sequence[Sample],
         pred_cot = pred.get("cot") or ""
         text_scores = ((rouge_l(pred_cot, ref.cot), rouge_1(pred_cot, ref.cot),
                         bleu(pred_cot, ref.cot)) if pred_cot and ref.cot else ())
-        records.append(EvalRecord(ref.bucket, frozenset(ref.operators), em, *text_scores))
+        records.append(EvalRecord(*ref_profile, em, *text_scores))
     return records
 
 

@@ -94,11 +94,12 @@ class Node:
         return (self.kind.value, self.name.casefold(), self.id)
 
 
-@dataclass(frozen=True)
-class Census:
-    per_kind: dict[EntityKind, int]
-    total_nodes: int
-    total_edges: int
+class Census(dict):
+    """The table ``titan`` prints: count per kind token, then ``nodes`` and
+    ``edges``, which also read as ``total_nodes`` and ``total_edges``."""
+
+    total_nodes = property(lambda self: self["nodes"])
+    total_edges = property(lambda self: self["edges"])
 
 
 @dataclass(frozen=True)
@@ -116,20 +117,15 @@ def _as_str_tuple(value) -> tuple[str, ...]:
     return tuple(v for v in value if isinstance(v, str) and v)
 
 
-def parse_stix_bundle(data: bytes | str) -> list[RawStixObject]:
+def parse_stix_bundle(text: str) -> list[RawStixObject]:
     """Parse a STIX 2.x bundle document into raw objects.
 
     Accepts the usual ``{"type": "bundle", "objects": [...]}`` document or
     a bare top-level object list.  Raises :class:`MalformedBundle` with
     position information for unusable input.
     """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedBundle(f"bundle is not valid UTF-8: {exc}") from exc
     try:
-        doc = json.loads(data)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedBundle(
             f"bundle is not valid JSON (line {exc.lineno}, column {exc.colno}): "
@@ -479,10 +475,9 @@ def build_graph(
 
 
 def node_census(graph: KnowledgeGraph) -> Census:
-    """Per-kind node counts plus directed edge total."""
-    per_kind = {kind: len(graph.nodes_of_kind(kind)) for kind in EntityKind}
-    return Census(per_kind=per_kind, total_nodes=graph.node_count,
-                  total_edges=graph.edge_count)
+    """Node count per kind, then the node and directed edge totals."""
+    counts = ((kind.value, len(graph.nodes_of_kind(kind))) for kind in EntityKind)
+    return Census(counts, nodes=graph.node_count, edges=graph.edge_count)
 
 
 _WORD = re.compile(r"\S+")

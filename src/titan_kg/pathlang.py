@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import ClassVar, Union
+from typing import ClassVar, NamedTuple, Union
 
 from .errors import (
     MalformedOperator,
@@ -324,11 +324,9 @@ def validate_program(
     )
 
 
-@dataclass(frozen=True)
-class PathProfile:
+class PathProfile(NamedTuple):
     """Length bucket and operator usage of a program."""
 
-    length: int
     bucket: str
     operators: frozenset[str]
 
@@ -343,4 +341,4 @@ def profile(program: PathProgram) -> PathProfile:
     bucket = LENGTH_BUCKETS[min(max(length, 1), len(LENGTH_BUCKETS)) - 1]
     flags = frozenset(s.token for s in program.steps
                       if not isinstance(s, (TypeSeed, Traverse)))
-    return PathProfile(length=length, bucket=bucket, operators=flags)
+    return PathProfile(bucket, flags)

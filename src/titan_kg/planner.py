@@ -1,9 +1,10 @@
 """Planner contract, deterministic mock, remote client, and output parsing.
 
 A planner maps a question to a path program plus optional reasoning text
-and start entities.  The mock planner answers from a question index built
-over a generated dataset and is what end-to-end tests run against; the
-remote planner talks to any chat-completion-style HTTP endpoint.
+and start entities, or raises :class:`UnparseablePlan`.  The mock planner
+answers from a question index built over a generated dataset and is what
+end-to-end tests run against; the remote planner talks to any
+chat-completion-style HTTP endpoint.
 :func:`run_question` is the whole loop: plan, resolve the start, execute.
 """
 
@@ -76,12 +77,8 @@ class PlannerRequest:
 
 @dataclass(frozen=True)
 class PlannerResponse:
-    """``path`` is None when the raw text held no parseable path block;
-    consumers surface that as :class:`UnparseablePlan`."""
-
-    raw_text: str
     cot: str | None
-    path: PathProgram | None
+    path: PathProgram
     start_entities: tuple[str, ...] = ()
     guessed: bool = False
 
@@ -142,7 +139,9 @@ class MockPlanner:
 
     Nearest means the highest Jaccard similarity of the token sets; ties,
     and the case where no indexed question shares a token, go to the
-    first indexed question in sorted normalized order.
+    first indexed question in sorted normalized order.  With nothing
+    indexed there is no nearest question, and ``plan`` raises
+    :class:`UnparseablePlan`.
     """
 
     def __init__(self, samples: Iterable[Sample],
@@ -206,19 +205,16 @@ class MockPlanner:
         guessed = sample is None
         if sample is None:
             if not self._keys:
-                return PlannerResponse(raw_text="", cot=None, path=None, guessed=True)
+                raise UnparseablePlan("planner returned no usable path")
             sample = self._index[self._keys[self._nearest(set(key.split()))]]
 
         if (path := self._programs.get(sample.path)) is None:
             path = self._programs[sample.path] = parse_path(sample.path, self._registry)
         if request.mode == "cot":
-            return PlannerResponse(
-                raw_text=sample.cot, cot=sample.cot, path=path,
-                start_entities=sample.start_entities, guessed=guessed)
+            return PlannerResponse(sample.cot, path, sample.start_entities, guessed)
         # NoCoT planners emit the path only; entity linking happens
         # executor-side.
-        return PlannerResponse(raw_text=sample.path, cot=None, path=path,
-                               guessed=guessed)
+        return PlannerResponse(None, path, guessed=guessed)
 
 
 @dataclass(frozen=True)
@@ -292,12 +288,12 @@ class RemotePlanner:
 
         try:
             content = payload["choices"][0]["message"]["content"]
+            if not isinstance(content, str):  # null for a refusal, a list of parts
+                raise TypeError(f"content is {type(content).__name__}, not a string")
         except (KeyError, IndexError, TypeError) as exc:
             raise UnparseablePlan(f"endpoint reply missing message content: {exc}",
                                   raw_text=str(payload)) from exc
-        cot, program, entities = parse_planner_output(content, self._registry)
-        return PlannerResponse(raw_text=content, cot=cot, path=program,
-                               start_entities=entities)
+        return PlannerResponse(*parse_planner_output(content, self._registry))
 
 
 def run_question(
@@ -310,9 +306,6 @@ def run_question(
     """The full loop: plan, link entities when needed, validate, execute."""
     registry = registry or build_default_registry()
     response = planner.plan(PlannerRequest(question=question, mode=mode))
-    if response.path is None:
-        raise UnparseablePlan("planner returned no usable path",
-                              raw_text=response.raw_text)
     # A NoCoT-style response names no start: link the question's words
     # against the graph's node names.  A type-seeded path needs no start.
     start_names = response.start_entities

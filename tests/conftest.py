@@ -41,7 +41,7 @@ def registry():
 
 @pytest.fixture(scope="session")
 def fixture_objects():
-    return parse_stix_bundle(FIXTURE_BUNDLE.read_bytes())
+    return parse_stix_bundle(FIXTURE_BUNDLE.read_text("utf-8"))
 
 
 @pytest.fixture(scope="session")

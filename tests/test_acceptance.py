@@ -126,9 +126,9 @@ def test_acceptance_2_graph_invariants_fixture(fixture_graph, registry):
         assert src in successors(fixture_graph, (dst,), sig.inverse_name)
         edge_total += 1
     census = node_census(fixture_graph)
-    assert census.per_kind == FIXTURE_CENSUS
-    assert census.total_nodes == 21
-    assert census.total_edges == 68 == edge_total
+    assert {kind: census[kind.value] for kind in EntityKind} == FIXTURE_CENSUS
+    assert census["nodes"] == 21
+    assert census["edges"] == 68 == edge_total
     elapsed = time.monotonic() - started
     _passed(2, "graph invariants (fixture)",
             f"{edge_total} edges bidirectional+typed in {elapsed:.3f}s")
@@ -141,7 +141,7 @@ def test_acceptance_2_graph_invariants_real_bundle(registry):
                     "or add data/enterprise-attack.json (this sandbox has no "
                     "network access to fetch it)")
     started = time.monotonic()
-    graph = build_graph(parse_stix_bundle(bundle.read_bytes()), registry)
+    graph = build_graph(parse_stix_bundle(bundle.read_text("utf-8")), registry)
     for src, rel, dst in graph.all_edges():
         sig = registry.signature_of(graph.node(src).kind, rel)
         assert graph.node(dst).kind is sig.target_kind
@@ -149,14 +149,14 @@ def test_acceptance_2_graph_invariants_real_bundle(registry):
     census = node_census(graph)
     print(f"{'kind':<18}{'built':>8}{'published':>11}{'delta%':>8}")
     for kind in EntityKind:
-        built = census.per_kind[kind]
+        built = census[kind.value]
         published = PUBLISHED_KIND_COUNTS[kind]
         delta = 100.0 * (built - published) / published
         print(f"{kind.value:<18}{built:>8}{published:>11}{delta:>8.1f}")
-    print(f"{'nodes':<18}{census.total_nodes:>8}{PUBLISHED_TOTALS[0]:>11}")
-    print(f"{'edges':<18}{census.total_edges:>8}{PUBLISHED_TOTALS[1]:>11}")
+    print(f"{'nodes':<18}{census['nodes']:>8}{PUBLISHED_TOTALS[0]:>11}")
+    print(f"{'edges':<18}{census['edges']:>8}{PUBLISHED_TOTALS[1]:>11}")
     for kind in EntityKind:
-        built = census.per_kind[kind]
+        built = census[kind.value]
         published = PUBLISHED_KIND_COUNTS[kind]
         assert abs(built - published) <= 0.15 * published, kind
     elapsed = time.monotonic() - started

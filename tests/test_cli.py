@@ -537,6 +537,31 @@ def test_eval_rotated_predictions_full_output(snapshot, tmp_path, capsys):
     assert report_out.read_text("utf-8") == EVAL_ROTATED_REPORT
 
 
+def test_eval_buckets_rows_by_reference_path_not_dataset_labels(tmp_path, capsys):
+    # Row 1 has no bucket and row 2 claims a filter: both paths are one
+    # type seed, so both rows are L1 with no operator.
+    dataset = tmp_path / "refs.jsonl"
+    dataset.write_text(
+        '{"question": "a", "path": "is_malware_type"}\n'
+        '{"question": "b", "path": "is_malware_type", '
+        '"bucket": {"length": "L1", "operators": ["filter"]}}\n', "utf-8")
+    predictions = tmp_path / "preds.jsonl"
+    predictions.write_text('{"path": "is_malware_type"}\n' * 2, "utf-8")
+    report_out = tmp_path / "report.jsonl"
+    assert main(["eval", "--dataset", str(dataset), "--predictions", str(predictions),
+                 "--out", str(report_out)]) == 0
+    assert capsys.readouterr().out == (
+        "bucket                 n      EM     R-L     R-1    BLEU\n"
+        "--------------------------------------------------------\n"
+        "L1                     2   1.000       -       -       -\n"
+        "overall                2   1.000       -       -       -\n"
+        "BERTScore: not computed\n")
+    assert report_out.read_text("utf-8") == (
+        '{"bucket": "L1", "count": 2, "em": 1.0, "rouge_l": null, "rouge_1": null, "bleu": null}\n'
+        '{"bucket": "overall", "count": 2, "em": 1.0, "rouge_l": null, "rouge_1": null, '
+        '"bleu": null}\n')
+
+
 def test_eval_reads_raw_unicode_line_separators_in_cots(snapshot, tmp_path, capsys):
     # JSON leaves U+0085, U+2028 and U+2029 unescaped; a CoT holding one
     # scores as the same CoT written with escapes.

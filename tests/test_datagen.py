@@ -220,6 +220,21 @@ def test_samples_reexecute_to_recorded_answers(fixture_graph, shared_name_graph,
         assert total > 0
 
 
+def test_template_over_a_kind_with_no_nodes_yields_no_samples(registry):
+    bundle = json.loads(FIXTURE_BUNDLE.read_text("utf-8"))
+    bundle["objects"] = [o for o in bundle["objects"] if o["type"] != "campaign"]
+    graph = build_graph(parse_stix_bundle(json.dumps(bundle)), registry)
+    assert not graph.nodes_of_kind(EntityKind.CAMPAIGN)
+    campaign = _template_line(
+        id="campaign-groups", text="Which groups is the campaign [campaign] attributed to?",
+        path="<PATH> attributed_to_intrusion_set </PATH>", start="[campaign]",
+        answer_kind="intrusion-set")
+    templates = load_templates(campaign + "\n" + _template_line(), registry)
+    assert instantiate_template(templates[0], graph, DatasetConfig(), registry) == []
+    split, _ = generate_dataset(templates, graph, DatasetConfig(), registry)
+    assert {s.template_id for s in split.train + split.test} == {"demo"}
+
+
 def test_name_shared_across_kinds_keeps_its_first_kind_bindings(
         fixture_graph, shared_name_graph, registry, core_templates):
     template = _template(core_templates, "malware-techniques")

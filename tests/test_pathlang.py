@@ -211,7 +211,20 @@ def test_validate_is_idempotent(registry):
 
 def test_profile_single_seed():
     prof = profile(parse_path("is_malware_type"))
-    assert (prof.length, prof.bucket, prof.operators) == (1, "L1", frozenset())
+    assert (prof.bucket, prof.operators) == ("L1", frozenset())
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: Filter("  "), MalformedOperator, "filter requires a non-empty keyword"),
+    (lambda: Select(("a", " ")), MalformedOperator, "select names must be non-empty"),
+    (lambda: PathProgram(()), PathSyntaxError, "empty program"),
+    (lambda: render_path(PathProgram((TypeSeed(EntityKind.MALWARE),)), "bogus"), ValueError,
+     "unknown form 'bogus' (expected 'token' or 'display')"),
+], ids=["blank-filter", "blank-select-name", "empty-program", "unknown-render-form"])
+def test_direct_construction_refusals(make, error, message):
+    with pytest.raises(error) as err:
+        make()
+    assert str(err.value) == message
 
 
 def test_render_rejects_quote_in_select_name():

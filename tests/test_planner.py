@@ -178,12 +178,13 @@ def _linear_nearest(samples, question):
 
 
 def _assert_plans_like_linear_scan(planner, samples, question):
-    response = planner.plan(PlannerRequest(question=question))
     expected, guessed = _linear_nearest(samples, question)
-    assert response.guessed is guessed
     if expected is None:
-        assert response.path is None
+        with pytest.raises(UnparseablePlan, match="^planner returned no usable path$"):
+            planner.plan(PlannerRequest(question=question))
         return
+    response = planner.plan(PlannerRequest(question=question))
+    assert response.guessed is guessed
     assert response.cot == expected.cot, question
     assert render_path(response.path, "token") == expected.path
     assert response.start_entities == expected.start_entities
@@ -243,9 +244,8 @@ def test_mock_plan_matches_linear_jaccard_scan_property(registry, corpus, asks):
 
 def test_mock_empty_index_yields_no_path(registry):
     planner = MockPlanner([], registry)
-    response = planner.plan(PlannerRequest(question="anything"))
-    assert response.guessed is True
-    assert response.path is None
+    with pytest.raises(UnparseablePlan, match="^planner returned no usable path$"):
+        planner.plan(PlannerRequest(question="anything"))
 
 
 def test_mock_parses_each_stored_path_once(small_dataset, registry, monkeypatch):
@@ -366,6 +366,22 @@ def test_remote_planner_reply_without_choices(stub_server, registry):
     with pytest.raises(UnparseablePlan,
                        match="^endpoint reply missing message content: 'choices'$"):
         planner.plan(PlannerRequest(question="q"))
+
+
+@pytest.mark.parametrize("content, kind", [
+    (None, "NoneType"),  # a refusal or a tool call
+    ([{"type": "text", "text": "<PATH> uses_malware </PATH>"}], "list"),
+], ids=["null", "list-of-parts"])
+def test_remote_planner_reply_content_not_a_string(stub_server, registry, content, kind):
+    handler, base_url = stub_server
+    reply = _chat_reply(content)
+    handler.replies.append((200, reply))
+    planner = RemotePlanner(_config(base_url), registry)
+    with pytest.raises(UnparseablePlan) as err:
+        planner.plan(PlannerRequest(question="q"))
+    assert str(err.value) == (f"endpoint reply missing message content: "
+                              f"content is {kind}, not a string")
+    assert err.value.raw_text == str(reply)
 
 
 def test_remote_planner_retries_then_succeeds(stub_server, registry):

@@ -187,7 +187,8 @@ STIX_BUNDLE = st.tuples(
     st.lists(stix_node(st.sampled_from(STIX_IDS)), max_size=1),
     st.lists(STIX_RELATIONSHIP, max_size=6),
 ).flatmap(lambda parts: st.permutations([*parts[0], *parts[1], *parts[2]]))
-SNAPSHOT = build_graph(parse_stix_bundle(FIXTURE_BUNDLE.read_bytes()), REGISTRY).export_snapshot()
+SNAPSHOT = build_graph(parse_stix_bundle(FIXTURE_BUNDLE.read_text("utf-8")),
+                       REGISTRY).export_snapshot()
 HEADER, *RECORDS = SNAPSHOT.splitlines()
 EDGE_LINES = [line for line in RECORDS if line.startswith("EDGE\t")]
 # Characters that matter to the framing or to JSON, and any others.
