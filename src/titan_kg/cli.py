@@ -15,10 +15,10 @@ from pathlib import Path
 
 from . import datagen
 from .errors import MalformedBundle, MalformedInput, TitanError
-from .eval import aggregate_report, load_predictions, reference_programs, score_predictions
+from .eval import aggregate_report, load_predictions, load_references, score_predictions
 from .executor import run_path
 from .kg import KnowledgeGraph, build_graph, node_census, parse_stix_bundle
-from .ontology import build_default_registry
+from .ontology import KIND_BY_TOKEN, build_default_registry
 from .pathlang import parse_path, render_path
 from .planner import EndpointConfig, MockPlanner, RemotePlanner, run_question
 
@@ -52,13 +52,17 @@ def _load(path: str, reader):
 
 
 def _census_table(text: str) -> dict[str, int]:
-    """An expected-census table: ``key<TAB>count`` records, ``#`` comments."""
+    """An expected-census table: ``key<TAB>count`` records, ``#`` comments;
+    a key is a kind token, ``nodes`` or ``edges``."""
     def row(line: str) -> tuple[str, int]:
         try:
             key, count = line.split("\t")
-            return key, int(count)
+            count = int(count)
         except ValueError as exc:
             raise ValueError(f"expected kind<TAB>count, got {line!r}") from exc
+        if key not in KIND_BY_TOKEN and key not in ("nodes", "edges"):
+            raise ValueError(f"unknown census key {key!r}")
+        return key, count
     return dict(datagen.read_records(text, row, comments=True))
 
 
@@ -96,7 +100,8 @@ def cmd_census(args) -> int:
         if key not in expected:
             continue
         want = expected[key]
-        delta = 100.0 * (actual_count - want) / want if want else float("inf")
+        delta = 100.0 * (actual_count - want) / want if want else (
+            float("inf") if actual_count else 0.0)
         print(f"{key:<18}{actual_count:>8}{want:>10}{delta:>8.1f}")
     return 0
 
@@ -151,15 +156,9 @@ def cmd_gen(args) -> int:
 
 def cmd_eval(args) -> int:
     registry = build_default_registry()
-    references = _load(args.dataset, datagen.load_dataset)
+    references = _load(args.dataset, lambda text: load_references(text, registry))
     predictions = _load(args.predictions, load_predictions)
-    try:
-        records = score_predictions(references, predictions, registry)
-    except MalformedInput as exc:  # a reference path that does not parse:
-        # read the dataset again, parsing each path, to name the line it is on
-        _load(args.dataset, lambda text: reference_programs(text, registry))
-        raise MalformedInput(f"{args.dataset} {exc}") from exc
-    report = aggregate_report(records)
+    report = aggregate_report(score_predictions(references, predictions, registry))
     if args.out:
         Path(args.out).write_text(report.to_records(), "utf-8")
     print(report.to_text(), end="")

@@ -120,7 +120,7 @@ class DatasetSplit:
 @dataclass(frozen=True)
 class DatasetConfig:
     rng_seed: int = 0
-    max_per_template: int | None = 40
+    max_per_template: int = 40
     test_fraction: float = 0.2
     keep_empty: bool = False
 
@@ -255,7 +255,7 @@ def _candidate_bindings(
     template: QuestionTemplate,
     graph: KnowledgeGraph,
     rng: random.Random,
-    max_count: int | None,
+    max_count: int,
 ) -> list[tuple[str, ...]]:
     """Entity-id tuples for the template's placeholders, deterministic
     under the rng; same-kind slots never bind the same entity twice."""
@@ -267,9 +267,9 @@ def _candidate_bindings(
     total = 1
     for pool in pools:
         total *= len(pool)
-    if max_count is None or total <= max(4 * max_count, 512):
+    if total <= max(4 * max_count, 512):
         combos = [t for t in itertools.product(*pools) if len(set(t)) == len(t)]
-        if max_count is not None and len(combos) > max_count:
+        if len(combos) > max_count:
             combos = rng.sample(combos, max_count)
         return combos
     picked: list[tuple[str, ...]] = []

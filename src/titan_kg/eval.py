@@ -18,7 +18,7 @@ from operator import add, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .datagen import Sample, json_object, read_records
-from .errors import MalformedInput, TitanError
+from .errors import TitanError
 from .kg import fold
 from .ontology import RelationRegistry
 from .pathlang import (
@@ -26,7 +26,6 @@ from .pathlang import (
     OPERATOR_BUCKETS,
     Filter,
     PathProgram,
-    PathProfile,
     PathStep,
     Select,
     parse_path,
@@ -58,11 +57,13 @@ def exact_match(pred: PathProgram, ref: PathProgram) -> int:
 
 
 @lru_cache(maxsize=1)  # the three metrics score a pair in turn: tokenize it once
-def _coded(candidate: str, reference: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Both texts' tokens, each numbered by its first appearance in ``cand + ref``."""
+def _coded(candidate: str, reference: str) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Both texts' tokens, each numbered by its first appearance in ``cand + ref``,
+    and their clipped unigram overlap, which ROUGE-1 and BLEU both read."""
     cand, ref = tokenize(candidate), tokenize(reference)
     codes = dict(zip(dict.fromkeys(cand + ref), count()))
-    return tuple(map(codes.__getitem__, cand)), tuple(map(codes.__getitem__, ref))
+    cand, ref = tuple(map(codes.__getitem__, cand)), tuple(map(codes.__getitem__, ref))
+    return cand, ref, _clipped(cand, ref)
 
 
 def _lcs_length(a: Sequence, b: Sequence) -> int:
@@ -99,7 +100,7 @@ def _f1(overlap: int, n_cand: int, n_ref: int) -> float:
 
 def rouge_l(candidate: str, reference: str) -> float:
     """Token-level longest-common-subsequence F1."""
-    cand, ref = _coded(candidate, reference)
+    cand, ref, _ = _coded(candidate, reference)
     if not cand or not ref:
         return 0.0
     return _f1(_lcs_length(cand, ref), len(cand), len(ref))
@@ -107,10 +108,10 @@ def rouge_l(candidate: str, reference: str) -> float:
 
 def rouge_1(candidate: str, reference: str) -> float:
     """Clipped unigram-overlap F1."""
-    cand, ref = _coded(candidate, reference)
+    cand, ref, unigrams = _coded(candidate, reference)
     if not cand or not ref:
         return 0.0
-    return _f1(_clipped(cand, ref), len(cand), len(ref))
+    return _f1(unigrams, len(cand), len(ref))
 
 
 BLEU_MAX_N = 4
@@ -124,7 +125,7 @@ def bleu(candidate: str, reference: str) -> float:
     short to populate are excluded (effective order), so identical texts
     score exactly 1.0 regardless of length.
     """
-    cand, ref = _coded(candidate, reference)
+    cand, ref, clipped = _coded(candidate, reference)
     if not cand or not ref:
         return 0.0
     base = len(cand) + len(ref)  # above every token code
@@ -135,7 +136,7 @@ def bleu(candidate: str, reference: str) -> float:
         if n > 1:  # an n-gram is one int, its token codes as digits in ``base``
             cand_grams = list(map(add, map(mul, cand_grams, repeat(base)), cand[n - 1:]))
             ref_grams = list(map(add, map(mul, ref_grams, repeat(base)), ref[n - 1:]))
-        clipped = _clipped(cand_grams, ref_grams)
+            clipped = _clipped(cand_grams, ref_grams)
         # The candidate has len(cand) - n + 1 n-grams (n <= len(cand)).
         precision = clipped / (len(cand) - n + 1) if clipped else 1e-9
         log_sum += math.log(precision)
@@ -151,14 +152,20 @@ def load_predictions(text: str) -> list[dict]:
     return read_records(text, lambda line: json_object(line, ("path", "cot")))
 
 
-def reference_programs(text: str, registry: RelationRegistry) -> list[PathProgram]:
-    """The parsed path of each sample of a dataset; a path that does not
-    parse raises MalformedInput naming its line, as any bad line does."""
-    def read(line: str) -> PathProgram:
+def load_references(text: str, registry: RelationRegistry) -> list[tuple[Sample, PathProgram]]:
+    """Each sample of a dataset with its parsed path, each distinct path
+    text parsed once; a path that does not parse raises MalformedInput
+    naming its line, as any bad line does."""
+    @lru_cache(maxsize=None)
+    def program(path: str) -> PathProgram:
         try:
-            return parse_path(Sample.from_json(line).path, registry)
+            return parse_path(path, registry)
         except TitanError as exc:
             raise ValueError(exc) from exc
+
+    def read(line: str) -> tuple[Sample, PathProgram]:
+        sample = Sample.from_json(line)
+        return sample, program(sample.path)
     return read_records(text, read)
 
 
@@ -174,44 +181,37 @@ class EvalRecord(NamedTuple):
     bleu: float | None = None
 
 
-def score_predictions(references: Sequence[Sample],
+def score_predictions(references: Sequence[tuple[Sample, PathProgram]],
                       predictions: Sequence[Mapping[str, str | None]],
                       registry: RelationRegistry) -> list[EvalRecord]:
     """Score each prediction against the reference at the same position.
 
-    A prediction's "path" and "cot" are strings or absent/None.  A missing,
-    null or unparseable path scores as a miss; the text metrics are None
-    unless both CoTs are non-empty.  Rows are bucketed by the reference
-    path's profile.  Each distinct path text is parsed once; an
-    unparseable reference path raises MalformedInput naming its record.
+    ``references`` are :func:`load_references` pairs.  A prediction's
+    "path" and "cot" are strings or absent/None.  A missing, null or
+    unparseable path scores as a miss; the text metrics are None unless
+    both CoTs are non-empty.  Rows are bucketed by the reference path's
+    profile.  A prediction path that is also a reference path is not
+    parsed again, and each other distinct path text is parsed once.
     """
-    @lru_cache(maxsize=None)  # one parse per distinct path text
-    def program(text: str) -> PathProgram | None:
-        try:
-            return parse_path(text, registry)
-        except TitanError:  # None, not the error: each raise of it grows its traceback
-            return None
-
-    @lru_cache(maxsize=None)  # once per path text; a bad one is parsed again, to raise
-    def reference(text: str) -> tuple[PathProgram, PathProfile]:
-        ref_program = program(text) or parse_path(text, registry)
-        return ref_program, profile(ref_program)
-
     if len(predictions) != len(references):
         raise TitanError(f"predictions ({len(predictions)}) and dataset "
                          f"({len(references)}) have different lengths")
+    programs: dict[str, PathProgram | None] = {ref.path: p for ref, p in references}
+    profiles = {path: profile(p) for path, p in programs.items()}
     records = []
-    for number, (ref, pred) in enumerate(zip(references, predictions), 1):
-        try:
-            ref_program, ref_profile = reference(ref.path)
-        except TitanError as exc:
-            raise MalformedInput(f"record {number}: {exc}") from exc
-        pred_program = program(pred.get("path") or "")
+    for (ref, ref_program), pred in zip(references, predictions):
+        text = pred.get("path") or ""
+        if text not in programs:
+            try:
+                programs[text] = parse_path(text, registry)
+            except TitanError:
+                programs[text] = None
+        pred_program = programs[text]
         em = 0 if pred_program is None else exact_match(pred_program, ref_program)
         pred_cot = pred.get("cot") or ""
         text_scores = ((rouge_l(pred_cot, ref.cot), rouge_1(pred_cot, ref.cot),
                         bleu(pred_cot, ref.cot)) if pred_cot and ref.cot else ())
-        records.append(EvalRecord(*ref_profile, em, *text_scores))
+        records.append(EvalRecord(*profiles[ref.path], em, *text_scores))
     return records
 
 

@@ -131,7 +131,7 @@ def step_select(graph: KnowledgeGraph, frontier: Frontier,
 def step_exec_common(frontier: Frontier) -> Frontier:
     """Collapse branches to their intersection.
 
-    :class:`PathProgram` places a combiner only right after a select of
+    :class:`PathProgram` places a combiner only last, after a select of
     two names or more, so the frontier has at least two branches here.
     """
     common = set.intersection(*map(set, frontier[1:]))

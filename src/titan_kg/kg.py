@@ -59,7 +59,6 @@ _COUNTRY_MARKERS: tuple[tuple[str, tuple[str, ...]], ...] = (
 _COUNTRY_OF = {m: tag for tag, markers in _COUNTRY_MARKERS for m in markers}
 _COUNTRY_RE = re.compile(r"(?<!\w)({})(?!\w)".format(
     "|".join(map(re.escape, sorted(_COUNTRY_OF, key=len, reverse=True)))))
-_COUNTRY_RANK = {tag: i for i, (tag, _) in enumerate(_COUNTRY_MARKERS)}
 
 
 class RawStixObject(NamedTuple):
@@ -146,6 +145,8 @@ def parse_stix_bundle(text: str) -> list[RawStixObject]:
         obj_id = item.get("id")
         if not isinstance(obj_type, str) or not isinstance(obj_id, str) or not obj_id:
             raise MalformedBundle(f"object #{i} lacks a usable type/id")
+        if "\t" in obj_id or "\n" in obj_id or "\r" in obj_id:  # the snapshot's framing
+            raise MalformedBundle(f"object #{i} id {obj_id!r} holds a tab or line break")
         get = item.get
         aliases = _as_str_tuple(get("aliases")) + _as_str_tuple(get("x_mitre_aliases"))
         # Positional, in field order: with keywords the call takes about
@@ -187,11 +188,9 @@ def _decode_field(text: str):
     return value
 
 
-def _country_tags(*fields: str) -> list[str]:
-    """Tags whose markers occur as whole words in a folded field, in the
-    marker table's order."""
-    found = {_COUNTRY_OF[m] for field in fields for m in _COUNTRY_RE.findall(fold(field))}
-    return sorted(found, key=_COUNTRY_RANK.__getitem__)
+def _country_tags(*fields: str) -> set[str]:
+    """Tags whose markers occur as whole words in a folded field."""
+    return {_COUNTRY_OF[m] for field in fields for m in _COUNTRY_RE.findall(fold(field))}
 
 
 @lru_cache(maxsize=256)

@@ -95,11 +95,10 @@ def test_census_full_output(snapshot, capsys):
 
 
 def test_census_with_expected_table_full_output(snapshot, tmp_path, capsys):
-    # Rows follow the census order; comments, blank lines and unknown kinds
-    # in the expected table are skipped.
+    # Rows follow the census order; comments, blank lines and kinds the
+    # expected table leaves out are skipped.
     expected = tmp_path / "expected.tsv"
-    expected.write_text("# kind<TAB>count\nnodes\t20\n\nmalware\t4\nasset\t2\nbogus\t9\n",
-                        "utf-8")
+    expected.write_text("# kind<TAB>count\nnodes\t20\n\nmalware\t4\nasset\t2\n", "utf-8")
     assert main(["census", "--snapshot", str(snapshot), "--expected", str(expected)]) == 0
     assert capsys.readouterr().out == (
         "kind                actual  expected  delta%\n"
@@ -107,6 +106,17 @@ def test_census_with_expected_table_full_output(snapshot, tmp_path, capsys):
         "asset                    2         2     0.0\n"
         "nodes                   21        20     5.0\n"
     )
+
+
+def test_ingest_rejects_an_id_that_would_break_the_snapshot(tmp_path, capsys):
+    # Ids are written raw, so a tab in one would make a snapshot no load accepts.
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text('[{"type": "malware", "id": "malware--a\\tb", "name": "Tabby"}]', "utf-8")
+    out = tmp_path / "g.snap"
+    assert main(["ingest", str(bundle), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"MalformedBundle: {bundle} object #0 id 'malware--a\\tb' holds a tab or line break\n")
+    assert not out.exists()
 
 
 def test_ingest_deterministic_snapshot_bytes(tmp_path):
@@ -770,8 +780,8 @@ def test_eval_malformed_dataset_is_one_line_error(tmp_path, capsys, line):
 
 
 def test_eval_unparseable_reference_path_names_file_and_record(tmp_path, capsys):
-    # The first prediction holds the bad path too, so it is parsed (and
-    # fails) as a prediction before the reference on record 2 reads it.
+    # The first prediction holds the bad path too; the reference on line 2
+    # is what fails, as the dataset is read.
     dataset = tmp_path / "refs.jsonl"
     dataset.write_text('{"question": "a", "path": "is_malware_type"}\n'
                        '{"question": "b", "path": "<PATH> bogus_rel </PATH>"}\n', "utf-8")
@@ -805,6 +815,32 @@ def test_census_expected_table_records_end_at_newline_only(snapshot, tmp_path, c
         "kind                actual  expected  delta%\n"
         "malware                  4         4     0.0\n"
     )
+
+
+def test_census_delta_against_an_expected_zero(tmp_path, capsys):
+    # 0 of 0 expected is no drift; 1 of 0 expected is infinite drift.
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text('[{"type": "malware", "id": "malware--m", "name": "M"}]', "utf-8")
+    snap = tmp_path / "g.snap"
+    assert main(["ingest", str(bundle), "--out", str(snap)]) == 0
+    expected = tmp_path / "expected.tsv"
+    expected.write_text("malware\t0\ntool\t0\n", "utf-8")
+    capsys.readouterr()
+    assert main(["census", "--snapshot", str(snap), "--expected", str(expected)]) == 0
+    assert capsys.readouterr().out == (
+        "kind                actual  expected  delta%\n"
+        "malware                  1         0     inf\n"
+        "tool                     0         0     0.0\n"
+    )
+
+
+def test_census_expected_unknown_key_is_one_line_error(snapshot, tmp_path, capsys):
+    expected = tmp_path / "expected.tsv"
+    expected.write_text("malware\t4\n# a comment\nbogus\t3\n", "utf-8")
+    code = main(["census", "--snapshot", str(snapshot), "--expected", str(expected)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"MalformedInput: {expected} line 3: unknown census key 'bogus'\n")
 
 
 def test_census_snapshot_directory_is_one_line_error(tmp_path, capsys):

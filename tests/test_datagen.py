@@ -301,7 +301,7 @@ def test_cot_single_seed_program(registry):
 
 
 def test_generate_dataset_deterministic(fixture_graph, registry, core_templates):
-    config = DatasetConfig(rng_seed=42, max_per_template=None, test_fraction=0.25)
+    config = DatasetConfig(rng_seed=42, max_per_template=10**9, test_fraction=0.25)
     first, table_one = generate_dataset(core_templates, fixture_graph, config, registry)
     second, table_two = generate_dataset(core_templates, fixture_graph, config, registry)
     assert dataset_to_jsonl(first.train) == dataset_to_jsonl(second.train)
@@ -310,7 +310,7 @@ def test_generate_dataset_deterministic(fixture_graph, registry, core_templates)
 
 
 def test_split_has_no_overlapping_combinations(fixture_graph, registry, core_templates):
-    config = DatasetConfig(rng_seed=7, max_per_template=None, test_fraction=0.25)
+    config = DatasetConfig(rng_seed=7, max_per_template=10**9, test_fraction=0.25)
     split, _ = generate_dataset(core_templates, fixture_graph, config, registry)
     seen_train = {(s.template_id, s.question) for s in split.train}
     seen_test = {(s.template_id, s.question) for s in split.test}
@@ -319,7 +319,7 @@ def test_split_has_no_overlapping_combinations(fixture_graph, registry, core_tem
 
 
 def test_profile_counts_sum_to_split_sizes(fixture_graph, registry, core_templates):
-    config = DatasetConfig(rng_seed=7, max_per_template=None, test_fraction=0.25)
+    config = DatasetConfig(rng_seed=7, max_per_template=10**9, test_fraction=0.25)
     split, table = generate_dataset(core_templates, fixture_graph, config, registry)
     for samples in (split.train, split.test):
         buckets = {}

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import titan_kg.eval as ev
-from titan_kg.datagen import Sample
+from titan_kg.datagen import Sample, dataset_to_jsonl
 from titan_kg.errors import MalformedInput
 from titan_kg.eval import (
     EvalRecord,
@@ -21,6 +21,7 @@ from titan_kg.eval import (
     bleu,
     exact_match,
     load_predictions,
+    load_references,
     rouge_1,
     rouge_l,
     score_predictions,
@@ -201,6 +202,10 @@ def _sample(path, cot=""):
                   template_id="t", bucket="L1", operators=())
 
 
+def _references(samples, registry):
+    return load_references(dataset_to_jsonl(samples), registry)
+
+
 def test_score_predictions_parses_each_distinct_path_once(registry, monkeypatch):
     calls = Counter()
 
@@ -210,7 +215,8 @@ def test_score_predictions_parses_each_distinct_path_once(registry, monkeypatch)
 
     monkeypatch.setattr(ev, "parse_path", counted)
     bogus = "<PATH> bogus_rel </PATH>"
-    references = [_sample("is_malware_type"), _sample("uses_malware")] * 3
+    references = _references([_sample("is_malware_type"), _sample("uses_malware")] * 3,
+                             registry)
     predictions = [{"path": bogus}, {"path": "uses_malware"}] * 3
     records = score_predictions(references, predictions, registry)
     assert [r.em for r in records] == [0, 1] * 3
@@ -223,9 +229,22 @@ def test_score_predictions_calls_the_scorers_by_module_name(registry, monkeypatc
     monkeypatch.setattr(ev, "rouge_l", lambda cand, ref: 0.25)
     monkeypatch.setattr(ev, "rouge_1", lambda cand, ref: 0.5)
     monkeypatch.setattr(ev, "bleu", lambda cand, ref: 0.75)
-    [record] = score_predictions([_sample("uses_malware", cot="a b")],
+    [record] = score_predictions(_references([_sample("uses_malware", cot="a b")], registry),
                                  [{"path": "uses_malware", "cot": "a c"}], registry)
     assert (record.em, record.rouge_l, record.rouge_1, record.bleu) == (1, 0.25, 0.5, 0.75)
+
+
+def test_scoring_a_row_counts_the_clipped_unigrams_once(monkeypatch):
+    # ROUGE-1 and BLEU's order-1 precision read one count: a row whose
+    # candidate fills all four BLEU orders makes one call per order.
+    calls = []
+    clipped = ev._clipped
+    monkeypatch.setattr(ev, "_clipped", lambda cand, ref: calls.append(1) or clipped(cand, ref))
+    _coded.cache_clear()
+    cand, ref = "uses the malware loader", "the malware uses a loader"
+    for metric in (rouge_l, rouge_1, bleu):
+        metric(cand, ref)
+    assert len(calls) == 4
 
 
 def _record(bucket, em, operators=(), **metrics):

@@ -113,6 +113,14 @@ def test_graph_rejects_node_with_empty_name():
         KnowledgeGraph([Node("malware--m", "", EntityKind.MALWARE)], [])
 
 
+@pytest.mark.parametrize("char", ["\t", "\n", "\r"], ids=["tab", "lf", "cr"])
+def test_object_id_with_snapshot_framing_is_malformed(char):
+    doc = json.dumps([{"type": "malware", "id": "malware--m", "name": "M"},
+                      {"type": "tool", "id": f"tool--a{char}b", "name": "T"}])
+    with pytest.raises(MalformedBundle, match=r"^object #1 id 'tool--a\\[tnr]b' holds a tab"):
+        parse_stix_bundle(doc)
+
+
 def test_object_without_id_is_malformed():
     with pytest.raises(MalformedBundle):
         parse_stix_bundle(json.dumps({"objects": [{"type": "malware"}]}))
@@ -329,13 +337,13 @@ def test_country_tags_from_descriptions(fixture_graph):
 
 
 def test_country_tags_are_whole_words_per_field():
-    assert _country_tags("A loader that drops Piranha.") == []
-    assert _country_tags("Targets firms in Indiana.") == []
-    assert _country_tags("A crew based in the north", "Korea Team") == []
-    assert _country_tags("united statesouth korea") == []
-    assert _country_tags("pakistanindia") == []
-    assert _country_tags("Works for the U.S. government.") == ["united states"]
-    assert _country_tags("A North\n Korean crew", "Iranian") == ["iran", "north korea"]
+    assert _country_tags("A loader that drops Piranha.") == set()
+    assert _country_tags("Targets firms in Indiana.") == set()
+    assert _country_tags("A crew based in the north", "Korea Team") == set()
+    assert _country_tags("united statesouth korea") == set()
+    assert _country_tags("pakistanindia") == set()
+    assert _country_tags("Works for the U.S. government.") == {"united states"}
+    assert _country_tags("A North\n Korean crew", "Iranian") == {"iran", "north korea"}
 
 
 def test_link_entities_single_name(fixture_graph):

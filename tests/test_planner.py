@@ -82,7 +82,7 @@ def small_dataset(request):
     registry = request.getfixturevalue("registry")
     core_templates = request.getfixturevalue("core_templates")
     split, _ = generate_dataset(core_templates, fixture_graph,
-                                DatasetConfig(rng_seed=5, max_per_template=None,
+                                DatasetConfig(rng_seed=5, max_per_template=10**9,
                                               test_fraction=0.25), registry)
     return split
 
