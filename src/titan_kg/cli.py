@@ -53,8 +53,10 @@ def _load(path: str, reader):
 
 def _census_table(text: str) -> dict[str, int]:
     """An expected-census table: ``key<TAB>count`` records, ``#`` comments;
-    a key is a kind token, ``nodes`` or ``edges``."""
-    def row(line: str) -> tuple[str, int]:
+    a key is a kind token, ``nodes`` or ``edges``, given once with a count >= 0."""
+    table: dict[str, int] = {}
+
+    def row(line: str) -> None:
         try:
             key, count = line.split("\t")
             count = int(count)
@@ -62,8 +64,13 @@ def _census_table(text: str) -> dict[str, int]:
             raise ValueError(f"expected kind<TAB>count, got {line!r}") from exc
         if key not in KIND_BY_TOKEN and key not in ("nodes", "edges"):
             raise ValueError(f"unknown census key {key!r}")
-        return key, count
-    return dict(datagen.read_records(text, row, comments=True))
+        if key in table:
+            raise ValueError(f"census key {key!r} given twice")
+        if count < 0:
+            raise ValueError(f"census key {key!r} has a negative count {count}")
+        table[key] = count
+    datagen.read_records(text, row, comments=True)
+    return table
 
 
 def cmd_ingest(args) -> int:

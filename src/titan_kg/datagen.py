@@ -304,9 +304,7 @@ def instantiate_template(
     for combo in _candidate_bindings(template, graph, rng, config.max_per_template):
         binding = {token: graph.node(nid).name
                    for token, nid in zip(template.placeholders, combo)}
-        question = template.text
-        for token, name in binding.items():
-            question = question.replace(token, name)
+        question = _PLACEHOLDER.sub(lambda m: binding[m.group(0)], template.text)
         start_names = (binding[template.start_slot],) if template.start_slot else ()
         try:
             program = _substitute_path(template.typed_path.program, binding)

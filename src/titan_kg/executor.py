@@ -177,10 +177,8 @@ def execute(
     frontier: Frontier = (start_ranks,)
     trace: list[StepRecord] = []
     for step in typed_program.steps:
-        inputs = frontier
-        if isinstance(step, TypeSeed):
-            pass  # the frontier is already the kind extent
-        elif isinstance(step, Traverse):
+        inputs = frontier  # a type seed leaves the start's kind extent as it is
+        if isinstance(step, Traverse):
             frontier = tuple(graph.successor_ranks(branch, step.rel) for branch in inputs)
         elif isinstance(step, Filter):
             frontier = step_filter(graph, frontier, step.keyword)
@@ -190,8 +188,6 @@ def execute(
             frontier = step_exec_common(frontier)
         elif isinstance(step, ExecDifference):
             frontier = step_exec_difference(frontier)
-        else:
-            raise TypeError(f"not a path step: {step!r}")
         trace.append(StepRecord(
             step=step, input_sizes=tuple(map(len, inputs)),
             output_sizes=tuple(map(len, frontier)),

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import ClassVar, NamedTuple, Union
+from typing import ClassVar, NamedTuple, Union, get_args
 
 from .errors import (
     MalformedOperator,
@@ -102,6 +102,7 @@ class ExecDifference:
 
 
 PathStep = Union[TypeSeed, Traverse, Filter, Select, ExecCommon, ExecDifference]
+_STEP_CLASSES = get_args(PathStep)  # isinstance is several times faster on these than on the Union
 
 _SEEDS = {seed.token: seed for seed in map(TypeSeed, EntityKind)}
 _COMBINERS = {cls.token: cls for cls in (ExecCommon, ExecDifference)}
@@ -114,9 +115,9 @@ OPERATOR_BUCKETS = tuple(cls.token for cls in (Filter, Select, ExecCommon, ExecD
 class PathProgram:
     """A structurally valid sequence of path steps.
 
-    Construction enforces: non-empty; a type seed only as the first step;
-    at most one select; at most one of exec_common/exec_difference, only
-    as the final step, and only after a select.
+    Construction enforces: non-empty; each member one of the step classes;
+    a type seed only as the first step; at most one select; at most one of
+    exec_common/exec_difference, only as the final step, and only after a select.
     """
 
     steps: tuple[PathStep, ...]
@@ -126,6 +127,8 @@ class PathProgram:
             raise PathSyntaxError("empty program")
         select_seen = False
         for i, step in enumerate(self.steps):
+            if not isinstance(step, _STEP_CLASSES):
+                raise TypeError(f"not a path step: {step!r}")
             if isinstance(step, TypeSeed) and i != 0:
                 raise OperatorPlacementError(
                     f"type seed must be the first step (found at step {i + 1})")
@@ -180,8 +183,6 @@ def _parse_segment(segment: str, registry: RelationRegistry) -> PathStep:
             raise PathSyntaxError(f"unexpected tokens after {head!r}: {rest!r}")
         return _SEEDS[head]
     if head == Filter.token:
-        if not rest:
-            raise MalformedOperator("filter requires a keyword")
         return Filter(" ".join(rest.split()))
     if head == Select.token:
         return Select(tuple(split_names(rest)))
@@ -243,9 +244,7 @@ def render_segment(step: PathStep) -> str:
         return f"{step.token} {step.keyword}"
     if isinstance(step, Select):
         return f"{step.token} " + " ".join(_render_name(n) for n in step.names)
-    if isinstance(step, (TypeSeed, ExecCommon, ExecDifference)):
-        return step.token
-    raise TypeError(f"not a path step: {step!r}")
+    return step.token  # a type seed or a combiner
 
 
 def render_path(program: PathProgram, form: str = "token") -> str:

@@ -843,6 +843,17 @@ def test_census_expected_unknown_key_is_one_line_error(snapshot, tmp_path, capsy
         f"MalformedInput: {expected} line 3: unknown census key 'bogus'\n")
 
 
+@pytest.mark.parametrize("table, reason", [
+    ("malware\t4\nmalware\t9\n", "census key 'malware' given twice"),
+    ("malware\t4\ntool\t-2\n", "census key 'tool' has a negative count -2"),
+], ids=["repeated-key", "negative-count"])
+def test_census_expected_bad_row_is_one_line_error(snapshot, tmp_path, capsys, table, reason):
+    expected = tmp_path / "expected.tsv"
+    expected.write_text(table, "utf-8")
+    assert main(["census", "--snapshot", str(snapshot), "--expected", str(expected)]) == 1
+    assert capsys.readouterr() == ("", f"MalformedInput: {expected} line 2: {reason}\n")
+
+
 def test_census_snapshot_directory_is_one_line_error(tmp_path, capsys):
     code = main(["census", "--snapshot", str(tmp_path)])
     assert code == 1

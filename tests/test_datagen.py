@@ -180,6 +180,24 @@ def test_instantiate_select_template(fixture_graph, registry):
     assert sample.operators == ("exec_difference", "select")
 
 
+def test_bound_name_holding_a_placeholder_is_not_substituted_again(registry, core_templates):
+    # The first name holds the second slot's placeholder text, which the
+    # question keeps as written.
+    graph = build_graph(parse_stix_bundle(json.dumps([
+        {"type": "malware", "id": "malware--e", "name": "Evil [malware:2]"},
+        {"type": "malware", "id": "malware--g", "name": "Good"},
+        {"type": "attack-pattern", "id": "attack-pattern--t", "name": "T"},
+        *({"type": "relationship", "id": f"relationship--{m}", "relationship_type": "uses",
+           "source_ref": f"malware--{m}", "target_ref": "attack-pattern--t"} for m in "eg"),
+    ])), registry)
+    template = _template(core_templates, "common-techniques")
+    samples = instantiate_template(template, graph, DatasetConfig(), registry)
+    by_path = {s.path: s.question for s in samples}
+    assert by_path['<PATH> is_malware_type <SEP> select "Evil [malware:2]" Good <SEP> '
+                   'uses_attack_pattern <SEP> exec_common </PATH>'] == (
+        "Which techniques do the malware Evil [malware:2] and Good share?")
+
+
 @pytest.fixture(scope="module")
 def shared_name_graph(registry):
     """The fixture with tool PsExec renamed to Sys10, a malware's name."""

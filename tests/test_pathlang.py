@@ -220,7 +220,10 @@ def test_profile_single_seed():
     (lambda: PathProgram(()), PathSyntaxError, "empty program"),
     (lambda: render_path(PathProgram((TypeSeed(EntityKind.MALWARE),)), "bogus"), ValueError,
      "unknown form 'bogus' (expected 'token' or 'display')"),
-], ids=["blank-filter", "blank-select-name", "empty-program", "unknown-render-form"])
+    (lambda: PathProgram(("uses_attack_pattern",)), TypeError,
+     "not a path step: 'uses_attack_pattern'"),
+], ids=["blank-filter", "blank-select-name", "empty-program", "unknown-render-form",
+        "non-step-member"])
 def test_direct_construction_refusals(make, error, message):
     with pytest.raises(error) as err:
         make()
