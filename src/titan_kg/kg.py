@@ -18,6 +18,7 @@ import re
 import string
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import MalformedBundle, UnknownSignature
@@ -79,8 +80,9 @@ class RawStixObject(NamedTuple):
     data_source_ref: str = ""
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
+    """One graph entity: an immutable record with no per-instance dict."""
+
     id: str
     name: str
     kind: EntityKind
@@ -202,9 +204,12 @@ def _asset_id(platform: str) -> str:
 class KnowledgeGraph:
     """Immutable typed multigraph of CTI entities.
 
-    Iteration orders are deterministic: nodes sort by (kind, name, id)
-    and out-edge target lists are pre-sorted the same way, so repeated
-    builds from the same input export byte-identical snapshots.
+    The one edge store is ``_adjacency``: relation -> source rank -> the
+    ascending distinct target ranks, where ranks number the nodes in
+    (kind, name, id) order.  The edge list, its count and the snapshot
+    are derived from it in (source id, relation, target id) order, so
+    graphs built from the same nodes and edges, in any order and with
+    repeats, export byte-identical snapshots.
     """
 
     def __init__(self, nodes: Iterable[Node], edges: Iterable[tuple[str, str, str]],
@@ -216,10 +221,6 @@ class KnowledgeGraph:
             if not node.name:
                 raise ValueError(f"node {node.id!r} has an empty name")
             self._nodes[node.id] = node
-
-        # Sort, then drop duplicates: a snapshot's edges arrive sorted, which
-        # Timsort passes in linear time; a set would hand it hash order.
-        self._edges: tuple[tuple[str, str, str], ...] = tuple(dict.fromkeys(sorted(edges)))
         self.skipped = skipped
 
         # Every id's rank in (kind, name, id) order (the keys end in the
@@ -228,24 +229,28 @@ class KnowledgeGraph:
             key[2] for key in sorted(node.sort_key for node in self._nodes.values()))
         rank = self._rank = {nid: i for i, nid in enumerate(self._order)}
         self.nodes_by_rank: tuple[Node, ...] = tuple(map(self._nodes.__getitem__, self._order))
-        # relation -> source rank -> ascending target ranks.  The edges are
-        # sorted, so the edges of one (source, relation) pair are one run.
+        # One pass gathers each (relation, source) run's targets in the order
+        # they come; an edge of the same pair as the last one skips the run
+        # lookup.  Then each run is sorted once and its repeats dropped.
         adjacency: dict[str, list] = {}
-        runs: list[list[int]] = []
+        runs: list[tuple[list, int]] = []  # each run's relation list and source rank
         last_src = last_rel = None
-        try:
-            for src, rel, dst in self._edges:
-                if rel != last_rel or src != last_src:
+        for src, rel, dst in edges:
+            try:
+                if src != last_src or rel != last_rel:
                     last_src, last_rel = src, rel
                     targets = adjacency.get(rel) or adjacency.setdefault(rel, [()] * len(rank))
-                    runs.append(run := [])
-                    targets[rank[src]] = run
+                    if not (run := targets[source := rank[src]]):
+                        run = targets[source] = []
+                        runs.append((targets, source))
                 run.append(rank[dst])
-        except KeyError:
-            src, rel, dst = next(e for e in self._edges if e[0] not in rank or e[2] not in rank)
-            raise ValueError(f"edge ({src}, {rel}, {dst}) references a missing node") from None
-        for run in runs:
-            run.sort()
+            except KeyError:
+                raise ValueError(f"edge ({src}, {rel}, {dst}) references a missing node") from None
+        edge_count = 0
+        for targets, source in runs:
+            run = targets[source] = tuple(sorted(set(targets[source])))
+            edge_count += len(run)
+        self._edge_count = edge_count
         self._adjacency = adjacency
         # Walking the nodes in rank order keeps every index sorted.
         by_kind: dict[EntityKind, list[int]] = {kind: [] for kind in EntityKind}
@@ -298,8 +303,19 @@ class KnowledgeGraph:
         """Node ids whose name or alias equals ``name`` under :func:`fold`."""
         return self._name_index.get(fold(name), ())
 
+    def _id_runs(self) -> Iterator[tuple[str, str, list[str]]]:
+        """(source id, relation, ascending target ids) of every run, in
+        (source id, relation) order; a pair holds one run, so the sort never
+        compares the rank lists."""
+        order = self._order
+        for src, rel, targets in sorted(
+                run for rel, targets in self._adjacency.items()
+                for run in compress(zip(order, repeat(rel), targets), targets)):
+            yield src, rel, sorted(map(order.__getitem__, targets))
+
     def all_edges(self) -> Iterator[tuple[str, str, str]]:
-        return iter(self._edges)
+        """Every directed edge, in (source id, relation, target id) order."""
+        return ((src, rel, dst) for src, rel, dsts in self._id_runs() for dst in dsts)
 
     @property
     def node_count(self) -> int:
@@ -307,7 +323,7 @@ class KnowledgeGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return self._edge_count
 
     def sort_ids(self, ids: Iterable[str]) -> tuple[str, ...]:
         """Distinct ids in (kind, name, id) order."""
@@ -325,7 +341,9 @@ class KnowledgeGraph:
             lines.append(f"NODE\t{n.id}\t{n.kind.value}\t{quote(n.name)}"
                          f"\t[{', '.join(map(quote, n.aliases))}]"
                          f"\t[{', '.join(map(quote, n.tags))}]\t{quote(n.description)}")
-        lines.extend(f"EDGE\t{src}\t{rel}\t{dst}" for src, rel, dst in self._edges)
+        # One chunk of lines per run, each line led by the run's prefix.
+        lines.extend(f"EDGE\t{src}\t{rel}\t" + f"\nEDGE\t{src}\t{rel}\t".join(dsts)
+                     for src, rel, dsts in self._id_runs())
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -338,13 +356,14 @@ class KnowledgeGraph:
         if lines[0] != SNAPSHOT_HEADER:
             raise MalformedBundle("not a graph snapshot (bad header line)")
         nodes: list[Node] = []
-        edges: list[tuple[str, str, str]] = []
+        edge_lines: list[str] = []
         for lineno, line in enumerate(lines[1:], 2):
+            if line.startswith("EDGE\t") and line.count("\t") == 3:
+                edge_lines.append(line)
+                continue
             parts = line.split("\t")
             try:
-                if parts[0] == "EDGE" and len(parts) == 4:
-                    edges.append((parts[1], parts[2], parts[3]))
-                elif parts[0] == "NODE" and len(parts) == 7:
+                if parts[0] == "NODE" and len(parts) == 7:
                     _, nid, kind, name, aliases, tags, desc = parts
                     name, aliases, tags, desc = (_decode_field(name), _decode_field(aliases),
                                                  _decode_field(tags), _decode_field(desc))
@@ -360,8 +379,13 @@ class KnowledgeGraph:
                     raise ValueError("unrecognized record")
             except (ValueError, KeyError) as exc:
                 raise MalformedBundle(f"snapshot line {lineno}: {exc}") from exc
+        # Every EDGE line holds four fields, so one split of them all reads
+        # (EDGE, src, rel, dst) at each fourth field: no tuple per edge.  The
+        # lines go before the graph is built, which lowers the load's peak.
+        fields = "\t".join(edge_lines).split("\t")
+        del lines, edge_lines
         try:
-            return cls(nodes, edges)
+            return cls(nodes, zip(fields[1::4], fields[2::4], fields[3::4]))
         except ValueError as exc:
             raise MalformedBundle(f"snapshot: {exc}") from exc
 

@@ -1,8 +1,11 @@
+import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -478,3 +481,126 @@ def test_snapshot_nodes_in_sort_key_order(fixture_graph):
                 if line.startswith("NODE\t")]
     assert node_ids == sorted(node_ids, key=lambda n: fixture_graph.node(n).sort_key)
     assert len(node_ids) == FIXTURE_NODES
+
+
+# --- the edge store: one set of runs, whatever order the edges arrive in ---
+
+def test_loaded_graph_keeps_no_per_edge_store(scale_graph):
+    # A directed edge costs one target rank in its run, plus its share of the
+    # nodes and indexes.  Measured with CPython 3.10-3.13: 156-172 B an edge
+    # (188 B with the nodes as frozen dataclasses); a tuple per edge, even of
+    # shared strings, takes it to 229-244 B, and the string triples of old
+    # to 421-472 B.
+    text = scale_graph.export_snapshot()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        graph = KnowledgeGraph.load_snapshot(text)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert graph.edge_count == scale_graph.edge_count == 2156
+    assert retained / graph.edge_count < 210
+
+
+def test_graph_from_a_one_shot_generator_of_shuffled_repeated_edges(scale_graph, registry):
+    import random
+
+    nodes = list(scale_graph.nodes_by_rank)
+    edges = list(scale_graph.all_edges())
+    assert edges == sorted(set(edges))
+    rng = random.Random(5)
+    messy = edges + rng.sample(edges, 500) + edges[:3] * 4
+    rng.shuffle(messy)
+    rng.shuffle(nodes)
+    graph = KnowledgeGraph(iter(nodes), (edge for edge in messy))
+    canonical = KnowledgeGraph(scale_graph.nodes_by_rank, edges)
+    assert list(graph.all_edges()) == list(canonical.all_edges()) == edges
+    assert graph.edge_count == canonical.edge_count == len(edges)
+    assert graph.export_snapshot() == canonical.export_snapshot()
+    for rel in sorted({sig.name for sig in registry.signatures}) + ["bogus_rel"]:
+        for rank in range(graph.node_count):
+            assert graph.successor_ranks((rank,), rel) == canonical.successor_ranks((rank,), rel)
+    # The store itself holds each run ascending and distinct.
+    for rel, targets in graph._adjacency.items():
+        assert [tuple(run) for run in targets] == [
+            graph.successor_ranks((rank,), rel) for rank in range(graph.node_count)]
+
+
+# A malware node that uses a technique, with the reverse edge.
+TWO_NODES = (Node("malware--x", "X", EntityKind.MALWARE),
+             Node("attack-pattern--y", "Y", EntityKind.ATTACK_PATTERN))
+TWO_EDGES = (("malware--x", "uses_attack_pattern", "attack-pattern--y"),
+             ("attack-pattern--y", "used_by_malware", "malware--x"))
+
+
+@pytest.mark.parametrize("edge", [
+    ("malware--x", "uses_attack_pattern", "attack-pattern--gone"),
+    ("malware--gone", "uses_attack_pattern", "attack-pattern--y"),
+], ids=["target", "source"])
+def test_edge_to_a_missing_node_is_named(edge):
+    message = f"edge ({', '.join(edge)}) references a missing node"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        KnowledgeGraph(TWO_NODES, (e for e in [*TWO_EDGES, edge]))
+    snapshot = KnowledgeGraph(TWO_NODES, TWO_EDGES).export_snapshot() + "EDGE\t" + "\t".join(edge) + "\n"
+    with pytest.raises(MalformedBundle, match=f"^snapshot: {re.escape(message)}$"):
+        KnowledgeGraph.load_snapshot(snapshot)
+
+
+@pytest.mark.parametrize("bad, lineno", [
+    (["EDGE\ta\tb"], 6),
+    (["EDGE\ta\tb\tc\td"], 6),
+    (["EDGE"], 6),
+    (["EDGE\tmalware--x\tuses_attack_pattern\tattack-pattern--y\tEDGE", "EDGE\ta\tb"], 6),
+    (["EDGE\tmalware--x\tuses_attack_pattern", "EDGE\tattack-pattern--y\tx\ty\tz"], 6),
+    (["", "EDGE\ta\tb\tc\t"], 7),
+], ids=["three-fields", "five-fields", "bare", "five-then-three", "three-then-five",
+        "trailing-tab"])
+def test_edge_record_with_a_wrong_field_count_names_its_line(bad, lineno):
+    header, *records = KnowledgeGraph(TWO_NODES, TWO_EDGES).export_snapshot().splitlines()
+    # Header, two NODE records, two EDGE records, then the bad lines.
+    text = "\n".join([header, *records, *bad, records[-1]]) + "\n"
+    with pytest.raises(MalformedBundle, match=f"^snapshot line {lineno}: unrecognized record$"):
+        KnowledgeGraph.load_snapshot(text)
+
+
+# --- Node: an immutable record of six fields ---
+
+def test_node_fields_in_order_with_defaults():
+    node = Node("tool--t", "Tee", EntityKind.TOOL, ("t",), "desc", ("tag",))
+    assert (node.id, node.name, node.kind, node.aliases, node.description, node.tags) == (
+        "tool--t", "Tee", EntityKind.TOOL, ("t",), "desc", ("tag",))
+    assert node == Node(id="tool--t", name="Tee", kind=EntityKind.TOOL, aliases=("t",),
+                        description="desc", tags=("tag",))
+    bare = Node("tool--t", "Tee", EntityKind.TOOL)
+    assert (bare.aliases, bare.description, bare.tags) == ((), "", ())
+    assert repr(bare) == ("Node(id='tool--t', name='Tee', kind=<EntityKind.TOOL: 'tool'>, "
+                          "aliases=(), description='', tags=())")
+
+
+def test_node_equality_and_hash_follow_every_field():
+    fields = ("tool--t", "Tee", EntityKind.TOOL, ("t",), "desc", ("tag",))
+    others = ("tool--u", "Tea", EntityKind.MALWARE, ("u",), "other", ("gat",))
+    node = Node(*fields)
+    assert node == Node(*fields) and hash(node) == hash(Node(*fields))
+    assert len({node, Node(*fields)}) == 1
+    for i, other in enumerate(others):
+        changed = Node(*fields[:i], other, *fields[i + 1:])
+        assert node != changed and not node == changed
+
+
+@pytest.mark.parametrize("field", ["id", "name", "kind", "aliases", "description", "tags",
+                                   "extra"])
+def test_node_is_immutable(field):
+    node = Node("tool--t", "Tee", EntityKind.TOOL)
+    assert not hasattr(node, "__dict__")
+    with pytest.raises(AttributeError):
+        setattr(node, field, "x")
+    assert node == Node("tool--t", "Tee", EntityKind.TOOL)
+
+
+def test_node_sort_key():
+    node = Node("tool--t", "Straße Tee", EntityKind.TOOL)
+    assert node.sort_key == ("tool", "strasse tee", "tool--t")

@@ -24,10 +24,11 @@ either raises or yields a graph in which every edge fits a signature, meets
 its target kind and has its reverse, leniently and under strict mode.
 
 Snapshot load is checked on the fixture graph's snapshot: any order of its
-records, with repeated EDGE lines, loads to the same graph, and a mutated
-snapshot either loads or raises a ``TitanError``.  Its value-field decoder
-is checked against ``json.loads`` on dumped JSON values, padded, truncated
-or followed by junk or a second value.
+records, with repeated EDGE lines and blank lines, loads to the same graph
+and edge count, and a mutated snapshot either loads or raises a
+``TitanError``.  Its value-field decoder is checked against ``json.loads``
+on dumped JSON values, padded, truncated or followed by junk or a second
+value.
 
 Path text is checked on text glued from the path and planner markers, near
 misses of them, quotes, whitespace and any other character: every program
@@ -36,6 +37,10 @@ and planner output either parses or raises ``UnparseablePlan``.
 
 Path exact match is checked against the folded key of the oracle on
 program pairs whose filter keywords and select names differ only in case.
+
+A filter is checked against the fold rule on node text and keywords glued
+from mixed-case words, letters whose casefold expands (ß) and whitespace
+runs of spaces, tabs, NBSP and U+2028, one word or several.
 
 Entity linking is checked against a scan of every span from every word on
 graphs whose names and aliases share first words, run up to twelve words,
@@ -61,7 +66,7 @@ from titan_kg.errors import (
     UnparseablePlan,
 )
 from titan_kg.eval import _lcs_length, bleu, exact_match, rouge_1, rouge_l
-from titan_kg.executor import execute
+from titan_kg.executor import execute, step_filter
 from titan_kg.kg import (
     _COUNTRY_MARKERS,
     KnowledgeGraph,
@@ -401,9 +406,12 @@ def test_ingest_builds_only_typed_edges_with_reverses(bundle):
 @given(data=st.data())
 def test_snapshot_loads_in_any_order_with_repeated_edges(data):
     repeated = data.draw(st.lists(st.sampled_from(EDGE_LINES), max_size=10))
-    records = data.draw(st.permutations(RECORDS + repeated))
+    blank = data.draw(st.lists(st.sampled_from(("", " ", "\t ")), max_size=3))
+    records = data.draw(st.permutations(RECORDS + repeated + blank))
     text = "\n".join([HEADER, *records]) + "\n"
-    assert KnowledgeGraph.load_snapshot(text).export_snapshot() == SNAPSHOT
+    graph = KnowledgeGraph.load_snapshot(text)
+    assert graph.export_snapshot() == SNAPSHOT
+    assert graph.edge_count == len(EDGE_LINES)
 
 
 @given(data=st.data())
@@ -573,3 +581,25 @@ def test_link_entities_matches_span_scan(graph, data):
         st.lists(st.tuples(EDGE, piece, EDGE, GLUE), max_size=8)))
     assert ([(m.text, m.start, m.end) for m in link_entities(question, graph)]
             == brute_link_entities(question, names))
+
+
+# Filter text: words whose case, casefold expansion (ß → ss) and whitespace
+# (runs of spaces, a tab, NBSP, U+2028) differ between node and keyword.
+FILTER_WORD = st.sampled_from(("ab", "AB", "Ab", "b", "ss", "Straße", "STRASSE", "x"))
+FILTER_SPACE = st.sampled_from((" ", "  ", "\t", "\xa0", " \xa0 ", "\u2028", "\n"))
+FILTER_TEXT = st.lists(st.tuples(FILTER_SPACE | st.just(""), FILTER_WORD), max_size=4).map(
+    lambda parts: "".join(space + word for space, word in parts))
+
+
+@given(fields=st.lists(st.tuples(FILTER_TEXT, st.lists(FILTER_TEXT, max_size=2),
+                                 st.lists(FILTER_TEXT, max_size=2), FILTER_TEXT),
+                       min_size=1, max_size=4),
+       keyword=st.tuples(FILTER_TEXT, FILTER_SPACE, FILTER_TEXT).map("".join) | FILTER_TEXT)
+def test_filter_agrees_with_the_fold_rule(fields, keyword):
+    graph = KnowledgeGraph([Node(f"malware--{i}", f"N{i}" + name, EntityKind.MALWARE,
+                                 tuple(aliases), description, tuple(tags))
+                            for i, (name, aliases, tags, description) in enumerate(fields)], ())
+    nodes, edges = tables_from_graph(graph)
+    expected = brute_execute(nodes, edges, [("seed", "malware"), ("filter", keyword)])
+    (kept,) = step_filter(graph, (graph.kind_ranks(EntityKind.MALWARE),), keyword)
+    assert set(graph.ids(kept)) == expected
