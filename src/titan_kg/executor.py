@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import (
     MissingStartKind,
@@ -91,21 +91,18 @@ class ExecutionResult:
         return "\n".join(lines) + "\n"
 
 
-def _node_matches(node: Node, needle: str, fold_field: Callable[[str], str]) -> bool:
-    return (needle in fold_field(node.name)
-            or any(needle in fold_field(alias) for alias in node.aliases)
-            or any(needle in fold_field(tag) for tag in node.tags)
-            or needle in fold_field(node.description))
+def _node_matches(node: Node, needle: str) -> bool:
+    return (needle in fold(node.name)
+            or any(needle in fold(alias) for alias in node.aliases)
+            or any(needle in fold(tag) for tag in node.tags)
+            or needle in fold(node.description))
 
 
 def step_filter(graph: KnowledgeGraph, frontier: Frontier, keyword: str) -> Frontier:
     """Keep nodes whose name, an alias, a tag or the description contains
     the keyword, both sides under :func:`~titan_kg.kg.fold`."""
     needle, nodes = fold(keyword), graph.nodes_by_rank
-    # A folded needle without a space holds no whitespace, so it cannot span
-    # a word break: it is in a folded field exactly when in the casefolded one.
-    fold_field = fold if " " in needle else str.casefold
-    return tuple(tuple(rank for rank in branch if _node_matches(nodes[rank], needle, fold_field))
+    return tuple(tuple(rank for rank in branch if _node_matches(nodes[rank], needle))
                  for branch in frontier)
 
 

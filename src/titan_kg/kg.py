@@ -230,19 +230,15 @@ class KnowledgeGraph:
         rank = self._rank = {nid: i for i, nid in enumerate(self._order)}
         self.nodes_by_rank: tuple[Node, ...] = tuple(map(self._nodes.__getitem__, self._order))
         # One pass gathers each (relation, source) run's targets in the order
-        # they come; an edge of the same pair as the last one skips the run
-        # lookup.  Then each run is sorted once and its repeats dropped.
+        # they come.  Then each run is sorted once and its repeats dropped.
         adjacency: dict[str, list] = {}
         runs: list[tuple[list, int]] = []  # each run's relation list and source rank
-        last_src = last_rel = None
         for src, rel, dst in edges:
             try:
-                if src != last_src or rel != last_rel:
-                    last_src, last_rel = src, rel
-                    targets = adjacency.get(rel) or adjacency.setdefault(rel, [()] * len(rank))
-                    if not (run := targets[source := rank[src]]):
-                        run = targets[source] = []
-                        runs.append((targets, source))
+                targets = adjacency.get(rel) or adjacency.setdefault(rel, [()] * len(rank))
+                if not (run := targets[source := rank[src]]):
+                    run = targets[source] = []
+                    runs.append((targets, source))
                 run.append(rank[dst])
             except KeyError:
                 raise ValueError(f"edge ({src}, {rel}, {dst}) references a missing node") from None
