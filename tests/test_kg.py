@@ -89,6 +89,21 @@ def test_parse_relationship_object():
     assert rels[0].relationship_type == "uses"
 
 
+def test_parse_relationship_keeps_only_endpoints_verb_and_flags():
+    doc = json.dumps([
+        {"type": "relationship", "id": "relationship--x", "relationship_type": "uses",
+         "source_ref": "intrusion-set--x", "target_ref": "malware--x", "name": "N",
+         "description": "D", "aliases": ["A"], "labels": ["L"], "x_mitre_platforms": ["Linux"],
+         "x_mitre_data_source_ref": "x-mitre-data-source--y", "revoked": True,
+         "x_mitre_deprecated": True},
+    ])
+    assert parse_stix_bundle(doc) == [
+        RawStixObject(type="relationship", id="relationship--x", revoked=True,
+                      deprecated=True, source_ref="intrusion-set--x",
+                      target_ref="malware--x", relationship_type="uses"),
+    ]
+
+
 def test_truncated_document_is_malformed():
     with pytest.raises(MalformedBundle) as err:
         parse_stix_bundle('{"type": "bundle", "objects": [{"type": "malw')
@@ -199,6 +214,21 @@ def test_keep_revoked_option(fixture_objects, registry):
     graph = build_graph(fixture_objects, registry, drop_revoked=False)
     census = node_census(graph)
     assert census["malware"] == 5
+
+
+@pytest.mark.parametrize("flag", ["revoked", "x_mitre_deprecated"])
+def test_revoked_or_deprecated_relationship_is_left_out(flag, registry):
+    doc = json.dumps([
+        {"type": "malware", "id": "malware--m", "name": "M"},
+        {"type": "attack-pattern", "id": "attack-pattern--t", "name": "T"},
+        {"type": "relationship", "id": "relationship--r", "relationship_type": "uses",
+         "source_ref": "malware--m", "target_ref": "attack-pattern--t", flag: True},
+    ])
+    graph = build_graph(parse_stix_bundle(doc), registry)
+    assert (graph.node_count, graph.edge_count, graph.skipped) == (2, 0, ())
+    kept = build_graph(parse_stix_bundle(doc), registry, drop_revoked=False)
+    assert (kept.edge_count, kept.skipped) == (2, ())
+    assert successors(kept, ("malware--m",), "uses_attack_pattern") == ("attack-pattern--t",)
 
 
 def test_bidirectionality_exhaustive(fixture_graph, registry):
