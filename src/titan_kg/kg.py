@@ -401,7 +401,8 @@ def build_graph(
     malware node is ``uses_malware``), and is paired with that signature's
     reverse.  An edge that fits no signature is collected into
     ``graph.skipped`` when ``lenient``, and raises :class:`UnknownSignature`
-    otherwise.  ``drop_revoked`` leaves out revoked and deprecated objects.
+    otherwise.  ``drop_revoked`` leaves out revoked and deprecated objects,
+    relationships included, without a skip reason.
     """
     registry = registry or build_default_registry()
 
@@ -414,7 +415,8 @@ def build_graph(
     techniques: list[RawStixObject] = []
     for obj in objects:
         if obj.type == "relationship":
-            relationships.append(obj)
+            if not (drop_revoked and (obj.revoked or obj.deprecated)):
+                relationships.append(obj)
             continue
         kind = STIX_TYPE_TO_KIND.get(obj.type)
         if kind is None:
