@@ -18,7 +18,7 @@ import re
 import string
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import compress
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import MalformedBundle, UnknownSignature
@@ -63,7 +63,8 @@ _COUNTRY_RE = re.compile(r"(?<!\w)({})(?!\w)".format(
 
 
 class RawStixObject(NamedTuple):
-    """The slice of a STIX object this package cares about."""
+    """The slice of a STIX object this package cares about.  A relationship
+    keeps only its type, id, endpoints, verb and flags; the rest is empty."""
 
     type: str
     id: str
@@ -91,8 +92,9 @@ class Node(NamedTuple):
     tags: tuple[str, ...] = ()
 
     @property
-    def sort_key(self) -> tuple[str, str, str]:
-        return (self.kind.value, self.name.casefold(), self.id)
+    def sort_key(self) -> tuple[EntityKind, str, str]:
+        # A str enum member sorts as its token, without the slow ``.value``.
+        return (self.kind, self.name.casefold(), self.id)
 
 
 class Census(dict):
@@ -122,8 +124,9 @@ def parse_stix_bundle(text: str) -> list[RawStixObject]:
     """Parse a STIX 2.x bundle document into raw objects.
 
     Accepts the usual ``{"type": "bundle", "objects": [...]}`` document or
-    a bare top-level object list.  Raises :class:`MalformedBundle` with
-    position information for unusable input.
+    a bare top-level object list.  A relationship keeps only what
+    :func:`build_graph` reads of it (see :class:`RawStixObject`).  Raises
+    :class:`MalformedBundle` with position information for unusable input.
     """
     try:
         doc = json.loads(text)
@@ -150,9 +153,15 @@ def parse_stix_bundle(text: str) -> list[RawStixObject]:
         if "\t" in obj_id or "\n" in obj_id or "\r" in obj_id:  # the snapshot's framing
             raise MalformedBundle(f"object #{i} id {obj_id!r} holds a tab or line break")
         get = item.get
-        aliases = _as_str_tuple(get("aliases")) + _as_str_tuple(get("x_mitre_aliases"))
         # Positional, in field order: with keywords the call takes about
         # three times as long.
+        if obj_type == "relationship":  # most of a bundle: keep only what build_graph reads
+            objects.append(RawStixObject(
+                obj_type, obj_id, "", "", (), (), (), bool(get("revoked", False)),
+                bool(get("x_mitre_deprecated", False)), str(get("source_ref") or ""),
+                str(get("target_ref") or ""), str(get("relationship_type") or "")))
+            continue
+        aliases = _as_str_tuple(get("aliases")) + _as_str_tuple(get("x_mitre_aliases"))
         objects.append(RawStixObject(
             obj_type,
             obj_id,
@@ -301,13 +310,16 @@ class KnowledgeGraph:
 
     def _id_runs(self) -> Iterator[tuple[str, str, list[str]]]:
         """(source id, relation, ascending target ids) of every run, in
-        (source id, relation) order; a pair holds one run, so the sort never
-        compares the rank lists."""
-        order = self._order
-        for src, rel, targets in sorted(
-                run for rel, targets in self._adjacency.items()
-                for run in compress(zip(order, repeat(rel), targets), targets)):
-            yield src, rel, sorted(map(order.__getitem__, targets))
+        (source id, relation) order: the sources in id order, and each
+        source's runs in relation-name order."""
+        order, adjacency = self._order, self._adjacency
+        rels: list[list[str]] = [[] for _ in order]  # each source rank's relations
+        for rel in sorted(adjacency):
+            for source in compress(range(len(order)), adjacency[rel]):
+                rels[source].append(rel)
+        for source in sorted(range(len(order)), key=order.__getitem__):
+            for rel in rels[source]:
+                yield order[source], rel, sorted(map(order.__getitem__, adjacency[rel][source]))
 
     def all_edges(self) -> Iterator[tuple[str, str, str]]:
         """Every directed edge, in (source id, relation, target id) order."""
@@ -328,12 +340,11 @@ class KnowledgeGraph:
     # --- snapshot interface ---
 
     def export_snapshot(self) -> str:
-        # One encoder for every string (json.dumps builds one per call);
-        # arrays are joined as json.dumps writes a list of strings.
-        quote = json.JSONEncoder(ensure_ascii=False).encode
+        # What json.dumps(ensure_ascii=False) writes for a string; arrays are
+        # joined as it writes a list of strings.
+        quote = json.encoder.encode_basestring
         lines = [SNAPSHOT_HEADER]
-        for nid in self._order:
-            n = self._nodes[nid]
+        for n in self.nodes_by_rank:
             lines.append(f"NODE\t{n.id}\t{n.kind.value}\t{quote(n.name)}"
                          f"\t[{', '.join(map(quote, n.aliases))}]"
                          f"\t[{', '.join(map(quote, n.tags))}]\t{quote(n.description)}")
@@ -436,12 +447,10 @@ def build_graph(
         tags = {fold(t) for t in (*obj.labels, *obj.platforms)}
         tags.update(_country_tags(obj.description, *obj.aliases))
         tags.discard("")
-        nodes[obj.id] = Node(
-            id=obj.id, name=obj.name, kind=kind,
-            aliases=obj.aliases, description=obj.description, tags=tuple(sorted(tags)),
-        )
+        nodes[obj.id] = Node(obj.id, obj.name, kind, obj.aliases, obj.description,
+                             tuple(sorted(tags)))
 
-    edges: set[tuple[str, str, str]] = set()
+    ends: list[str] = []  # each typed edge's (src, rel, dst), flat
 
     def reject(message: str) -> None:
         if lenient:
@@ -449,16 +458,16 @@ def build_graph(
         else:
             raise UnknownSignature(message)
 
-    def add_edge(what: str, src: Node, verb: str, dst: Node) -> None:
+    def add_edge(origin: str, oid: str, src: Node, verb: str, dst: Node) -> None:
         """``src --verb--> dst`` and its reverse, typed by the registry;
-        ``what`` names the edge's origin in a skip reason."""
+        ``origin`` and ``oid`` name the edge's object in a skip reason."""
         verb = verb.replace("-", "_")
         sig = registry.signature_for_verb(src.kind, verb, dst.kind)
         if sig is None:
-            reject(f"{what}: no signature for ({src.kind.value}, {verb}, {dst.kind.value})")
+            reject(f"{origin} {oid}: no signature for "
+                   f"({src.kind.value}, {verb}, {dst.kind.value})")
             return
-        edges.add((src.id, sig.name, dst.id))
-        edges.add((dst.id, sig.inverse_name, src.id))
+        ends.extend((src.id, sig.name, dst.id, dst.id, sig.inverse_name, src.id))
 
     for obj in relationships:
         if not obj.relationship_type:
@@ -468,14 +477,14 @@ def build_graph(
         if src is None or dst is None:
             skipped.append(f"relationship {obj.id}: endpoint missing or dropped")
             continue
-        add_edge(f"relationship {obj.id}", src, obj.relationship_type, dst)
+        add_edge("relationship", obj.id, src, obj.relationship_type, dst)
 
     # Data source -> data component containment.
     for obj in components:
         if obj.id not in nodes or not obj.data_source_ref:
             continue
         if obj.data_source_ref in nodes:
-            add_edge(f"node {obj.id}", nodes[obj.id], "provided_by", nodes[obj.data_source_ref])
+            add_edge("node", obj.id, nodes[obj.id], "provided_by", nodes[obj.data_source_ref])
         else:
             skipped.append(f"node {obj.id}: data source ref missing or dropped")
 
@@ -486,12 +495,14 @@ def build_graph(
             for platform in obj.platforms:
                 asset_id = _asset_id(platform)
                 if asset_id not in nodes:
-                    nodes[asset_id] = Node(id=asset_id, name=platform, kind=EntityKind.ASSET,
-                                           tags=(fold(platform),))
-                add_edge(f"node {obj.id}", nodes[obj.id], "targets", nodes[asset_id])
+                    nodes[asset_id] = Node(asset_id, platform, EntityKind.ASSET,
+                                           (), "", (fold(platform),))
+                add_edge("node", obj.id, nodes[obj.id], "targets", nodes[asset_id])
 
     if skipped:
         logger.info("build_graph skipped %d edge(s)/object(s)", len(skipped))
+    # The graph drops repeated edges itself.
+    edges = zip(ends[0::3], ends[1::3], ends[2::3])
     return KnowledgeGraph(nodes.values(), edges, skipped=tuple(skipped))
 
 
