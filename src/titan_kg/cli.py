@@ -18,7 +18,7 @@ from .errors import MalformedBundle, MalformedInput, TitanError
 from .eval import aggregate_report, load_predictions, load_references, score_predictions
 from .executor import run_path
 from .kg import KnowledgeGraph, build_graph, node_census, parse_stix_bundle
-from .ontology import KIND_BY_TOKEN, build_default_registry
+from .ontology import build_default_registry
 from .pathlang import parse_path, render_path
 from .planner import EndpointConfig, MockPlanner, RemotePlanner, run_question
 
@@ -51,9 +51,9 @@ def _load(path: str, reader):
         raise type(exc)(f"{path} {exc}") from exc
 
 
-def _census_table(text: str) -> dict[str, int]:
+def _census_table(text: str, census: dict[str, int]) -> dict[str, int]:
     """An expected-census table: ``key<TAB>count`` records, ``#`` comments;
-    a key is a kind token, ``nodes`` or ``edges``, given once with a count >= 0."""
+    a key is one of ``census``'s, given once with a count >= 0."""
     table: dict[str, int] = {}
 
     def row(line: str) -> None:
@@ -62,7 +62,7 @@ def _census_table(text: str) -> dict[str, int]:
             count = int(count)
         except ValueError as exc:
             raise ValueError(f"expected kind<TAB>count, got {line!r}") from exc
-        if key not in KIND_BY_TOKEN and key not in ("nodes", "edges"):
+        if key not in census:
             raise ValueError(f"unknown census key {key!r}")
         if key in table:
             raise ValueError(f"census key {key!r} given twice")
@@ -101,7 +101,7 @@ def cmd_census(args) -> int:
         for key, count in actual.items():
             print(f"{key}\t{count}")
         return 0
-    expected = _load(args.expected, _census_table)
+    expected = _load(args.expected, lambda text: _census_table(text, actual))
     print(f"{'kind':<18}{'actual':>8}{'expected':>10}{'delta%':>8}")
     for key, actual_count in actual.items():
         if key not in expected:

@@ -16,9 +16,11 @@ import json
 import logging
 import re
 import string
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import MalformedBundle, UnknownSignature
@@ -206,69 +208,62 @@ def _country_tags(*fields: str) -> set[str]:
 
 @lru_cache(maxsize=256)
 def _asset_id(platform: str) -> str:
+    """The platform's asset id; empty when it holds no ASCII letter or digit."""
     slug = re.sub(r"[^a-z0-9]+", "-", platform.lower()).strip("-")
-    return f"asset--{slug}"
+    return f"asset--{slug}" if slug else ""
 
 
 class KnowledgeGraph:
     """Immutable typed multigraph of CTI entities.
 
+    Ranks number the nodes in (kind, name, id) order, and ``nodes_by_rank``
+    is the one node table: each kind's nodes are one run of ranks in it.
     The one edge store is ``_adjacency``: relation -> source rank -> the
-    ascending distinct target ranks, where ranks number the nodes in
-    (kind, name, id) order.  The edge list, its count and the snapshot
-    are derived from it in (source id, relation, target id) order, so
-    graphs built from the same nodes and edges, in any order and with
+    ascending distinct target ranks, holding a run only for a source with
+    at least one edge of that relation.  The edge list, its count and the
+    snapshot are derived from it in (source id, relation, target id) order,
+    so graphs built from the same nodes and edges, in any order and with
     repeats, export byte-identical snapshots.
     """
 
     def __init__(self, nodes: Iterable[Node], edges: Iterable[tuple[str, str, str]],
                  skipped: tuple[str, ...] = ()):
-        self._nodes: dict[str, Node] = {}
-        for node in nodes:
-            if node.id in self._nodes:
-                raise ValueError(f"duplicate node id {node.id!r}")
-            if not node.name:
-                raise ValueError(f"node {node.id!r} has an empty name")
-            self._nodes[node.id] = node
         self.skipped = skipped
-
-        # Every id's rank in (kind, name, id) order (the keys end in the
-        # unique id, so they sort as they are); an id sort is an int sort.
-        self._order: tuple[str, ...] = tuple(
-            key[2] for key in sorted(node.sort_key for node in self._nodes.values()))
-        rank = self._rank = {nid: i for i, nid in enumerate(self._order)}
-        self.nodes_by_rank: tuple[Node, ...] = tuple(map(self._nodes.__getitem__, self._order))
-        # One pass gathers each (relation, source) run's targets in the order
-        # they come.  Then each run is sorted once and its repeats dropped.
-        adjacency: dict[str, list] = {}
-        runs: list[tuple[list, int]] = []  # each run's relation list and source rank
-        for src, rel, dst in edges:
-            try:
-                targets = adjacency.get(rel) or adjacency.setdefault(rel, [()] * len(rank))
-                if not (run := targets[source := rank[src]]):
-                    run = targets[source] = []
-                    runs.append((targets, source))
-                run.append(rank[dst])
-            except KeyError:
-                raise ValueError(f"edge ({src}, {rel}, {dst}) references a missing node") from None
-        edge_count = 0
-        for targets, source in runs:
-            run = targets[source] = tuple(sorted(set(targets[source])))
-            edge_count += len(run)
-        self._edge_count = edge_count
-        self._adjacency = adjacency
+        # The keys end in the id, so only nodes that share an id sort as equals.
+        by_rank = self.nodes_by_rank = tuple(sorted(nodes, key=Node.sort_key.fget))
+        self._order: tuple[str, ...] = tuple(node.id for node in by_rank)
         # Walking the nodes in rank order keeps every index sorted.
-        by_kind: dict[EntityKind, list[int]] = {kind: [] for kind in EntityKind}
+        rank: dict[str, int] = {}
         by_name: dict[str, list[str]] = {}
-        for i, node in enumerate(self.nodes_by_rank):
-            by_kind[node.kind].append(i)
+        for i, node in enumerate(by_rank):
+            if rank.setdefault(node.id, i) != i:
+                raise ValueError(f"duplicate node id {node.id!r}")
+            if not (name := fold(node.name)):
+                raise ValueError(f"node {node.id!r} has an empty name")
             # Most nodes have no aliases, and so one key: no set to build.
-            for key in ({fold(c) for c in (node.name, *node.aliases)} if node.aliases
-                        else (fold(node.name),)):
+            for key in {name, *map(fold, node.aliases)} if node.aliases else (name,):
                 if key:
                     by_name.setdefault(key, []).append(node.id)
-        self._kind_ranks = {kind: tuple(ranks) for kind, ranks in by_kind.items()}
-        self._by_kind = {kind: self.ids(ranks) for kind, ranks in by_kind.items()}
+        self._rank = rank
+        # The kind leads the key, so each kind's nodes are one run of ranks.
+        kind_of = attrgetter("kind")
+        kinds = {kind: range(bisect_left(by_rank, kind, key=kind_of),
+                             bisect_right(by_rank, kind, key=kind_of)) for kind in EntityKind}
+        self._kind_ranks = {kind: tuple(run) for kind, run in kinds.items()}
+        self._by_kind = {kind: self._order[run.start:run.stop] for kind, run in kinds.items()}
+        # One pass gathers each (relation, source) run's targets in the order
+        # they come.  Then each run is sorted once and its repeats dropped.
+        gathered = defaultdict(lambda: defaultdict(list))  # relation -> source rank -> targets
+        for src, rel, dst in edges:
+            try:
+                gathered[rel][rank[src]].append(rank[dst])
+            except KeyError:
+                raise ValueError(f"edge ({src}, {rel}, {dst}) references a missing node") from None
+        self._adjacency: dict[str, dict[int, tuple[int, ...]]] = {
+            rel: {source: tuple(sorted(set(targets))) for source, targets in runs.items()}
+            for rel, runs in gathered.items()}
+        self._edge_count = sum(len(run) for runs in self._adjacency.values()
+                               for run in runs.values())
         self._name_index: dict[str, tuple[str, ...]] = {
             key: tuple(ids) for key, ids in by_name.items()}
         heads: dict[str, int] = {}  # first word of a key -> the most words of any key it starts
@@ -280,10 +275,10 @@ class KnowledgeGraph:
     # --- lookups ---
 
     def node(self, node_id: str) -> Node:
-        return self._nodes[node_id]
+        return self.nodes_by_rank[self._rank[node_id]]
 
     def has_node(self, node_id: str) -> bool:
-        return node_id in self._nodes
+        return node_id in self._rank
 
     def nodes_of_kind(self, kind: EntityKind) -> tuple[str, ...]:
         return self._by_kind[kind]
@@ -301,8 +296,10 @@ class KnowledgeGraph:
 
     def successor_ranks(self, ranks: Iterable[int], rel: str) -> tuple[int, ...]:
         """Distinct targets of ``rel`` edges from ``ranks``, ascending."""
-        adjacency = self._adjacency.get(rel)
-        return tuple(sorted(set().union(*map(adjacency.__getitem__, ranks)))) if adjacency else ()
+        if not (runs := self._adjacency.get(rel)):
+            return ()
+        # Only a source with a ``rel`` edge has a run: look up only those.
+        return tuple(sorted(set().union(*map(runs.__getitem__, filter(runs.__contains__, ranks)))))
 
     def find_by_name(self, name: str) -> tuple[str, ...]:
         """Node ids whose name or alias equals ``name`` under :func:`fold`."""
@@ -312,14 +309,11 @@ class KnowledgeGraph:
         """(source id, relation, ascending target ids) of every run, in
         (source id, relation) order: the sources in id order, and each
         source's runs in relation-name order."""
-        order, adjacency = self._order, self._adjacency
-        rels: list[list[str]] = [[] for _ in order]  # each source rank's relations
-        for rel in sorted(adjacency):
-            for source in compress(range(len(order)), adjacency[rel]):
-                rels[source].append(rel)
-        for source in sorted(range(len(order)), key=order.__getitem__):
-            for rel in rels[source]:
-                yield order[source], rel, sorted(map(order.__getitem__, adjacency[rel][source]))
+        order = self._order
+        for src, rel, run in sorted((order[source], rel, run)
+                                    for rel, runs in self._adjacency.items()
+                                    for source, run in runs.items()):
+            yield src, rel, sorted(map(order.__getitem__, run))
 
     def all_edges(self) -> Iterator[tuple[str, str, str]]:
         """Every directed edge, in (source id, relation, target id) order."""
@@ -327,7 +321,7 @@ class KnowledgeGraph:
 
     @property
     def node_count(self) -> int:
-        return len(self._nodes)
+        return len(self.nodes_by_rank)
 
     @property
     def edge_count(self) -> int:
@@ -441,7 +435,7 @@ def build_graph(
             techniques.append(obj)
         if drop_revoked and (obj.revoked or obj.deprecated):
             continue
-        if not obj.name:
+        if not obj.name.strip():  # what folds to nothing names no node
             skipped.append(f"node {obj.id}: empty name")
             continue
         tags = {fold(t) for t in (*obj.labels, *obj.platforms)}
@@ -494,6 +488,9 @@ def build_graph(
         if obj.id in nodes:
             for platform in obj.platforms:
                 asset_id = _asset_id(platform)
+                if not asset_id:
+                    skipped.append(f"node {obj.id}: platform {platform!r} names no asset")
+                    continue
                 if asset_id not in nodes:
                     nodes[asset_id] = Node(asset_id, platform, EntityKind.ASSET,
                                            (), "", (fold(platform),))

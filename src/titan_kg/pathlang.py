@@ -162,6 +162,8 @@ def split_names(text: str) -> list[str]:
                 raise MalformedOperator("empty quoted name")
             names.append(" ".join(name.split()))
             i = end + 1
+            if i < n and not text[i].isspace():
+                raise PathSyntaxError(f"stray quote in {text!r}")
         else:
             j = i
             while j < n and not text[j].isspace():

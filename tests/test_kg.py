@@ -127,8 +127,36 @@ def test_bundle_error_message(data, message):
 
 
 def test_graph_rejects_node_with_empty_name():
-    with pytest.raises(ValueError, match="^node 'malware--m' has an empty name$"):
-        KnowledgeGraph([Node("malware--m", "", EntityKind.MALWARE)], [])
+    # A name of whitespace only folds to nothing, so it is empty too, and a
+    # snapshot cannot bring one back.
+    for name in ("", "   ", "\t\u3000"):
+        with pytest.raises(ValueError, match="^node 'malware--m' has an empty name$"):
+            KnowledgeGraph([Node("malware--m", name, EntityKind.MALWARE)], [])
+    text = KnowledgeGraph([Node("malware--m", "M", EntityKind.MALWARE)], []).export_snapshot()
+    with pytest.raises(MalformedBundle, match="^snapshot: node 'malware--m' has an empty name$"):
+        KnowledgeGraph.load_snapshot(text.replace('"M"', '" \\t "'))
+
+
+def test_object_with_a_blank_name_is_skipped(registry):
+    doc = json.dumps([{"type": "malware", "id": "malware--b", "name": " \t "},
+                      {"type": "malware", "id": "malware--m", "name": "M"}])
+    graph = build_graph(parse_stix_bundle(doc), registry)
+    assert graph.nodes_of_kind(EntityKind.MALWARE) == ("malware--m",)
+    assert graph.skipped == ("node malware--b: empty name",)
+
+
+@pytest.mark.parametrize("platform", ["  ", "!!", "日本"],
+                         ids=["blank", "punctuation", "non-ascii"])
+def test_platform_with_no_ascii_letter_or_digit_names_no_asset(platform, registry):
+    doc = json.dumps([{"type": "attack-pattern", "id": "attack-pattern--a", "name": "T",
+                       "x_mitre_platforms": [platform, "Windows"]},
+                      {"type": "attack-pattern", "id": "attack-pattern--b", "name": "U",
+                       "x_mitre_platforms": [platform]}])
+    graph = build_graph(parse_stix_bundle(doc), registry)
+    assert graph.nodes_of_kind(EntityKind.ASSET) == ("asset--windows",)
+    assert graph.skipped == tuple(
+        f"node attack-pattern--{t}: platform {platform!r} names no asset" for t in "ab")
+    assert successors(graph, ("attack-pattern--a",), "targets_asset") == ("asset--windows",)
 
 
 @pytest.mark.parametrize("char", ["\t", "\n", "\r"], ids=["tab", "lf", "cr"])
@@ -553,10 +581,12 @@ def test_graph_from_a_one_shot_generator_of_shuffled_repeated_edges(scale_graph,
     for rel in sorted({sig.name for sig in registry.signatures}) + ["bogus_rel"]:
         for rank in range(graph.node_count):
             assert graph.successor_ranks((rank,), rel) == canonical.successor_ranks((rank,), rel)
-    # The store itself holds each run ascending and distinct.
-    for rel, targets in graph._adjacency.items():
-        assert [tuple(run) for run in targets] == [
-            graph.successor_ranks((rank,), rel) for rank in range(graph.node_count)]
+    # The store itself holds each run ascending and distinct, and holds only
+    # the non-empty runs.
+    for rel, runs in graph._adjacency.items():
+        assert runs == {rank: graph.successor_ranks((rank,), rel)
+                        for rank in range(graph.node_count)
+                        if graph.successor_ranks((rank,), rel)}
 
 
 # A malware node that uses a technique, with the reverse edge.

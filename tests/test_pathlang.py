@@ -121,6 +121,9 @@ def test_filter_needs_keyword():
 
 @pytest.mark.parametrize("text, error, message", [
     ('is_malware_type → select a"b c', PathSyntaxError, "stray quote in 'a\"b c'"),
+    ('is_malware_type → select "APT 28"x y', PathSyntaxError,
+     "stray quote in '\"APT 28\"x y'"),
+    ('is_malware_type → select "a""b"', PathSyntaxError, "stray quote in '\"a\"\"b\"'"),
     ("is_malware_type x", PathSyntaxError, "unexpected tokens after 'is_malware_type': 'x'"),
     ("is_malware_type → select a b → uses → exec_common now", MalformedOperator,
      "exec_common takes no arguments"),
@@ -128,7 +131,8 @@ def test_filter_needs_keyword():
      "exec_difference takes no arguments"),
     ("uses_attack_pattern x", PathSyntaxError,
      "unexpected tokens after relation 'uses_attack_pattern': 'x'"),
-], ids=["stray-quote", "after-seed", "common-args", "difference-args", "after-relation"])
+], ids=["stray-quote", "text-after-closing-quote", "quote-after-closing-quote", "after-seed",
+        "common-args", "difference-args", "after-relation"])
 def test_segment_with_stray_text_rejected(text, error, message, registry):
     with pytest.raises(error) as err:
         parse_path(text, registry)

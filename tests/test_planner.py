@@ -59,6 +59,7 @@ def test_parse_unterminated_block_raises():
 @pytest.mark.parametrize("raw", [
     '<ENTITY> "abc </ENTITY><PATH> is_malware_type </PATH>',
     '<ENTITY> "" </ENTITY><PATH> is_malware_type </PATH>',
+    '<ENTITY> "Agent Tesla"x </ENTITY><PATH> is_malware_type </PATH>',
 ])
 def test_parse_malformed_entity_block_raises_unparseable_plan(raw):
     with pytest.raises(UnparseablePlan) as err:

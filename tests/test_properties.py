@@ -4,6 +4,8 @@ Graphs are small random typed graphs: a few nodes of each kind, with names
 drawn from a pool that repeats names across kinds and differs only in case
 or whitespace, and random edges that each fit a registry signature and come
 with their registry reverse.  Programs are random valid programs over them.
+The node lookups and each kind's run of ranks are checked against a scan of
+the nodes, given in any order and with some kinds left out.
 
 The bit-parallel LCS behind ROUGE-L is checked against the dynamic program
 on random token lists long enough to span several 64-bit words, and BLEU
@@ -19,9 +21,11 @@ case, so markers overlap, share letters and touch word characters.
 Ingest is checked on small random bundles whose ids come from one shared
 pool, so objects of two types collide, relationships and data-source refs
 point at any id, and a node can hold the id a platform asset would take;
-verbs include unknown ones and platforms come in several cases.  The build
-either raises or yields a graph in which every edge fits a signature, meets
-its target kind and has its reverse, leniently and under strict mode.
+verbs include unknown ones, names a blank one, and platforms come in several
+cases and one with no letter or digit.  The build either raises or yields a
+graph in which every edge fits a signature, meets its target kind and has
+its reverse, and every node has a name that folds to something, leniently
+and under strict mode.
 
 Snapshot load is checked on the fixture graph's snapshot: any order of its
 records, with repeated EDGE lines and blank lines, loads to the same graph
@@ -74,6 +78,7 @@ from titan_kg.kg import (
     _country_tags,
     _decode_field,
     build_graph,
+    fold,
     link_entities,
     parse_stix_bundle,
 )
@@ -172,9 +177,9 @@ def stix_node(ids):
     return st.fixed_dictionaries({
         "type": st.sampled_from(STIX_TYPES),
         "id": ids,
-        "name": st.sampled_from(("A", "B", "")),
+        "name": st.sampled_from(("A", "B", "", "  ")),
         "x_mitre_platforms": st.lists(
-            st.sampled_from(("Windows", "windows", "WINDOWS", "Linux")), max_size=3),
+            st.sampled_from(("Windows", "windows", "WINDOWS", "Linux", "!!")), max_size=3),
         "x_mitre_data_source_ref": st.sampled_from(STIX_IDS),
     }, optional={"revoked": st.booleans()})
 
@@ -352,6 +357,21 @@ def test_successors_and_sort_ids_match_bruteforce(graph, data):
     expected = {dst for (src, r, dst) in graph.all_edges() if r == rel and src in ids}
     assert successors(graph, ids, rel) == tuple(_sorted_ids(graph, expected))
     assert graph.sort_ids(ids) == tuple(_sorted_ids(graph, ids))
+    # The node table and the kind runs against a scan of the nodes, given in
+    # any order and with some kinds left out, so that some kinds have none.
+    dropped = data.draw(st.sets(KINDS, max_size=3))
+    nodes = data.draw(st.permutations([n for n in graph.nodes_by_rank if n.kind not in dropped]))
+    part = KnowledgeGraph(nodes, ())
+    ranked = sorted(nodes, key=lambda n: (n.kind.value, n.name.casefold(), n.id))
+    assert part.node_count == len(nodes)
+    for kind in EntityKind:
+        assert part.kind_ranks(kind) == tuple(i for i, n in enumerate(ranked) if n.kind is kind)
+        assert part.nodes_of_kind(kind) == tuple(n.id for n in ranked if n.kind is kind)
+    for node in graph.nodes_by_rank:
+        assert part.has_node(node.id) is (node.kind not in dropped)
+        if node.kind not in dropped:
+            assert part.node(node.id) == node
+    assert not part.has_node("malware--gone")
 
 
 @given(a=TOKEN_LISTS, b=TOKEN_LISTS)
@@ -401,6 +421,9 @@ def test_ingest_builds_only_typed_edges_with_reverses(bundle):
         except refusals:
             continue
         assert bad_edges(graph, REGISTRY) == []
+        # Every node can be named, and every asset has a slug.
+        assert all(fold(node.name) for node in graph.nodes_by_rank)
+        assert not graph.has_node("asset--")
 
 
 @given(data=st.data())
