@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import (
     MissingStartKind,
@@ -91,18 +91,25 @@ class ExecutionResult:
         return "\n".join(lines) + "\n"
 
 
-def _node_matches(node: Node, needle: str) -> bool:
-    return (needle in fold(node.name)
-            or any(needle in fold(alias) for alias in node.aliases)
-            or any(needle in fold(tag) for tag in node.tags)
-            or needle in fold(node.description))
+def _node_matches(node: Node, needle: str, norm: Callable[[str], str]) -> bool:
+    return (needle in norm(node.name)
+            or any(needle in norm(alias) for alias in node.aliases)
+            or any(needle in norm(tag) for tag in node.tags)
+            or needle in norm(node.description))
 
 
 def step_filter(graph: KnowledgeGraph, frontier: Frontier, keyword: str) -> Frontier:
     """Keep nodes whose name, an alias, a tag or the description contains
-    the keyword, both sides under :func:`~titan_kg.kg.fold`."""
+    the keyword, both sides under :func:`~titan_kg.kg.fold`.
+
+    ``fold(text)`` is ``text.casefold()``'s whitespace-free runs joined by
+    single spaces, so a folded keyword without a space lies in it exactly
+    when it lies in ``text.casefold()``: only a keyword with a space needs
+    the node text folded in full.
+    """
     needle, nodes = fold(keyword), graph.nodes_by_rank
-    return tuple(tuple(rank for rank in branch if _node_matches(nodes[rank], needle))
+    norm = fold if " " in needle else str.casefold
+    return tuple(tuple(rank for rank in branch if _node_matches(nodes[rank], needle, norm))
                  for branch in frontier)
 
 
@@ -240,4 +247,7 @@ def run_path(
             continue
         keep = tuple(nid for nid in start_ids if graph.node(nid).kind is kind)
         return typed, execute(graph, typed, start=keep)
-    raise last_error
+    try:
+        raise last_error
+    finally:  # the error's traceback holds this frame: leave no cycle behind
+        del last_error

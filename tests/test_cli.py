@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from titan_kg import planner
+from titan_kg import cli, planner
 from titan_kg.cli import main
 
 from conftest import FIXTURE_BUNDLE, MISTYPED_TARGETS
@@ -1026,3 +1027,44 @@ def test_cli_imports_only_the_standard_library():
     done = subprocess.run([sys.executable, "-c", _IMPORT_SCRIPT], env=env,
                           capture_output=True, text=True, check=True, timeout=60)
     assert done.stdout.strip() == ""
+
+
+def _raises(exc: Exception):
+    def command(args):
+        raise exc
+    return command
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("argv, command, outcome", [
+    (["registry"], None, 0),
+    (["census", "--snapshot", "."], None, 1),  # a directory: MalformedInput
+    (["census", "--snapshot", "missing.snap"], None, 1),  # FileNotFoundError
+    (["registry"], _raises(RuntimeError("unexpected")), RuntimeError),
+    (["no-such-command"], None, SystemExit),  # argparse refuses it
+], ids=["exit-0", "titan-error", "os-error", "unexpected-error", "usage-error"])
+def test_main_leaves_the_collector_as_it_found_it(argv, command, outcome, collecting,
+                                                   tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if command:
+        monkeypatch.setattr(cli, "cmd_registry", command)
+    if not collecting:
+        gc.disable()
+    try:
+        try:
+            result = main(argv)
+        except (RuntimeError, SystemExit) as exc:
+            result = type(exc)
+        after = gc.isenabled()
+    finally:
+        gc.enable()
+    assert result == outcome
+    assert after is collecting
+
+
+def test_main_runs_the_command_with_the_collector_paused(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_registry", lambda args: seen.append(gc.isenabled()) or 0)
+    assert main(["registry"]) == 0
+    assert seen == [False]
+    assert gc.isenabled()

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from titan_kg.errors import (
@@ -352,3 +354,23 @@ def test_run_path_type_seed_ignores_start(fixture_graph, registry):
                              parse_path("is_campaign_type", registry), ("Sys10",))
     assert typed.start_kind is EntityKind.CAMPAIGN
     assert result.start_nodes == (C1,)
+
+
+def test_run_path_type_check_failure_leaves_no_cyclic_garbage(fixture_graph, registry):
+    # Neither start kind (malware, campaign) type-checks mitigated_by.  The
+    # error re-raised must not keep run_path's frame in a cycle: a command
+    # runs with the cyclic collector paused.
+    program = parse_path("mitigated_by", registry)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(50):
+            try:
+                run_path(fixture_graph, registry, program,
+                         ("Sys10", "Unitronics Defacement Campaign"))
+            except TypeFlowError:
+                pass
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0

@@ -1,3 +1,4 @@
+import gc
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -418,6 +419,25 @@ def test_remote_planner_unreachable_endpoint(registry):
     planner = RemotePlanner(_config("http://127.0.0.1:9", retries=1), registry)
     with pytest.raises(PlannerUnavailable):
         planner.plan(PlannerRequest(question="q"))
+
+
+def test_remote_planner_failure_leaves_no_cyclic_garbage(registry, monkeypatch):
+    # Each attempt's error holds plan's frame; the frame must let go of it.
+    # Log records would keep the errors reachable, so none are made.
+    monkeypatch.setattr(planner_module.logger, "disabled", True)
+    planner = RemotePlanner(_config("http://127.0.0.1:9", retries=1), registry)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(5):
+            try:
+                planner.plan(PlannerRequest(question="q"))
+            except PlannerUnavailable:
+                pass
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
 
 
 def test_endpoint_config_from_env():

@@ -43,8 +43,9 @@ Path exact match is checked against the folded key of the oracle on
 program pairs whose filter keywords and select names differ only in case.
 
 A filter is checked against the fold rule on node text and keywords glued
-from mixed-case words, letters whose casefold expands (ß) and whitespace
-runs of spaces, tabs, NBSP and U+2028, one word or several.
+from mixed-case words, letters whose casefold expands (ß, İ, ﬁ) and
+whitespace runs of spaces, tabs, newlines, NBSP, U+2028 and U+001C, one
+word or several.
 
 Entity linking is checked against a scan of every span from every word on
 graphs whose names and aliases share first words, run up to twelve words,
@@ -606,10 +607,14 @@ def test_link_entities_matches_span_scan(graph, data):
             == brute_link_entities(question, names))
 
 
-# Filter text: words whose case, casefold expansion (ß → ss) and whitespace
-# (runs of spaces, a tab, NBSP, U+2028) differ between node and keyword.
-FILTER_WORD = st.sampled_from(("ab", "AB", "Ab", "b", "ss", "Straße", "STRASSE", "x"))
-FILTER_SPACE = st.sampled_from((" ", "  ", "\t", "\xa0", " \xa0 ", "\u2028", "\n"))
+# Filter text: words whose case, casefold expansion (ß → ss, İ → i + U+0307,
+# ﬁ → fi) and whitespace (runs of spaces, a tab, a newline, NBSP, U+2028,
+# U+001C) differ between node and keyword.  A keyword of one word takes the
+# filter's casefold-only path, one of several words the full fold.
+FILTER_WORD = st.sampled_from(("ab", "AB", "Ab", "b", "ss", "Straße", "STRASSE", "x",
+                               "İ", "i", "ﬁ", "fi", "Fİ"))
+FILTER_SPACE = st.sampled_from((" ", "  ", "\t", "\xa0", " \xa0 ", "\u2028", "\n", "\x1c",
+                                "\t\n"))
 FILTER_TEXT = st.lists(st.tuples(FILTER_SPACE | st.just(""), FILTER_WORD), max_size=4).map(
     lambda parts: "".join(space + word for space, word in parts))
 
