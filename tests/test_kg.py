@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from titan_kg.cli import main
 from titan_kg.errors import MalformedBundle, UnknownSignature
 from titan_kg.kg import (
     KnowledgeGraph,
@@ -44,6 +45,12 @@ FIXTURE_NODES = 21
 FIXTURE_DIRECTED_EDGES = 68  # 34 forward relationships, each with a reverse
 # SHA-256 of the snapshot ingest writes for build_scale_bundle(2024).
 SCALE_SNAPSHOT_SHA256 = "76e74dfe036c9d7cd07fc38f03a2dd64ca5d2183153d67aa0d09e1cdcb77f161"
+# SHA-256 of the dataset files `titan gen` writes, with its defaults, from
+# that snapshot.
+SCALE_DATASET_SHA256 = {
+    "train.jsonl": "37018ef07d3a2d7cb252ddc7cf995e6e204f8f9104426315febbc2e7600b58c5",
+    "test.jsonl": "c1bf4e3e20b76a365725e9adf0163fa00b7d3e8502e9bc14c3b5d2d7b76121ab",
+}
 
 
 def test_parse_minimal_bundle():
@@ -330,6 +337,16 @@ def test_id_reused_by_the_same_kind_keeps_the_later_object(registry):
 def test_scale_snapshot_bytes_are_pinned(registry):
     snapshot = build_graph(parse_stix_bundle(build_scale_bundle(2024)), registry).export_snapshot()
     assert hashlib.sha256(snapshot.encode("utf-8")).hexdigest() == SCALE_SNAPSHOT_SHA256
+
+
+def test_scale_dataset_bytes_are_pinned(tmp_path, capsys):
+    bundle, snapshot, out = tmp_path / "scale.json", tmp_path / "scale.snap", tmp_path / "ds"
+    bundle.write_text(build_scale_bundle(2024), "utf-8")
+    assert main(["ingest", str(bundle), "--out", str(snapshot)]) == 0
+    assert main(["gen", "--snapshot", str(snapshot), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in SCALE_DATASET_SHA256} == SCALE_DATASET_SHA256
 
 
 def test_ingest_bytes_do_not_depend_on_hash_seed(tmp_path):
