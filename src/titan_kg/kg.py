@@ -1,13 +1,15 @@
 """STIX bundle ingestion and the immutable typed knowledge graph.
 
 Every edge is typed by a registry signature and kept together with its
-registry reverse.  The graph synthesizes asset nodes from the platform
-lists on attack patterns, and indexes nodes by kind and by folded
-name/alias (:func:`fold`) for entity linking.
+registry reverse.  Ingest and the snapshot give the graph each edge once,
+in its forward direction, and the graph checks its type and derives the
+reverse itself.  The graph synthesizes asset nodes from the platform lists
+on attack patterns, and indexes nodes by kind and by folded name/alias
+(:func:`fold`) for entity linking.
 
 Export/import uses a line-oriented snapshot format (see docs/formats.md)
-whose byte output is deterministic, which is what the determinism tests
-pin against.
+that writes the forward edges only, and whose byte output is
+deterministic, which is what the determinism tests pin against.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .ontology import KIND_BY_TOKEN, EntityKind, RelationRegistry, build_default
 
 logger = logging.getLogger(__name__)
 
-SNAPSHOT_HEADER = "TITAN-SNAPSHOT\t1"
+SNAPSHOT_HEADER = "TITAN-SNAPSHOT\t2"
 
 STIX_TYPE_TO_KIND: dict[str, EntityKind] = {
     "attack-pattern": EntityKind.ATTACK_PATTERN,
@@ -224,10 +226,18 @@ class KnowledgeGraph:
     snapshot are derived from it in (source id, relation, target id) order,
     so graphs built from the same nodes and edges, in any order and with
     repeats, export byte-identical snapshots.
+
+    Given a ``registry``, ``edges`` are forward edges: each must be typed by
+    the registry's forward signature from its source's kind and end at that
+    signature's target kind, or a ``ValueError`` names it, and the graph
+    adds its reverse.  Without one, ``edges`` are every directed edge, taken
+    as given and not checked, as a hand-built graph needs.  Either way the
+    snapshot holds the runs of the registry's forward relations (the
+    default registry's, without one).
     """
 
     def __init__(self, nodes: Iterable[Node], edges: Iterable[tuple[str, str, str]],
-                 skipped: tuple[str, ...] = ()):
+                 skipped: tuple[str, ...] = (), registry: RelationRegistry | None = None):
         self.skipped = skipped
         # The keys end in the id, so only nodes that share an id sort as equals.
         by_rank = self.nodes_by_rank = tuple(sorted(nodes, key=Node.sort_key.fget))
@@ -259,9 +269,13 @@ class KnowledgeGraph:
                 gathered[rel][rank[src]].append(rank[dst])
             except KeyError:
                 raise ValueError(f"edge ({src}, {rel}, {dst}) references a missing node") from None
-        self._adjacency: dict[str, dict[int, tuple[int, ...]]] = {
+        adjacency: dict[str, dict[int, tuple[int, ...]]] = {
             rel: {source: tuple(sorted(set(targets))) for source, targets in runs.items()}
             for rel, runs in gathered.items()}
+        if registry is not None:
+            adjacency.update(self._reverses(adjacency, kinds, registry))
+        self._adjacency = adjacency
+        self._forward_names = (registry or build_default_registry()).forward_names
         self._edge_count = sum(len(run) for runs in self._adjacency.values()
                                for run in runs.values())
         self._name_index: dict[str, tuple[str, ...]] = {
@@ -271,6 +285,47 @@ class KnowledgeGraph:
             if heads.get(words[0], 0) < len(words):
                 heads[words[0]] = len(words)
         self._name_heads = heads
+
+    def _reverses(self, forward: dict[str, dict[int, tuple[int, ...]]],
+                  kinds: dict[EntityKind, range], registry: RelationRegistry):
+        """The reverse runs of the ``forward`` runs, each checked first.
+
+        Each kind is one run of ranks, so a source's kind is the run its
+        rank falls in, and a run of ascending targets ends in one kind when
+        its first and last target do.  The sources are walked in ascending
+        rank, so each reverse run is filled ascending and distinct.
+        """
+        if not registry.forward_names.isdisjoint(registry.reverse_names):
+            raise ValueError("a registry whose forward and reverse names overlap "
+                             "cannot tell an edge's direction")
+        order = self._order
+        reverses = defaultdict(lambda: defaultdict(list))  # relation -> target rank -> sources
+        for rel, runs in forward.items():
+            sources = sorted(runs)
+            for kind, ranks in kinds.items():
+                lo, hi = bisect_left(sources, ranks.start), bisect_left(sources, ranks.stop)
+                if lo == hi:
+                    continue
+                if (sig := registry.forward(kind, rel)) is None:
+                    why = (f"{rel!r} is a reverse relation" if rel in registry.reverse_names
+                           else f"no forward relation {rel!r} from kind {kind.value!r}")
+                    source = sources[lo]
+                    raise ValueError(f"edge ({order[source]}, {rel}, "
+                                     f"{order[runs[source][0]]}): {why}")
+                start, stop = kinds[sig.target_kind].start, kinds[sig.target_kind].stop
+                reverse = reverses[sig.inverse_name]
+                for source in sources[lo:hi]:
+                    run = runs[source]
+                    if run[0] < start or run[-1] >= stop:
+                        target = next(t for t in run if not start <= t < stop)
+                        raise ValueError(
+                            f"edge ({order[source]}, {rel}, {order[target]}): {rel!r} from "
+                            f"kind {kind.value!r} ends at kind {sig.target_kind.value!r}, "
+                            f"not {self.nodes_by_rank[target].kind.value!r}")
+                    for target in run:
+                        reverse[target].append(source)
+        return {rel: {target: tuple(sources) for target, sources in runs.items()}
+                for rel, runs in reverses.items()}
 
     # --- lookups ---
 
@@ -305,19 +360,19 @@ class KnowledgeGraph:
         """Node ids whose name or alias equals ``name`` under :func:`fold`."""
         return self._name_index.get(fold(name), ())
 
-    def _id_runs(self) -> Iterator[tuple[str, str, list[str]]]:
-        """(source id, relation, ascending target ids) of every run, in
-        (source id, relation) order: the sources in id order, and each
-        source's runs in relation-name order."""
-        order = self._order
-        for src, rel, run in sorted((order[source], rel, run)
-                                    for rel, runs in self._adjacency.items()
-                                    for source, run in runs.items()):
+    def _id_runs(self, rels: Iterable[str]) -> Iterator[tuple[str, str, list[str]]]:
+        """(source id, relation, ascending target ids) of every run of the
+        relations ``rels``, in (source id, relation) order: the sources in id
+        order, and each source's runs in relation-name order."""
+        order, adjacency = self._order, self._adjacency
+        for src, rel, run in sorted((order[source], rel, run) for rel in rels
+                                    for source, run in adjacency.get(rel, {}).items()):
             yield src, rel, sorted(map(order.__getitem__, run))
 
     def all_edges(self) -> Iterator[tuple[str, str, str]]:
         """Every directed edge, in (source id, relation, target id) order."""
-        return ((src, rel, dst) for src, rel, dsts in self._id_runs() for dst in dsts)
+        return ((src, rel, dst) for src, rel, dsts in self._id_runs(self._adjacency)
+                for dst in dsts)
 
     @property
     def node_count(self) -> int:
@@ -342,19 +397,27 @@ class KnowledgeGraph:
             lines.append(f"NODE\t{n.id}\t{n.kind.value}\t{quote(n.name)}"
                          f"\t[{', '.join(map(quote, n.aliases))}]"
                          f"\t[{', '.join(map(quote, n.tags))}]\t{quote(n.description)}")
-        # One chunk of lines per run, each line led by the run's prefix.
+        # One chunk of lines per forward run, each line led by the run's
+        # prefix; a load derives the reverse runs.
         lines.extend(f"EDGE\t{src}\t{rel}\t" + f"\nEDGE\t{src}\t{rel}\t".join(dsts)
-                     for src, rel, dsts in self._id_runs())
+                     for src, rel, dsts in self._id_runs(self._forward_names))
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def load_snapshot(cls, text: str) -> "KnowledgeGraph":
+    def load_snapshot(cls, text: str,
+                      registry: RelationRegistry | None = None) -> "KnowledgeGraph":
+        """The graph a snapshot holds; its forward edges are checked against
+        ``registry`` (the default registry without one), which derives each
+        reverse.  Raises :class:`MalformedBundle` naming the line or edge."""
         # Records end at "\n" only (a "\r" before it is dropped): JSON leaves
         # U+0085, U+2028 and U+2029 unescaped, and str.splitlines breaks there.
         if "\r" in text:
             text = text.replace("\r\n", "\n")
         lines = text.split("\n")
         if lines[0] != SNAPSHOT_HEADER:
+            if lines[0] == "TITAN-SNAPSHOT\t1":  # it wrote both directions of each edge
+                raise MalformedBundle("snapshot line 1: a version-1 snapshot is no longer read; "
+                                      "re-run titan ingest to write this version")
             raise MalformedBundle("not a graph snapshot (bad header line)")
         nodes: list[Node] = []
         edge_lines: list[str] = []
@@ -386,7 +449,8 @@ class KnowledgeGraph:
         fields = "\t".join(edge_lines).split("\t")
         del lines, edge_lines
         try:
-            return cls(nodes, zip(fields[1::4], fields[2::4], fields[3::4]))
+            return cls(nodes, zip(fields[1::4], fields[2::4], fields[3::4]),
+                       registry=registry or build_default_registry())
         except ValueError as exc:
             raise MalformedBundle(f"snapshot: {exc}") from exc
 
@@ -403,8 +467,8 @@ def build_graph(
     Every edge (a relationship, a data component's containment in its data
     source, a technique's platform asset) is typed by the registry
     signature for its source kind, verb and target kind (``uses`` toward a
-    malware node is ``uses_malware``), and is paired with that signature's
-    reverse.  An edge that fits no signature is collected into
+    malware node is ``uses_malware``), and goes to the graph in its forward
+    direction, from which the graph derives the reverse.  An edge that fits no signature is collected into
     ``graph.skipped`` when ``lenient``, and raises :class:`UnknownSignature`
     otherwise.  ``drop_revoked`` leaves out revoked and deprecated objects,
     relationships included, without a skip reason.
@@ -453,15 +517,19 @@ def build_graph(
             raise UnknownSignature(message)
 
     def add_edge(origin: str, oid: str, src: Node, verb: str, dst: Node) -> None:
-        """``src --verb--> dst`` and its reverse, typed by the registry;
-        ``origin`` and ``oid`` name the edge's object in a skip reason."""
+        """``src --verb--> dst``, typed by the registry and kept in its
+        forward direction; ``origin`` and ``oid`` name the edge's object in
+        a skip reason."""
         verb = verb.replace("-", "_")
         sig = registry.signature_for_verb(src.kind, verb, dst.kind)
         if sig is None:
             reject(f"{origin} {oid}: no signature for "
                    f"({src.kind.value}, {verb}, {dst.kind.value})")
             return
-        ends.extend((src.id, sig.name, dst.id, dst.id, sig.inverse_name, src.id))
+        if sig.name in registry.forward_names:
+            ends.extend((src.id, sig.name, dst.id))
+        else:  # a reverse verb, such as ``mitigates``
+            ends.extend((dst.id, sig.inverse_name, src.id))
 
     for obj in relationships:
         if not obj.relationship_type:
@@ -500,7 +568,7 @@ def build_graph(
         logger.info("build_graph skipped %d edge(s)/object(s)", len(skipped))
     # The graph drops repeated edges itself.
     edges = zip(ends[0::3], ends[1::3], ends[2::3])
-    return KnowledgeGraph(nodes.values(), edges, skipped=tuple(skipped))
+    return KnowledgeGraph(nodes.values(), edges, skipped=tuple(skipped), registry=registry)
 
 
 def node_census(graph: KnowledgeGraph) -> Census:

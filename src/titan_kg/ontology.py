@@ -97,10 +97,15 @@ class RelationRegistry:
 
     def __init__(self, forward: Iterable[Forward]):
         self._by_key: dict[tuple[EntityKind, str], RelationSignature] = {}
+        self._forward: dict[tuple[EntityKind, str], RelationSignature] = {}
         for src, name, dst, inv in forward:
-            self._by_key[src, name] = RelationSignature(src, name, dst, inv)
+            self._by_key[src, name] = self._forward[src, name] = RelationSignature(
+                src, name, dst, inv)
             self._by_key[dst, inv] = RelationSignature(dst, inv, src, name)
         self._names = frozenset(name for _, name in self._by_key)
+        # The names of the forward signatures, and of their reverses.
+        self.forward_names = frozenset(sig.name for sig in self._forward.values())
+        self.reverse_names = frozenset(sig.inverse_name for sig in self._forward.values())
         # Short verb (a name without its target suffix) -> source kind ->
         # the names that complete it from that kind; and each signature by
         # its (source kind, verb, target kind).
@@ -125,6 +130,11 @@ class RelationRegistry:
             raise NoSuchSignature(
                 f"no relation {token!r} from kind {source_kind.value!r}")
         return sig
+
+    def forward(self, source_kind: EntityKind, name: str) -> RelationSignature | None:
+        """The forward signature ``name`` from ``source_kind``; None for a
+        reverse or for no signature at all."""
+        return self._forward.get((source_kind, name))
 
     def signature_for_verb(self, source_kind: EntityKind, verb: str,
                            target_kind: EntityKind) -> RelationSignature | None:

@@ -873,7 +873,7 @@ def test_census_expected_line_without_tab_is_one_line_error(snapshot, tmp_path, 
 
 def test_snapshot_not_utf8_is_one_line_error(tmp_path, capsys):
     snap = tmp_path / "binary.snap"
-    snap.write_bytes(b"TITAN-SNAPSHOT\t1\n\xff\xfe\n")
+    snap.write_bytes(b"TITAN-SNAPSHOT\t2\n\xff\xfe\n")
     assert main(["census", "--snapshot", str(snap)]) == 1
     err = _one_line_error(capsys, "MalformedInput: ")
     assert "binary.snap" in err
@@ -898,6 +898,27 @@ def test_snapshot_edge_to_missing_node_is_one_line_error(snapshot, capsys):
     assert code == 1
     err = _one_line_error(capsys, "MalformedBundle: ")
     assert "(asset--linux, targeted_by, malware--gone)" in err
+
+
+@pytest.mark.parametrize("edge, why", [
+    ("asset--linux\tbogus_rel\tasset--windows",
+     "(asset--linux, bogus_rel, asset--windows): no forward relation 'bogus_rel' from kind 'asset'"),
+    ("asset--linux\ttargeted_by_attack_pattern\tattack-pattern--0002",
+     "(asset--linux, targeted_by_attack_pattern, attack-pattern--0002): "
+     "'targeted_by_attack_pattern' is a reverse relation"),
+], ids=["untyped", "reverse"])
+def test_snapshot_edge_not_typed_forward_is_one_line_error(snapshot, capsys, edge, why):
+    code = _census_of_edited_snapshot(snapshot, lambda lines: [*lines, f"EDGE\t{edge}"])
+    assert code == 1
+    assert capsys.readouterr().err == f"MalformedBundle: {snapshot} snapshot: edge {why}\n"
+
+
+def test_version_one_snapshot_is_one_line_error_naming_titan_ingest(snapshot, capsys):
+    code = _census_of_edited_snapshot(snapshot, lambda lines: ["TITAN-SNAPSHOT\t1", *lines[1:]])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"MalformedBundle: {snapshot} snapshot line 1: a version-1 snapshot is no longer "
+        "read; re-run titan ingest to write this version\n")
 
 
 @pytest.mark.parametrize("field, value", [(3, "5"), (4, "[5]")])

@@ -12,17 +12,17 @@ and no traceback.  An exit of 0 must be right, as each command's oracle
 checks:
 
 * ``ingest``: the snapshot loads, and every edge in it is typed and paired;
-* ``census --expected``: the table holds no repeated key and no negative
-  count;
+* ``census --expected``: the snapshot loads, every edge in it is typed and
+  paired, and the table holds no repeated key and no negative count;
 * ``gen``: every sample re-executes to its answers under the brute-force
   interpreter;
 * ``exec`` and ``ask``: the printed answers are the brute-force
   interpreter's for the printed path and start ids;
 * ``eval``: the ``overall`` record counts every dataset row.
 
-``census`` does not check the loaded graph's edges: a snapshot load does
-not yet check that they are typed and paired, so a mutated snapshot can
-load with edges that are neither.
+A snapshot holds forward edges only, and its load types each one and
+derives its reverse, so no mutated snapshot loads with an edge that is
+untyped or unpaired.
 """
 
 from __future__ import annotations
@@ -184,6 +184,7 @@ def test_cli_exit_is_one_error_line_or_a_right_result(seed):
         if command == "ingest":
             assert not bad_edges(_graph(work / "out.snap"), registry)
         elif command == "census":
+            assert not bad_edges(_graph(work / "snapshot"), registry)
             rows = [row.split("\t") for row in
                     _records(expected.read_bytes().decode("utf-8"), comments=True)]
             keys = [key for key, _ in rows]

@@ -134,7 +134,7 @@ def test_filter_folds_keyword_and_node_text_alike():
 def test_filter_matches_upper_case_tag_of_loaded_snapshot():
     # Ingest folds the tags it writes; a snapshot written elsewhere may not.
     graph = KnowledgeGraph.load_snapshot(
-        'TITAN-SNAPSHOT\t1\n'
+        'TITAN-SNAPSHOT\t2\n'
         'NODE\tmalware--t\tmalware\t"Tagged"\t[]\t["Ransomware"]\t""\n'
         'NODE\tmalware--u\tmalware\t"Untagged"\t[]\t[]\t""\n')
     frontier = (graph.kind_ranks(EntityKind.MALWARE),)

@@ -43,8 +43,10 @@ FIXTURE_CENSUS = {
 }
 FIXTURE_NODES = 21
 FIXTURE_DIRECTED_EDGES = 68  # 34 forward relationships, each with a reverse
-# SHA-256 of the snapshot ingest writes for build_scale_bundle(2024).
-SCALE_SNAPSHOT_SHA256 = "76e74dfe036c9d7cd07fc38f03a2dd64ca5d2183153d67aa0d09e1cdcb77f161"
+# SHA-256 of the snapshot ingest writes for build_scale_bundle(2024), and of
+# that graph in the version-1 form, which wrote both directions of each edge.
+SCALE_SNAPSHOT_SHA256 = "6f3af32c3509ce68116761b714313ee746fb350146d93c0274d658103c531b3c"
+SCALE_SNAPSHOT_V1_SHA256 = "76e74dfe036c9d7cd07fc38f03a2dd64ca5d2183153d67aa0d09e1cdcb77f161"
 # SHA-256 of the dataset files `titan gen` writes, with its defaults, from
 # that snapshot.
 SCALE_DATASET_SHA256 = {
@@ -606,6 +608,56 @@ def test_graph_from_a_one_shot_generator_of_shuffled_repeated_edges(scale_graph,
                         if graph.successor_ranks((rank,), rel)}
 
 
+# --- the snapshot holds forward edges; the load types each one and derives its reverse ---
+
+@pytest.mark.parametrize("edge, why", [
+    (("attack-pattern--0001", "used_by_malware", "malware--0002"),
+     "'used_by_malware' is a reverse relation"),
+    (("asset--linux", "bogus_rel", "asset--windows"),
+     "no forward relation 'bogus_rel' from kind 'asset'"),
+    (("malware--0001", "uses_attack_pattern", "asset--windows"),
+     "'uses_attack_pattern' from kind 'malware' ends at kind 'attack-pattern', not 'asset'"),
+], ids=["reverse", "untyped", "wrong-target-kind"])
+def test_snapshot_edge_not_typed_forward_is_named(fixture_graph, edge, why):
+    text = fixture_graph.export_snapshot() + "EDGE\t" + "\t".join(edge) + "\n"
+    message = f"snapshot: edge ({', '.join(edge)}): {why}"
+    with pytest.raises(MalformedBundle, match=f"^{re.escape(message)}$"):
+        KnowledgeGraph.load_snapshot(text)
+
+
+def test_snapshot_forward_edge_loads_with_its_reverse(fixture_graph):
+    edge = ("malware--0004", "uses_attack_pattern", "attack-pattern--0001")
+    assert edge not in set(fixture_graph.all_edges())
+    graph = KnowledgeGraph.load_snapshot(
+        fixture_graph.export_snapshot() + "EDGE\t" + "\t".join(edge) + "\n")
+    assert graph.edge_count == fixture_graph.edge_count + 2
+    assert "attack-pattern--0001" in successors(graph, ("malware--0004",), "uses_attack_pattern")
+    assert "malware--0004" in successors(graph, ("attack-pattern--0001",), "used_by_malware")
+
+
+def _version_one(graph: KnowledgeGraph) -> str:
+    """The graph as a version-1 snapshot wrote it: the NODE records, then
+    every directed edge, each direction on its own line."""
+    nodes = [line for line in graph.export_snapshot().split("\n") if line.startswith("NODE\t")]
+    edges = ["EDGE\t" + "\t".join(edge) for edge in graph.all_edges()]
+    return "\n".join(["TITAN-SNAPSHOT\t1", *nodes, *edges]) + "\n"
+
+
+def test_version_one_snapshot_is_refused_in_one_line_naming_titan_ingest(fixture_graph):
+    with pytest.raises(MalformedBundle) as err:
+        KnowledgeGraph.load_snapshot(_version_one(fixture_graph))
+    assert str(err.value) == ("snapshot line 1: a version-1 snapshot is no longer read; "
+                              "re-run titan ingest to write this version")
+
+
+def test_loaded_scale_graph_holds_the_version_one_content(registry):
+    # The content the version-1 pin held, re-rendered from a load of today's
+    # snapshot: the same nodes and every edge in both directions.
+    snapshot = build_graph(parse_stix_bundle(build_scale_bundle(2024)), registry).export_snapshot()
+    text = _version_one(KnowledgeGraph.load_snapshot(snapshot))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SCALE_SNAPSHOT_V1_SHA256
+
+
 # A malware node that uses a technique, with the reverse edge.
 TWO_NODES = (Node("malware--x", "X", EntityKind.MALWARE),
              Node("attack-pattern--y", "Y", EntityKind.ATTACK_PATTERN))
@@ -627,17 +679,17 @@ def test_edge_to_a_missing_node_is_named(edge):
 
 
 @pytest.mark.parametrize("bad, lineno", [
-    (["EDGE\ta\tb"], 6),
-    (["EDGE\ta\tb\tc\td"], 6),
-    (["EDGE"], 6),
-    (["EDGE\tmalware--x\tuses_attack_pattern\tattack-pattern--y\tEDGE", "EDGE\ta\tb"], 6),
-    (["EDGE\tmalware--x\tuses_attack_pattern", "EDGE\tattack-pattern--y\tx\ty\tz"], 6),
-    (["", "EDGE\ta\tb\tc\t"], 7),
+    (["EDGE\ta\tb"], 5),
+    (["EDGE\ta\tb\tc\td"], 5),
+    (["EDGE"], 5),
+    (["EDGE\tmalware--x\tuses_attack_pattern\tattack-pattern--y\tEDGE", "EDGE\ta\tb"], 5),
+    (["EDGE\tmalware--x\tuses_attack_pattern", "EDGE\tattack-pattern--y\tx\ty\tz"], 5),
+    (["", "EDGE\ta\tb\tc\t"], 6),
 ], ids=["three-fields", "five-fields", "bare", "five-then-three", "three-then-five",
         "trailing-tab"])
 def test_edge_record_with_a_wrong_field_count_names_its_line(bad, lineno):
     header, *records = KnowledgeGraph(TWO_NODES, TWO_EDGES).export_snapshot().splitlines()
-    # Header, two NODE records, two EDGE records, then the bad lines.
+    # Header, two NODE records, the forward EDGE record, then the bad lines.
     text = "\n".join([header, *records, *bad, records[-1]]) + "\n"
     with pytest.raises(MalformedBundle, match=f"^snapshot line {lineno}: unrecognized record$"):
         KnowledgeGraph.load_snapshot(text)

@@ -192,6 +192,28 @@ def test_registry_stores_each_forward_signature_with_its_reverse():
         "malware\tuses_attack_pattern\tattack-pattern\tused_by_malware\n")
 
 
+def test_default_registry_forward_and_reverse_names_are_disjoint():
+    # A snapshot writes forward edges only and tells a line's direction by
+    # its relation name, so no name may be both.
+    for include_subtechniques, forward, reverse in ((True, 9, 10), (False, 8, 9)):
+        registry = build_default_registry(include_subtechniques)
+        assert (len(registry.forward_names), len(registry.reverse_names)) == (forward, reverse)
+        assert registry.forward_names.isdisjoint(registry.reverse_names)
+        assert registry.forward_names | registry.reverse_names == {
+            sig.name for sig in registry.signatures}
+
+
+def test_forward_lookup_answers_forward_signatures_only():
+    registry = build_default_registry()
+    for sig in registry.signatures:
+        forward = registry.forward(sig.source_kind, sig.name)
+        assert forward == (sig if sig.name in registry.forward_names else None), sig
+    assert registry.forward(EntityKind.ASSET, "uses_attack_pattern") is None
+    assert registry.forward(EntityKind.MALWARE, "bogus_rel") is None
+    assert registry.forward(EntityKind.MALWARE, "uses_attack_pattern") == (
+        registry.signature_of(EntityKind.MALWARE, "uses_attack_pattern"))
+
+
 JUNK = ("", "_", "__", "uses_", "_malware", "Uses", "USES", "uses ", " uses", "used by",
         "uzes", "mitigated", "mitigated_by_", "attack_pattern", "is_malware_type",
         "filter", "select", "exec_common", "uses_attack_pattern_x", "x_uses_malware",

@@ -435,7 +435,7 @@ def test_snapshot_loads_in_any_order_with_repeated_edges(data):
     text = "\n".join([HEADER, *records]) + "\n"
     graph = KnowledgeGraph.load_snapshot(text)
     assert graph.export_snapshot() == SNAPSHOT
-    assert graph.edge_count == len(EDGE_LINES)
+    assert graph.edge_count == 2 * len(EDGE_LINES)  # each forward edge and its reverse
 
 
 @given(data=st.data())
@@ -458,9 +458,10 @@ def test_mutated_snapshot_loads_or_raises_titan_error(data):
         i = data.draw(st.sampled_from(positions))
         text = text[:i] + data.draw(CHAR) + text[i + 1:]
     try:
-        KnowledgeGraph.load_snapshot(text)
+        graph = KnowledgeGraph.load_snapshot(text)
     except TitanError:
-        pass
+        return
+    assert not bad_edges(graph, REGISTRY)
 
 
 def _loads_repr(decode, text):
