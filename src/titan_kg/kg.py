@@ -312,12 +312,11 @@ class KnowledgeGraph:
                     source = sources[lo]
                     raise ValueError(f"edge ({order[source]}, {rel}, "
                                      f"{order[runs[source][0]]}): {why}")
-                start, stop = kinds[sig.target_kind].start, kinds[sig.target_kind].stop
-                reverse = reverses[sig.inverse_name]
+                targets, reverse = kinds[sig.target_kind], reverses[sig.inverse_name]
                 for source in sources[lo:hi]:
                     run = runs[source]
-                    if run[0] < start or run[-1] >= stop:
-                        target = next(t for t in run if not start <= t < stop)
+                    if run[0] not in targets or run[-1] not in targets:
+                        target = next(t for t in run if t not in targets)
                         raise ValueError(
                             f"edge ({order[source]}, {rel}, {order[target]}): {rel!r} from "
                             f"kind {kind.value!r} ends at kind {sig.target_kind.value!r}, "
@@ -468,9 +467,9 @@ def build_graph(
     source, a technique's platform asset) is typed by the registry
     signature for its source kind, verb and target kind (``uses`` toward a
     malware node is ``uses_malware``), and goes to the graph in its forward
-    direction, from which the graph derives the reverse.  An edge that fits no signature is collected into
-    ``graph.skipped`` when ``lenient``, and raises :class:`UnknownSignature`
-    otherwise.  ``drop_revoked`` leaves out revoked and deprecated objects,
+    direction, from which the graph derives the reverse.  An edge that fits
+    no signature is collected into ``graph.skipped`` when ``lenient``, and
+    raises :class:`UnknownSignature` otherwise.  ``drop_revoked`` leaves out revoked and deprecated objects,
     relationships included, without a skip reason.
     """
     registry = registry or build_default_registry()

@@ -22,7 +22,7 @@ from titan_kg.kg import (
     node_census,
     parse_stix_bundle,
 )
-from titan_kg.ontology import EntityKind
+from titan_kg.ontology import EntityKind, RelationRegistry
 
 from bruteforce import successors
 from conftest import MISTYPED_TARGETS
@@ -635,6 +635,15 @@ def test_snapshot_forward_edge_loads_with_its_reverse(fixture_graph):
     assert "malware--0004" in successors(graph, ("attack-pattern--0001",), "used_by_malware")
 
 
+def test_registry_whose_forward_and_reverse_names_overlap_is_refused():
+    # A relation that is its own reverse: a forward edge could not be told
+    # from a derived one.
+    registry = RelationRegistry([(EntityKind.MALWARE, "related_to_malware", EntityKind.MALWARE,
+                                  "related_to_malware")])
+    with pytest.raises(ValueError, match="forward and reverse names overlap"):
+        KnowledgeGraph([Node("malware--x", "X", EntityKind.MALWARE)], [], registry=registry)
+
+
 def _version_one(graph: KnowledgeGraph) -> str:
     """The graph as a version-1 snapshot wrote it: the NODE records, then
     every directed edge, each direction on its own line."""
@@ -656,6 +665,21 @@ def test_loaded_scale_graph_holds_the_version_one_content(registry):
     snapshot = build_graph(parse_stix_bundle(build_scale_bundle(2024)), registry).export_snapshot()
     text = _version_one(KnowledgeGraph.load_snapshot(snapshot))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SCALE_SNAPSHOT_V1_SHA256
+
+
+def test_checked_graph_from_shuffled_repeated_forward_edges(scale_graph, registry):
+    import random
+
+    edges = list(scale_graph.all_edges())
+    forward = [edge for edge in edges if edge[1] in registry.forward_names]
+    rng = random.Random(6)
+    messy = forward + rng.sample(forward, 300) + forward[:3] * 4
+    rng.shuffle(messy)
+    graph = KnowledgeGraph(iter(scale_graph.nodes_by_rank), (edge for edge in messy),
+                           registry=registry)
+    assert list(graph.all_edges()) == edges
+    assert graph.edge_count == len(edges) == 2 * len(forward)
+    assert graph._adjacency == KnowledgeGraph(scale_graph.nodes_by_rank, edges)._adjacency
 
 
 # A malware node that uses a technique, with the reverse edge.
