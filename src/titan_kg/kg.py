@@ -230,10 +230,9 @@ class KnowledgeGraph:
     Given a ``registry``, ``edges`` are forward edges: each must be typed by
     the registry's forward signature from its source's kind and end at that
     signature's target kind, or a ``ValueError`` names it, and the graph
-    adds its reverse.  Without one, ``edges`` are every directed edge, taken
-    as given and not checked, as a hand-built graph needs.  Either way the
-    snapshot holds the runs of the registry's forward relations (the
-    default registry's, without one).
+    derives its reverse.  Without one, ``edges`` are every directed edge,
+    taken as given and unchecked, as in a hand-built graph.  The snapshot
+    holds the runs of that registry's (or the default's) forward relations.
     """
 
     def __init__(self, nodes: Iterable[Node], edges: Iterable[tuple[str, str, str]],
@@ -403,11 +402,9 @@ class KnowledgeGraph:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def load_snapshot(cls, text: str,
-                      registry: RelationRegistry | None = None) -> "KnowledgeGraph":
-        """The graph a snapshot holds; its forward edges are checked against
-        ``registry`` (the default registry without one), which derives each
-        reverse.  Raises :class:`MalformedBundle` naming the line or edge."""
+    def load_snapshot(cls, text: str) -> "KnowledgeGraph":
+        """The graph a snapshot holds, its forward edges checked against the
+        default registry; :class:`MalformedBundle` names a bad line or edge."""
         # Records end at "\n" only (a "\r" before it is dropped): JSON leaves
         # U+0085, U+2028 and U+2029 unescaped, and str.splitlines breaks there.
         if "\r" in text:
@@ -449,7 +446,7 @@ class KnowledgeGraph:
         del lines, edge_lines
         try:
             return cls(nodes, zip(fields[1::4], fields[2::4], fields[3::4]),
-                       registry=registry or build_default_registry())
+                       registry=build_default_registry())
         except ValueError as exc:
             raise MalformedBundle(f"snapshot: {exc}") from exc
 
