@@ -18,6 +18,7 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 import random
 import re
 from collections import Counter
@@ -260,14 +261,7 @@ def _candidate_bindings(
     """Entity-id tuples for the template's placeholders, deterministic
     under the rng; same-kind slots never bind the same entity twice."""
     pools = [graph.nodes_of_kind(kind) for kind in template.placeholders.values()]
-    if not pools:
-        return [()]
-    if any(not pool for pool in pools):
-        return []
-    total = 1
-    for pool in pools:
-        total *= len(pool)
-    if total <= max(4 * max_count, 512):
+    if math.prod(map(len, pools)) <= max(4 * max_count, 512):
         combos = [t for t in itertools.product(*pools) if len(set(t)) == len(t)]
         if len(combos) > max_count:
             combos = rng.sample(combos, max_count)

@@ -101,16 +101,12 @@ def _f1(overlap: int, n_cand: int, n_ref: int) -> float:
 def rouge_l(candidate: str, reference: str) -> float:
     """Token-level longest-common-subsequence F1."""
     cand, ref, _ = _coded(candidate, reference)
-    if not cand or not ref:
-        return 0.0
     return _f1(_lcs_length(cand, ref), len(cand), len(ref))
 
 
 def rouge_1(candidate: str, reference: str) -> float:
     """Clipped unigram-overlap F1."""
     cand, ref, unigrams = _coded(candidate, reference)
-    if not cand or not ref:
-        return 0.0
     return _f1(unigrams, len(cand), len(ref))
 
 

@@ -238,16 +238,14 @@ def run_path(
         return typed, execute(graph, typed)
     if not start_ids:
         raise MissingStartKind("path needs start entities, none resolved")
-    # start_ids is not empty, so the loop runs and a failure sets last_error.
-    for kind in dict.fromkeys(graph.node(nid).kind for nid in start_ids):
+    *kinds, last = dict.fromkeys(graph.node(nid).kind for nid in start_ids)
+    for kind in kinds:
         try:
             typed = validate_program(program, registry, start_kind=kind)
-        except TitanError as exc:
-            last_error = exc
-            continue
-        keep = tuple(nid for nid in start_ids if graph.node(nid).kind is kind)
-        return typed, execute(graph, typed, start=keep)
-    try:
-        raise last_error
-    finally:  # the error's traceback holds this frame: leave no cycle behind
-        del last_error
+            break
+        except TitanError:
+            pass
+    else:  # no earlier kind type-checks: the last kind's error propagates
+        kind, typed = last, validate_program(program, registry, start_kind=last)
+    keep = tuple(nid for nid in start_ids if graph.node(nid).kind is kind)
+    return typed, execute(graph, typed, start=keep)

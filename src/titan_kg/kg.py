@@ -232,7 +232,9 @@ class KnowledgeGraph:
     signature's target kind, or a ``ValueError`` names it, and the graph
     derives its reverse.  Without one, ``edges`` are every directed edge,
     taken as given and unchecked, as in a hand-built graph.  The snapshot
-    holds the runs of that registry's (or the default's) forward relations.
+    holds the runs of that registry's (or the default's) forward relations;
+    an unchecked graph whose edges they cannot give back exactly does not
+    export, and a ``ValueError`` names its first such edge.
     """
 
     def __init__(self, nodes: Iterable[Node], edges: Iterable[tuple[str, str, str]],
@@ -274,7 +276,7 @@ class KnowledgeGraph:
         if registry is not None:
             adjacency.update(self._reverses(adjacency, kinds, registry))
         self._adjacency = adjacency
-        self._forward_names = (registry or build_default_registry()).forward_names
+        self._registry = registry
         self._edge_count = sum(len(run) for runs in self._adjacency.values()
                                for run in runs.values())
         self._name_index: dict[str, tuple[str, ...]] = {
@@ -294,9 +296,6 @@ class KnowledgeGraph:
         its first and last target do.  The sources are walked in ascending
         rank, so each reverse run is filled ascending and distinct.
         """
-        if not registry.forward_names.isdisjoint(registry.reverse_names):
-            raise ValueError("a registry whose forward and reverse names overlap "
-                             "cannot tell an edge's direction")
         order = self._order
         reverses = defaultdict(lambda: defaultdict(list))  # relation -> target rank -> sources
         for rel, runs in forward.items():
@@ -349,9 +348,7 @@ class KnowledgeGraph:
 
     def successor_ranks(self, ranks: Iterable[int], rel: str) -> tuple[int, ...]:
         """Distinct targets of ``rel`` edges from ``ranks``, ascending."""
-        if not (runs := self._adjacency.get(rel)):
-            return ()
-        # Only a source with a ``rel`` edge has a run: look up only those.
+        runs = self._adjacency.get(rel, {})  # only a source with a ``rel`` edge has a run
         return tuple(sorted(set().union(*map(runs.__getitem__, filter(runs.__contains__, ranks)))))
 
     def find_by_name(self, name: str) -> tuple[str, ...]:
@@ -387,6 +384,16 @@ class KnowledgeGraph:
     # --- snapshot interface ---
 
     def export_snapshot(self) -> str:
+        registry = self._registry or build_default_registry()
+        if self._registry is None:  # unchecked edges: the forward ones must give them all back
+            have = set(self.all_edges())
+            forward = (edge for edge in have if edge[1] in registry.forward_names)
+            held = set(KnowledgeGraph(self.nodes_by_rank, forward, registry=registry).all_edges())
+            if unheld := min([(*edge, "forward half") for edge in have - held] + [
+                    (dst, registry.signature_of(self.node(src).kind, rel).inverse_name, src,
+                     "reverse") for src, rel, dst in held - have], default=None):
+                raise ValueError("edge ({}, {}, {}) lacks its {}: a snapshot cannot hold it"
+                                 .format(*unheld))
         # What json.dumps(ensure_ascii=False) writes for a string; arrays are
         # joined as it writes a list of strings.
         quote = json.encoder.encode_basestring
@@ -398,7 +405,7 @@ class KnowledgeGraph:
         # One chunk of lines per forward run, each line led by the run's
         # prefix; a load derives the reverse runs.
         lines.extend(f"EDGE\t{src}\t{rel}\t" + f"\nEDGE\t{src}\t{rel}\t".join(dsts)
-                     for src, rel, dsts in self._id_runs(self._forward_names))
+                     for src, rel, dsts in self._id_runs(registry.forward_names))
         return "\n".join(lines) + "\n"
 
     @classmethod

@@ -91,21 +91,25 @@ class RelationRegistry:
 
     Built from forward signatures ``(source, name, target, inverse)``, each
     stored together with its reverse ``(target, inverse, source, name)``,
-    so the catalog is closed under inversion by construction.  Immutable
-    after construction and therefore safe for unrestricted concurrent reads.
+    so the catalog is closed under inversion by construction.  A name that
+    is both a forward and a reverse name is refused (``ValueError``), so a
+    name alone tells an edge's direction.  Immutable after construction and
+    therefore safe for unrestricted concurrent reads.
     """
 
     def __init__(self, forward: Iterable[Forward]):
-        self._by_key: dict[tuple[EntityKind, str], RelationSignature] = {}
-        self._forward: dict[tuple[EntityKind, str], RelationSignature] = {}
-        for src, name, dst, inv in forward:
-            self._by_key[src, name] = self._forward[src, name] = RelationSignature(
-                src, name, dst, inv)
-            self._by_key[dst, inv] = RelationSignature(dst, inv, src, name)
-        self._names = frozenset(name for _, name in self._by_key)
+        forward = tuple(forward)
         # The names of the forward signatures, and of their reverses.
-        self.forward_names = frozenset(sig.name for sig in self._forward.values())
-        self.reverse_names = frozenset(sig.inverse_name for sig in self._forward.values())
+        self.forward_names = frozenset(name for _, name, _, _ in forward)
+        self.reverse_names = frozenset(inv for _, _, _, inv in forward)
+        if not self.forward_names.isdisjoint(self.reverse_names):
+            raise ValueError("a registry whose forward and reverse names overlap "
+                             "cannot tell an edge's direction")
+        self._names = self.forward_names | self.reverse_names
+        self._by_key: dict[tuple[EntityKind, str], RelationSignature] = {}
+        for src, name, dst, inv in forward:
+            self._by_key[src, name] = RelationSignature(src, name, dst, inv)
+            self._by_key[dst, inv] = RelationSignature(dst, inv, src, name)
         # Short verb (a name without its target suffix) -> source kind ->
         # the names that complete it from that kind; and each signature by
         # its (source kind, verb, target kind).
@@ -134,7 +138,7 @@ class RelationRegistry:
     def forward(self, source_kind: EntityKind, name: str) -> RelationSignature | None:
         """The forward signature ``name`` from ``source_kind``; None for a
         reverse or for no signature at all."""
-        return self._forward.get((source_kind, name))
+        return self._by_key.get((source_kind, name)) if name in self.forward_names else None
 
     def signature_for_verb(self, source_kind: EntityKind, verb: str,
                            target_kind: EntityKind) -> RelationSignature | None:

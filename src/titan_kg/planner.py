@@ -261,33 +261,26 @@ class RemotePlanner:
             "temperature": 0,
         }).encode("utf-8")
 
-        last_error: Exception | None = None
-        try:
-            for attempt in range(self._config.max_retries + 1):
-                if attempt:
-                    time.sleep(self._config.backoff_base * 2 ** (attempt - 1))
-                post = urllib.request.Request(url, data=body, headers=headers, method="POST")
-                try:
-                    with urllib.request.urlopen(post, timeout=self._config.timeout) as reply:
-                        payload = json.loads(reply.read())
-                    break
-                except urllib.error.HTTPError as exc:
-                    exc.close()  # it holds the reply's socket
-                    if 400 <= exc.code < 500 and exc.code not in _RETRY_4XX:
-                        # The same request would be refused again.
-                        raise PlannerUnavailable(
-                            f"planner endpoint refused the request: HTTP "
-                            f"{exc.code} {exc.reason}") from None
-                    last_error = exc
-                except (OSError, http.client.HTTPException, ValueError) as exc:
-                    last_error = exc
-                logger.warning("planner endpoint attempt %d failed: %s",
-                               attempt + 1, last_error)
-            else:
-                raise PlannerUnavailable(f"planner endpoint failed: {last_error}") \
-                    from last_error
-        finally:  # an attempt's error holds this frame: leave no cycle behind
-            del last_error
+        for attempt in range(max(self._config.max_retries, 0) + 1):
+            if attempt:
+                time.sleep(self._config.backoff_base * 2 ** (attempt - 1))
+            post = urllib.request.Request(url, data=body, headers=headers, method="POST")
+            try:
+                with urllib.request.urlopen(post, timeout=self._config.timeout) as reply:
+                    payload = json.loads(reply.read())
+                break
+            except urllib.error.HTTPError as exc:
+                exc.close()  # it holds the reply's socket
+                if 400 <= exc.code < 500 and exc.code not in _RETRY_4XX:
+                    # The same request would be refused again.
+                    raise PlannerUnavailable(f"planner endpoint refused the request: "
+                                             f"HTTP {exc.code} {exc.reason}") from None
+                error = str(exc)  # text: the error holds this frame
+            except (OSError, http.client.HTTPException, ValueError) as exc:
+                error = str(exc)
+            logger.warning("planner endpoint attempt %d failed: %s", attempt + 1, error)
+        else:
+            raise PlannerUnavailable(f"planner endpoint failed: {error}")
 
         try:
             content = payload["choices"][0]["message"]["content"]

@@ -1,11 +1,13 @@
 import json
 import logging
+import random
 
 import pytest
 
 from titan_kg.datagen import (
     DatasetConfig,
     Sample,
+    _candidate_bindings,
     dataset_to_jsonl,
     default_template_text,
     generate_dataset,
@@ -325,6 +327,18 @@ def test_generate_dataset_deterministic(fixture_graph, registry, core_templates)
     assert dataset_to_jsonl(first.train) == dataset_to_jsonl(second.train)
     assert dataset_to_jsonl(first.test) == dataset_to_jsonl(second.test)
     assert table_one == table_two
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2])
+def test_cap_bounds_the_bindings_of_every_shipped_template(cap, fixture_graph, registry,
+                                                          core_templates):
+    for template in core_templates:
+        bindings = _candidate_bindings(template, fixture_graph, random.Random(7), cap)
+        assert len(bindings) <= cap, template.id
+    if cap == 0:  # a template with no placeholder included
+        split, _ = generate_dataset(core_templates, fixture_graph,
+                                    DatasetConfig(max_per_template=0), registry)
+        assert split.train == split.test == ()
 
 
 def test_split_has_no_overlapping_combinations(fixture_graph, registry, core_templates):

@@ -109,7 +109,9 @@ def test_rouge_l_hand_example():
 def test_rouge_l_bounds():
     assert rouge_l("same text", "same text") == 1.0
     assert rouge_l("alpha beta", "gamma delta") == 0.0
-    assert rouge_l("", "anything") == 0.0
+    for empty in ("", "!!"):  # texts that tokenize to nothing
+        assert rouge_l(empty, "anything") == rouge_l("anything", empty) == 0.0
+        assert rouge_l(empty, empty) == 0.0
 
 
 def test_rouge_1_hand_example():
@@ -120,6 +122,9 @@ def test_rouge_1_hand_example():
 def test_rouge_1_bounds():
     assert rouge_1("same text", "same text") == 1.0
     assert rouge_1("alpha", "beta") == 0.0
+    for empty in ("", "!!"):  # texts that tokenize to nothing
+        assert rouge_1(empty, "anything") == rouge_1("anything", empty) == 0.0
+        assert rouge_1(empty, empty) == 0.0
 
 
 def test_bleu_identical_is_exactly_one():

@@ -638,10 +638,9 @@ def test_snapshot_forward_edge_loads_with_its_reverse(fixture_graph):
 def test_registry_whose_forward_and_reverse_names_overlap_is_refused():
     # A relation that is its own reverse: a forward edge could not be told
     # from a derived one.
-    registry = RelationRegistry([(EntityKind.MALWARE, "related_to_malware", EntityKind.MALWARE,
-                                  "related_to_malware")])
     with pytest.raises(ValueError, match="forward and reverse names overlap"):
-        KnowledgeGraph([Node("malware--x", "X", EntityKind.MALWARE)], [], registry=registry)
+        RelationRegistry([(EntityKind.MALWARE, "related_to_malware", EntityKind.MALWARE,
+                           "related_to_malware")])
 
 
 def _version_one(graph: KnowledgeGraph) -> str:
@@ -700,6 +699,34 @@ def test_edge_to_a_missing_node_is_named(edge):
     snapshot = KnowledgeGraph(TWO_NODES, TWO_EDGES).export_snapshot() + "EDGE\t" + "\t".join(edge) + "\n"
     with pytest.raises(MalformedBundle, match=f"^snapshot: {re.escape(message)}$"):
         KnowledgeGraph.load_snapshot(snapshot)
+
+
+# An edge between TWO_NODES that no signature types: used_by_tool ends at a tool.
+BOGUS_EDGE = ("attack-pattern--y", "used_by_tool", "malware--x")
+
+
+@pytest.mark.parametrize("edges, named, half", [
+    ([TWO_EDGES[1]], TWO_EDGES[1], "forward half"),
+    ([TWO_EDGES[0]], TWO_EDGES[0], "reverse"),
+    ([TWO_EDGES[0], BOGUS_EDGE], BOGUS_EDGE, "forward half"),
+    ([*TWO_EDGES, BOGUS_EDGE], BOGUS_EDGE, "forward half"),
+], ids=["reverse-only", "forward-only", "first-of-two", "mistyped"])
+def test_unchecked_graph_a_snapshot_cannot_hold_is_not_exported(edges, named, half):
+    # Without a registry the edges are taken as given, but a snapshot holds
+    # only forward edges, from which a load derives every reverse.
+    graph = KnowledgeGraph(TWO_NODES, edges)
+    assert graph.edge_count == len(edges)
+    message = f"edge ({', '.join(named)}) lacks its {half}: a snapshot cannot hold it"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        graph.export_snapshot()
+
+
+def test_unchecked_graph_with_an_untyped_forward_edge_is_not_exported():
+    # The load's own check names a forward-named edge that it would refuse.
+    edge = ("malware--x", "uses_tool", "attack-pattern--y")
+    message = f"edge ({', '.join(edge)}): no forward relation 'uses_tool' from kind 'malware'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        KnowledgeGraph(TWO_NODES, [*TWO_EDGES, edge]).export_snapshot()
 
 
 @pytest.mark.parametrize("bad, lineno", [

@@ -415,6 +415,16 @@ def test_remote_planner_retries_rate_limit(stub_server, registry):
     assert len(handler.requests_seen) == 2
 
 
+def test_remote_planner_gives_up_naming_the_last_error(stub_server, registry):
+    handler, base_url = stub_server
+    handler.replies.extend([(500, {"error": "boom"}), (503, {"error": "busy"})])
+    planner = RemotePlanner(_config(base_url, retries=1), registry)
+    with pytest.raises(PlannerUnavailable) as err:
+        planner.plan(PlannerRequest(question="q"))
+    assert str(err.value) == "planner endpoint failed: HTTP Error 503: Service Unavailable"
+    assert len(handler.requests_seen) == 2
+
+
 def test_remote_planner_unreachable_endpoint(registry):
     planner = RemotePlanner(_config("http://127.0.0.1:9", retries=1), registry)
     with pytest.raises(PlannerUnavailable):
