@@ -140,8 +140,8 @@ def cmd_ask(args) -> int:
     if args.planner == "mock":
         if not args.dataset:
             raise TitanError("the mock planner needs --dataset to build its index")
-        samples = _load(args.dataset, datagen.load_dataset)
-        planner = MockPlanner(samples, registry)
+        planner = _load(args.dataset, lambda text: MockPlanner(
+            datagen.iter_records(text, datagen.Sample.from_json), registry))
     else:
         planner = RemotePlanner(EndpointConfig.from_env(), registry)
     result, program, cot = run_question(graph, planner, args.question,

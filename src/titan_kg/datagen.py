@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import MalformedInput, StartKindMismatch, TemplateSchemaError, TitanError
 from .executor import run_path
@@ -51,6 +51,7 @@ from .pathlang import (
 logger = logging.getLogger(__name__)
 
 _PLACEHOLDER = re.compile(r"\[([a-z-]+)(?::(\d+))?\]")
+_LINE = re.compile(r"^.*$", re.M)  # "." and "$" stop at "\n" only
 
 
 def _derive_seed(*parts) -> int:
@@ -401,8 +402,8 @@ def json_object(line: str, strings: Iterable[str]) -> dict:
     return rec
 
 
-def read_records(text: str, read, error=MalformedInput, comments: bool = False) -> list:
-    """``read`` of each record of a line-record file, in file order.
+def iter_records(text: str, read, error=MalformedInput, comments: bool = False) -> Iterator:
+    """``read`` of each record of a line-record file, yielded in file order.
 
     Records end at ``\n`` only: JSON leaves U+0085, U+2028 and U+2029
     unescaped, and ``str.splitlines`` would break a record at them.  A record
@@ -410,16 +411,19 @@ def read_records(text: str, read, error=MalformedInput, comments: bool = False) 
     lines, and ``#`` lines where ``comments`` is set, are skipped but
     counted; a ValueError from ``read`` is raised as ``error`` naming the line.
     """
-    records = []
-    for lineno, line in enumerate(text.split("\n"), 1):
-        line = line.strip()
+    for lineno, match in enumerate(_LINE.finditer(text), 1):
+        line = match.group().strip()
         if not line or (comments and line.startswith("#")):
             continue
         try:
-            records.append(read(line))
+            yield read(line)
         except ValueError as exc:
             raise error(f"line {lineno}: {exc}") from exc
-    return records
+
+
+def read_records(text: str, read, error=MalformedInput, comments: bool = False) -> list:
+    """The list of :func:`iter_records`."""
+    return list(iter_records(text, read, error, comments))
 
 
 def load_dataset(text: str) -> list[Sample]:

@@ -147,9 +147,10 @@ class MockPlanner:
     def __init__(self, samples: Iterable[Sample],
                  registry: RelationRegistry | None = None):
         self._registry = registry or build_default_registry()
-        self._index: dict[str, Sample] = {}
-        for sample in samples:
-            self._index.setdefault(fold(sample.question), sample)
+        # Each question keeps only what plan returns, not its whole sample.
+        self._index: dict[str, tuple[str, tuple[str, ...], str]] = {}
+        for s in samples:
+            self._index.setdefault(fold(s.question), (s.path, s.start_entities, s.cot))
         self._keys = sorted(self._index)
         # Bit i of a mask stands for self._keys[i].  _masks maps a token to
         # the questions holding it; _size_masks pairs each token-set size,
@@ -201,17 +202,17 @@ class MockPlanner:
 
     def plan(self, request: PlannerRequest) -> PlannerResponse:
         key = fold(request.question)
-        sample = self._index.get(key)
-        guessed = sample is None
-        if sample is None:
+        guessed = key not in self._index
+        if guessed:
             if not self._keys:
                 raise UnparseablePlan("planner returned no usable path")
-            sample = self._index[self._keys[self._nearest(set(key.split()))]]
+            key = self._keys[self._nearest(set(key.split()))]
 
-        if (path := self._programs.get(sample.path)) is None:
-            path = self._programs[sample.path] = parse_path(sample.path, self._registry)
+        text, start_entities, cot = self._index[key]
+        if (path := self._programs.get(text)) is None:
+            path = self._programs[text] = parse_path(text, self._registry)
         if request.mode == "cot":
-            return PlannerResponse(sample.cot, path, sample.start_entities, guessed)
+            return PlannerResponse(cot, path, start_entities, guessed)
         # NoCoT planners emit the path only; entity linking happens
         # executor-side.
         return PlannerResponse(None, path, guessed=guessed)

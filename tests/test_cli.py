@@ -744,13 +744,21 @@ MALFORMED_SAMPLES = ["{not json", '{"question": "q"}',
 
 @pytest.mark.parametrize("line", MALFORMED_SAMPLES)
 def test_ask_malformed_dataset_is_one_line_error(snapshot, tmp_path, capsys, line):
+    # The planner reads the file record by record: a bad line after good
+    # ones fails as a first line does, before any question is planned.
     dataset = tmp_path / "bad.jsonl"
-    dataset.write_text(line + "\n", "utf-8")
-    code = main(["ask", "--snapshot", str(snapshot), "--question", "q",
-                 "--planner", "mock", "--dataset", str(dataset)])
-    assert code == 1
-    err = _one_line_error(capsys, "MalformedInput: ")
-    assert "bad.jsonl line 1" in err
+    valid = '{"question": "a", "path": "is_malware_type"}\n'
+    for before, lineno in (("", 1), (valid * 2, 3)):
+        dataset.write_text(before + line + "\n", "utf-8")
+        code = main(["ask", "--snapshot", str(snapshot), "--question", "q",
+                     "--planner", "mock", "--dataset", str(dataset)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("MalformedInput: "), captured.err
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert f"bad.jsonl line {lineno}:" in captured.err
 
 
 @pytest.mark.parametrize("line, reason", [

@@ -1,6 +1,8 @@
+import dataclasses
 import gc
 import json
 import threading
+import weakref
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -270,6 +272,33 @@ def test_mock_parses_each_stored_path_once(small_dataset, registry, monkeypatch)
             response = planner.plan(PlannerRequest(question=sample.question, mode=mode))
             assert response.path == parse_path(sample.path, registry)
     assert sorted(parsed) == sorted(paths)
+
+
+def test_mock_retains_no_sample(small_dataset, registry):
+    # Copies, so that the module's dataset does not keep them alive.
+    samples = [dataclasses.replace(s) for s in small_dataset.train]
+    exact = samples[0]
+    guess = next(s.question for s in small_dataset.test
+                 if fold(s.question) not in {fold(t.question) for t in samples})
+    nearest, guessed = _linear_nearest(samples, guess)
+    assert guessed
+    expected = {}
+    for question, sample, flag in ((exact.question, exact, False), (guess, nearest, True)):
+        path = parse_path(sample.path, registry)
+        expected[question, "cot"] = PlannerResponse(sample.cot, path, sample.start_entities, flag)
+        expected[question, "nocot"] = PlannerResponse(None, path, guessed=flag)
+    planner = MockPlanner(samples, registry)
+
+    def responses():
+        return {(question, mode): planner.plan(PlannerRequest(question=question, mode=mode))
+                for question, mode in expected}
+    assert responses() == expected
+
+    refs = [weakref.ref(s) for s in samples]
+    del samples, exact, nearest, sample
+    gc.collect()
+    assert [ref for ref in refs if ref() is not None] == []
+    assert responses() == expected
 
 
 def test_mock_bad_stored_path_fails_only_when_planned(registry):
