@@ -12,7 +12,9 @@ on random token lists long enough to span several 64-bit words, and BLEU
 against n-gram counting by slicing, to the last bit of the float.  All
 three text metrics are checked to the last bit against their oracles on
 raw strings: words in mixed case, ``_`` tokens and repeats, glued by ASCII
-punctuation and whitespace or by nothing, and empty texts.
+punctuation and whitespace or by nothing, and empty texts; and on near
+copies, a text and itself with up to three words inserted, deleted or
+substituted anywhere, so the two share a prefix, a suffix or both.
 
 Ingest's single-regex whole-word country tagging is checked against a
 scan per marker and field on fields glued from marker fragments in mixed
@@ -149,6 +151,28 @@ TEXT_GLUE = st.sampled_from(("", " ", "  ", "\t\n", ",", ", ", ".", "-", "'", "(
 TEXTS = st.integers(0, 90).flatmap(lambda n: st.lists(
     st.tuples(TEXT_WORD, TEXT_GLUE), min_size=n, max_size=n)).map(
     lambda parts: "".join(word + glue for word, glue in parts))
+# A text of up to 120 such words and a near copy of it: 0-3 insertions,
+# deletions or substitutions, each at any position.  Negative positions
+# count from the end, so the first and the last word are edited often.
+EDITS = st.lists(st.tuples(st.sampled_from(("insert", "delete", "substitute")),
+                           st.integers(-2, 1) | st.integers(0, 120), TEXT_WORD), max_size=3)
+
+
+def _edited(words: list[str], edits) -> list[str]:
+    words = list(words)
+    for how, at, word in edits:
+        if how == "insert":
+            words.insert(at % (len(words) + 1), word)
+        elif words and how == "delete":
+            del words[at % len(words)]
+        elif words:
+            words[at % len(words)] = word
+    return words
+
+
+NEAR_COPIES = st.tuples(st.integers(0, 120).flatmap(
+    lambda n: st.lists(TEXT_WORD, min_size=n, max_size=n)), EDITS).map(
+    lambda drawn: (" ".join(drawn[0]), " ".join(_edited(*drawn))))
 # Markers, pairs of markers that share letters ("united statesouth korea"),
 # marker halves and separators, each in one of four cases.  The fourth
 # swaps in letters that casefold does not map one to one onto "i", "s"
@@ -406,6 +430,26 @@ def test_text_metrics_match_oracles_on_strings(a, b):
     assert rouge_l(a, b) == brute_rouge_l(cand, ref)
     assert rouge_1(a, b) == brute_rouge_1(cand, ref)
     assert bleu(a, b) == brute_bleu(cand, ref)
+
+
+@example(pair=("uses_malware A b, c", "USES_malware a b c"))
+@example(pair=("a b c d", "a b"))
+@example(pair=("a b c d", "c d"))
+@example(pair=("a a", "a a a"))
+@example(pair=("a b a", "a a"))
+@example(pair=("b c d e", "a c d e"))
+@example(pair=("a b c d", "a b c e"))
+@example(pair=(", .", "a b"))
+@example(pair=("", ""))
+@given(pair=NEAR_COPIES)
+def test_text_metrics_match_oracles_on_near_copies(pair):
+    # Near copies share a long prefix or suffix, or both; the pairs above
+    # share none most of the time.
+    for a, b in (pair, pair[::-1]):
+        cand, ref = brute_tokenize(a), brute_tokenize(b)
+        assert rouge_l(a, b) == brute_rouge_l(cand, ref)
+        assert rouge_1(a, b) == brute_rouge_1(cand, ref)
+        assert bleu(a, b) == brute_bleu(cand, ref)
 
 
 # Markers glued to other words are not whole words: these give no tag.
