@@ -548,6 +548,56 @@ def test_eval_rotated_predictions_full_output(snapshot, tmp_path, capsys):
     assert report_out.read_text("utf-8") == EVAL_ROTATED_REPORT
 
 
+EVAL_NEAR_MISS_STDOUT = """\
+bucket                 n      EM     R-L     R-1    BLEU
+--------------------------------------------------------
+L1                     6   1.000   0.918   0.918   0.828
+L2                    12   1.000   0.945   0.945   0.878
+L3                     2   1.000   0.970   0.970   0.922
+filter                 1   1.000   0.956   0.956   0.895
+select                 7   1.000   0.946   0.946   0.876
+exec_common            3   1.000   0.955   0.955   0.888
+exec_difference        4   1.000   0.940   0.940   0.867
+overall               20   1.000   0.939   0.939   0.867
+BERTScore: not computed
+"""
+
+EVAL_NEAR_MISS_REPORT = """\
+{"bucket": "L3", "count": 2, "em": 1.0, "rouge_l": 0.9698178533794972, "rouge_1": 0.9698178533794972, "bleu": 0.9219531909120742}
+{"bucket": "exec_common", "count": 3, "em": 1.0, "rouge_l": 0.9551781306860833, "rouge_1": 0.9551781306860833, "bleu": 0.888328003219478}
+{"bucket": "select", "count": 7, "em": 1.0, "rouge_l": 0.9462637257671339, "rouge_1": 0.9462637257671339, "bleu": 0.8760636859552984}
+{"bucket": "L2", "count": 12, "em": 1.0, "rouge_l": 0.9451914631892665, "rouge_1": 0.9451914631892665, "bleu": 0.8778927184404868}
+{"bucket": "L1", "count": 6, "em": 1.0, "rouge_l": 0.9176921269944526, "rouge_1": 0.9176921269944526, "bleu": 0.8277315022484633}
+{"bucket": "exec_difference", "count": 4, "em": 1.0, "rouge_l": 0.9395779220779221, "rouge_1": 0.9395779220779221, "bleu": 0.8668654480071635}
+{"bucket": "filter", "count": 1, "em": 1.0, "rouge_l": 0.9558823529411764, "rouge_1": 0.9558823529411764, "bleu": 0.8950392603090439}
+{"bucket": "overall", "count": 20, "em": 1.0, "rouge_l": 0.9394043013498454, "rouge_1": 0.9394043013498454, "bleu": 0.8672504008300386}
+"""
+
+
+def test_eval_near_miss_predictions_full_output(snapshot, tmp_path, capsys):
+    # Each prediction is its reference with one entity name in the CoT
+    # replaced by the next row's, as a nearest question's CoT differs from
+    # the asked one's: each CoT pair shares a prefix and a suffix around
+    # short differing middles, and one pair is identical.
+    outdir = tmp_path / "dataset"
+    assert main(["gen", "--snapshot", str(snapshot), "--seed", "3",
+                 "--out", str(outdir)]) == 0
+    test_file = outdir / "test.jsonl"
+    rows = [json.loads(line) for line in test_file.read_text("utf-8").splitlines()]
+    names = [(row["start_entities"] or row["cot"].split("Branch the reasoning for ")[1]
+              .split(","))[0] for row in rows]
+    predictions = tmp_path / "preds.jsonl"
+    predictions.write_text("".join(
+        json.dumps({"path": row["path"], "cot": row["cot"].replace(name, other)}) + "\n"
+        for row, name, other in zip(rows, names, names[1:] + names[:1])), "utf-8")
+    report_out = tmp_path / "report.jsonl"
+    capsys.readouterr()
+    assert main(["eval", "--dataset", str(test_file),
+                 "--predictions", str(predictions), "--out", str(report_out)]) == 0
+    assert capsys.readouterr().out == EVAL_NEAR_MISS_STDOUT
+    assert report_out.read_text("utf-8") == EVAL_NEAR_MISS_REPORT
+
+
 def test_eval_buckets_rows_by_reference_path_not_dataset_labels(tmp_path, capsys):
     # Row 1 has no bucket and row 2 claims a filter: both paths are one
     # type seed, so both rows are L1 with no operator.

@@ -18,7 +18,9 @@ checks:
   interpreter;
 * ``exec`` and ``ask``: the printed answers are the brute-force
   interpreter's for the printed path and start ids;
-* ``eval``: the ``overall`` record counts every dataset row.
+* ``eval``: the ``overall`` record counts every dataset row, and its
+  ROUGE-L, ROUGE-1 and BLEU are the means of the brute-force oracles' scores
+  over the rows whose prediction and reference both carry a CoT.
 
 A snapshot holds forward edges only, and its load types each one and
 derives its reverse, so no mutated snapshot loads with an edge that is
@@ -45,7 +47,16 @@ from titan_kg.kg import KnowledgeGraph
 from titan_kg.ontology import build_default_registry
 from titan_kg.pathlang import parse_path
 
-from bruteforce import bad_edges, brute_execute, steps_from_program, tables_from_graph
+from bruteforce import (
+    bad_edges,
+    bleu,
+    brute_execute,
+    rouge_1,
+    rouge_l,
+    steps_from_program,
+    tables_from_graph,
+    tokenize,
+)
 from conftest import FIXTURE_BUNDLE
 
 HOSTILE = [b"\t", b"\r", b"\x00", "\ufeff".encode(), b"\xff", "\u00a0".encode(),
@@ -172,9 +183,9 @@ def test_cli_exit_is_one_error_line_or_a_right_result(seed):
             argv = ["gen", "--snapshot", str(given_file("snapshot")), "--templates",
                     str(given_file("templates")), "--seed", "3", "--out", str(work / "out")]
         else:
-            dataset = given_file("test")
+            dataset, predictions = given_file("test"), given_file("predictions")
             argv = ["eval", "--dataset", str(dataset), "--predictions",
-                    str(given_file("predictions")), "--out", str(work / "report.jsonl")]
+                    str(predictions), "--out", str(work / "report.jsonl")]
 
         code, stdout, stderr = _run(argv)
         assert code in (0, 1)
@@ -210,4 +221,13 @@ def test_cli_exit_is_one_error_line_or_a_right_result(seed):
             report = [json.loads(line) for line in
                       (work / "report.jsonl").read_text("utf-8").splitlines()]
             overall = next(row for row in report if row["bucket"] == "overall")
-            assert overall["count"] == len(_records(dataset.read_bytes().decode("utf-8")))
+            references = [json.loads(line).get("cot", "")
+                          for line in _records(dataset.read_bytes().decode("utf-8"))]
+            cots = [json.loads(line).get("cot") or ""
+                    for line in _records(predictions.read_bytes().decode("utf-8"))]
+            assert overall["count"] == len(references)
+            pairs = [(tokenize(cot), tokenize(ref)) for cot, ref in zip(cots, references)
+                     if cot and ref]
+            for name, oracle in (("rouge_l", rouge_l), ("rouge_1", rouge_1), ("bleu", bleu)):
+                scores = [oracle(cand, ref) for cand, ref in pairs]
+                assert overall[name] == (sum(scores) / len(scores) if scores else None), name
