@@ -2,7 +2,8 @@
 
 Text metrics share one tokenizer, pinned for reproducibility: lowercase,
 replace punctuation except underscores with spaces (relation tokens
-survive intact), split on whitespace.
+survive intact), split on whitespace.  A pair's common prefix and suffix
+are counted, not scanned: the metrics scan only the middles, exactly.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, repeat
-from operator import add, mul
+from itertools import compress, count, repeat
+from operator import ne
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .datagen import Sample, json_object, read_records
@@ -32,8 +33,7 @@ from .pathlang import (
     profile,
 )
 
-_PUNCT_TABLE = str.maketrans(
-    {ch: " " for ch in string.punctuation if ch != "_"})
+_PUNCT_TABLE = str.maketrans({ch: " " for ch in string.punctuation if ch != "_"})
 
 
 def tokenize(text: str) -> list[str]:
@@ -57,13 +57,14 @@ def exact_match(pred: PathProgram, ref: PathProgram) -> int:
 
 
 @lru_cache(maxsize=1)  # the three metrics score a pair in turn: tokenize it once
-def _coded(candidate: str, reference: str) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """Both texts' tokens, each numbered by its first appearance in ``cand + ref``,
-    and their clipped unigram overlap, which ROUGE-1 and BLEU both read."""
-    cand, ref = tokenize(candidate), tokenize(reference)
-    codes = dict(zip(dict.fromkeys(cand + ref), count()))
-    cand, ref = tuple(map(codes.__getitem__, cand)), tuple(map(codes.__getitem__, ref))
-    return cand, ref, _clipped(cand, ref)
+def _coded(candidate: str, reference: str) -> tuple[Sequence[str], Sequence[str], int, int, int]:
+    """Both texts' tokens, the lengths ``k`` of their common prefix and ``s`` of the common
+    suffix after it, and their clipped unigram overlap, which ROUGE-1 and BLEU both read."""
+    cand, ref = tuple(tokenize(candidate)), tuple(tokenize(reference))
+    m = min(len(cand), len(ref))
+    k = next(compress(count(), map(ne, cand, ref)), m)
+    s = next(compress(count(), map(ne, reversed(cand[k:]), reversed(ref[k:]))), m - k)
+    return cand, ref, k, s, k + s + _clipped(cand[k:len(cand) - s], ref[k:len(ref) - s])
 
 
 def _lcs_length(a: Sequence, b: Sequence) -> int:
@@ -99,14 +100,15 @@ def _f1(overlap: int, n_cand: int, n_ref: int) -> float:
 
 
 def rouge_l(candidate: str, reference: str) -> float:
-    """Token-level longest-common-subsequence F1."""
-    cand, ref, _ = _coded(candidate, reference)
-    return _f1(_lcs_length(cand, ref), len(cand), len(ref))
+    """Token-level LCS F1; the LCS is the common prefix and suffix and an LCS of the middles."""
+    cand, ref, k, s, _ = _coded(candidate, reference)
+    return _f1(k + s + _lcs_length(cand[k:len(cand) - s], ref[k:len(ref) - s]),
+               len(cand), len(ref))
 
 
 def rouge_1(candidate: str, reference: str) -> float:
     """Clipped unigram-overlap F1."""
-    cand, ref, unigrams = _coded(candidate, reference)
+    cand, ref, _, _, unigrams = _coded(candidate, reference)
     return _f1(unigrams, len(cand), len(ref))
 
 
@@ -119,20 +121,20 @@ def bleu(candidate: str, reference: str) -> float:
 
     Zero precisions are smoothed to 1e-9.  Orders the candidate is too
     short to populate are excluded (effective order), so identical texts
-    score exactly 1.0 regardless of length.
+    score exactly 1.0 regardless of length.  An n-gram inside the common
+    prefix or suffix matches itself; only the others are counted.
     """
-    cand, ref, clipped = _coded(candidate, reference)
+    cand, ref, k, s, clipped = _coded(candidate, reference)
     if not cand or not ref:
         return 0.0
-    base = len(cand) + len(ref)  # above every token code
     effective_n = min(BLEU_MAX_N, len(cand))
-    cand_grams, ref_grams = cand, ref
     log_sum = 0.0
     for n in range(1, effective_n + 1):
-        if n > 1:  # an n-gram is one int, its token codes as digits in ``base``
-            cand_grams = list(map(add, map(mul, cand_grams, repeat(base)), cand[n - 1:]))
-            ref_grams = list(map(add, map(mul, ref_grams, repeat(base)), ref[n - 1:]))
-            clipped = _clipped(cand_grams, ref_grams)
+        if n > 1:  # lo n-grams lie in the prefix, some in the suffix; the windows hold the rest
+            lo = max(0, k - n + 1)
+            cand_w, ref_w = cand[lo:len(cand) - s + n - 1], ref[lo:len(ref) - s + n - 1]
+            clipped = lo + max(0, s - n + 1) + _clipped(
+                zip(*(cand_w[i:] for i in range(n))), zip(*(ref_w[i:] for i in range(n))))
         # The candidate has len(cand) - n + 1 n-grams (n <= len(cand)).
         precision = clipped / (len(cand) - n + 1) if clipped else 1e-9
         log_sum += math.log(precision)
@@ -245,9 +247,7 @@ def _mean(group: list[EvalRecord], score: str) -> float | None:
     """Mean of ``score`` over the records that carry it.  When none does,
     the record's default: None for a text metric; EM has none, so 0.0."""
     values = [v for v in (getattr(r, score) for r in group) if v is not None]
-    if values:
-        return sum(values) / len(values)
-    return EvalRecord._field_defaults.get(score, 0.0)
+    return sum(values) / len(values) if values else EvalRecord._field_defaults.get(score, 0.0)
 
 
 def aggregate_report(records: list[EvalRecord]) -> BucketReport:
