@@ -1,9 +1,8 @@
 """Predictions reading, path exact-match and text-overlap scoring, bucketed reports.
 
-Text metrics share one tokenizer, pinned for reproducibility: lowercase,
-replace punctuation except underscores with spaces (relation tokens
-survive intact), split on whitespace.  A pair's common prefix and suffix
-are counted, not scanned: the metrics scan only the middles, exactly.
+Text metrics share one tokenizer, pinned for reproducibility: lowercase, replace
+punctuation but ``_`` with spaces (relation tokens survive), split on whitespace.
+A pair's common prefix and suffix are counted, not compared, and scores stay exact.
 """
 
 from __future__ import annotations
@@ -33,7 +32,8 @@ from .pathlang import (
     profile,
 )
 
-_PUNCT_TABLE = str.maketrans({ch: " " for ch in string.punctuation if ch != "_"})
+_PUNCT_TABLE = str.maketrans(
+    {ch: " " for ch in string.punctuation if ch != "_"})
 
 
 def tokenize(text: str) -> list[str]:
@@ -102,8 +102,7 @@ def _f1(overlap: int, n_cand: int, n_ref: int) -> float:
 def rouge_l(candidate: str, reference: str) -> float:
     """Token-level LCS F1; the LCS is the common prefix and suffix and an LCS of the middles."""
     cand, ref, k, s, _ = _coded(candidate, reference)
-    return _f1(k + s + _lcs_length(cand[k:len(cand) - s], ref[k:len(ref) - s]),
-               len(cand), len(ref))
+    return _f1(k + s + _lcs_length(cand[k:len(cand) - s], ref[k:len(ref) - s]), len(cand), len(ref))
 
 
 def rouge_1(candidate: str, reference: str) -> float:
@@ -121,8 +120,7 @@ def bleu(candidate: str, reference: str) -> float:
 
     Zero precisions are smoothed to 1e-9.  Orders the candidate is too
     short to populate are excluded (effective order), so identical texts
-    score exactly 1.0 regardless of length.  An n-gram inside the common
-    prefix or suffix matches itself; only the others are counted.
+    score exactly 1.0 regardless of length.
     """
     cand, ref, k, s, clipped = _coded(candidate, reference)
     if not cand or not ref:
@@ -130,7 +128,7 @@ def bleu(candidate: str, reference: str) -> float:
     effective_n = min(BLEU_MAX_N, len(cand))
     log_sum = 0.0
     for n in range(1, effective_n + 1):
-        if n > 1:  # lo n-grams lie in the prefix, some in the suffix; the windows hold the rest
+        if n > 1:  # an n-gram inside the prefix or suffix matches itself: count the rest
             lo = max(0, k - n + 1)
             cand_w, ref_w = cand[lo:len(cand) - s + n - 1], ref[lo:len(ref) - s + n - 1]
             clipped = lo + max(0, s - n + 1) + _clipped(
@@ -247,7 +245,9 @@ def _mean(group: list[EvalRecord], score: str) -> float | None:
     """Mean of ``score`` over the records that carry it.  When none does,
     the record's default: None for a text metric; EM has none, so 0.0."""
     values = [v for v in (getattr(r, score) for r in group) if v is not None]
-    return sum(values) / len(values) if values else EvalRecord._field_defaults.get(score, 0.0)
+    if values:
+        return sum(values) / len(values)
+    return EvalRecord._field_defaults.get(score, 0.0)
 
 
 def aggregate_report(records: list[EvalRecord]) -> BucketReport:
