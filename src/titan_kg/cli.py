@@ -146,8 +146,8 @@ def cmd_ask(args) -> int:
         planner = RemotePlanner(EndpointConfig.from_env(), registry)
     result, program, cot = run_question(graph, planner, args.question,
                                         mode=args.mode, registry=registry)
-    if cot:
-        print(f"cot\t{cot}")
+    if cot:  # on one line: each line break in it prints as a space
+        print("cot\t" + " ".join(cot.splitlines()))
     print(f"path\t{render_path(program, 'token')}")
     print(result.to_text(graph), end="")
     return 0

@@ -231,10 +231,7 @@ class KnowledgeGraph:
     the registry's forward signature from its source's kind and end at that
     signature's target kind, or a ``ValueError`` names it, and the graph
     derives its reverse.  Without one, ``edges`` are every directed edge,
-    taken as given and unchecked, as in a hand-built graph.  The snapshot
-    holds the runs of that registry's (or the default's) forward relations;
-    an unchecked graph whose edges they cannot give back exactly does not
-    export, and a ``ValueError`` names its first such edge.
+    taken as given and unchecked, as in a hand-built graph; it has no snapshot.
     """
 
     def __init__(self, nodes: Iterable[Node], edges: Iterable[tuple[str, str, str]],
@@ -384,16 +381,8 @@ class KnowledgeGraph:
     # --- snapshot interface ---
 
     def export_snapshot(self) -> str:
-        registry = self._registry or build_default_registry()
-        if self._registry is None:  # unchecked edges: the forward ones must give them all back
-            have = set(self.all_edges())
-            forward = (edge for edge in have if edge[1] in registry.forward_names)
-            held = set(KnowledgeGraph(self.nodes_by_rank, forward, registry=registry).all_edges())
-            if unheld := min([(*edge, "forward half") for edge in have - held] + [
-                    (dst, registry.signature_of(self.node(src).kind, rel).inverse_name, src,
-                     "reverse") for src, rel, dst in held - have], default=None):
-                raise ValueError("edge ({}, {}, {}) lacks its {}: a snapshot cannot hold it"
-                                 .format(*unheld))
+        if self._registry is None:
+            raise ValueError("a graph built without a registry has no snapshot")
         # What json.dumps(ensure_ascii=False) writes for a string; arrays are
         # joined as it writes a list of strings.
         quote = json.encoder.encode_basestring
@@ -405,7 +394,7 @@ class KnowledgeGraph:
         # One chunk of lines per forward run, each line led by the run's
         # prefix; a load derives the reverse runs.
         lines.extend(f"EDGE\t{src}\t{rel}\t" + f"\nEDGE\t{src}\t{rel}\t".join(dsts)
-                     for src, rel, dsts in self._id_runs(registry.forward_names))
+                     for src, rel, dsts in self._id_runs(self._registry.forward_names))
         return "\n".join(lines) + "\n"
 
     @classmethod

@@ -145,33 +145,28 @@ class PathProgram:
                         "exec_common/exec_difference requires an earlier select")
 
 
+# A name: a quoted one (its text, its closing quote if any, and any text
+# glued after that) or a bare word.
+_NAME_TOKEN = re.compile(r'"([^"]*)("?)(\S*)|\S+')
+
+
 def split_names(text: str) -> list[str]:
     """Whitespace-split with double-quote grouping for multiword names."""
     names: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        if text[i] == '"':
-            end = text.find('"', i + 1)
-            if end < 0:
-                raise PathSyntaxError(f"unterminated quote in {text!r}")
-            name = text[i + 1:end].strip()
-            if not name:
-                raise MalformedOperator("empty quoted name")
-            names.append(" ".join(name.split()))
-            i = end + 1
-            if i < n and not text[i].isspace():
+    for token in _NAME_TOKEN.finditer(text):
+        quoted, close, glued = token.groups()
+        if quoted is None:  # a bare word
+            if '"' in token[0]:
                 raise PathSyntaxError(f"stray quote in {text!r}")
-        else:
-            j = i
-            while j < n and not text[j].isspace():
-                if text[j] == '"':
-                    raise PathSyntaxError(f"stray quote in {text!r}")
-                j += 1
-            names.append(text[i:j])
-            i = j
+            names.append(token[0])
+            continue
+        if not close:
+            raise PathSyntaxError(f"unterminated quote in {text!r}")
+        if not (name := " ".join(quoted.split())):
+            raise MalformedOperator("empty quoted name")
+        if glued:
+            raise PathSyntaxError(f"stray quote in {text!r}")
+        names.append(name)
     return names
 
 

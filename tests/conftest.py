@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import gc
+import json
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
@@ -70,3 +73,45 @@ def scale_graph(registry):
 def core_templates(registry):
     from titan_kg.datagen import default_template_text
     return load_templates(default_template_text(), registry)
+
+
+class _StubHandler(BaseHTTPRequestHandler):
+    """A chat-completion endpoint that answers each POST with the next of
+    its ``replies`` (status, JSON payload) and records each request body."""
+
+    replies: list = []
+    requests_seen: list = []
+
+    def do_POST(self):
+        length = int(self.headers.get("Content-Length", "0"))
+        body = json.loads(self.rfile.read(length) or b"{}")
+        type(self).requests_seen.append(body)
+        status, payload = (type(self).replies.pop(0)
+                           if type(self).replies else (200, {}))
+        data = json.dumps(payload).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def stub_server():
+    handler = _StubHandler
+    handler.replies = []
+    handler.requests_seen = []
+    server = HTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield handler, f"http://127.0.0.1:{server.server_port}"
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+def chat_reply(text):
+    return {"choices": [{"message": {"role": "assistant", "content": text}}]}

@@ -10,7 +10,7 @@ import pytest
 from titan_kg import cli, planner
 from titan_kg.cli import main
 
-from conftest import FIXTURE_BUNDLE, MISTYPED_TARGETS
+from conftest import FIXTURE_BUNDLE, MISTYPED_TARGETS, chat_reply
 
 
 @pytest.fixture()
@@ -406,6 +406,71 @@ def test_ask_mock_nocot_uses_entity_linking(snapshot, tmp_path, capsys):
     assert "cot\t" not in captured.out
     for answer in record["answers"]:
         assert answer in captured.out
+
+
+
+UNITRONICS_QUESTION = ("Which malware is linked to the group behind the campaign "
+                       "Unitronics Defacement Campaign?")
+UNITRONICS_ANSWER = (
+    "path\t<PATH> attributed_to_intrusion_set <SEP> uses_malware </PATH>\n"
+    "answers\t2\n"
+    "  malware\tMarkiRAT\tmalware--0002\n"
+    "  malware\tSys10\tmalware--0001\n"
+    "start\t1\tcampaign--0001\n"
+    "trace\n"
+    "  step 1\tattributed_to_intrusion_set\tin=1\tout=1\tedges=1\n"
+    "    Unitronics Defacement Campaign --attributed_to_intrusion_set--> Sandworm Team\n"
+    "  step 2\tuses_malware\tin=1\tout=2\tedges=2\n"
+    "    Sandworm Team --uses_malware--> Sys10\n"
+    "    Sandworm Team --uses_malware--> MarkiRAT\n"
+)
+
+
+@pytest.mark.parametrize("mode, cot", [
+    ("cot", "cot\tThe question is: " + UNITRONICS_QUESTION + " The reasoning starts from the "
+     "campaign Unitronics Defacement Campaign. Step 1: Follow the attributed_to_intrusion_set "
+     "relation from the campaign to the intrusion set. Step 2: Follow the uses_malware "
+     "relation from the intrusion set to the malware. The full reasoning path is: <PATH> "
+     "attributed_to_intrusion_set <SEP> uses_malware </PATH>\n"),
+    ("nocot", ""),  # the start comes from linking the question's campaign name
+])
+def test_ask_mock_full_output(snapshot, tmp_path, capsys, mode, cot):
+    outdir = tmp_path / "dataset"
+    assert main(["gen", "--snapshot", str(snapshot), "--seed", "3",
+                 "--out", str(outdir)]) == 0
+    capsys.readouterr()
+    code = main(["ask", "--snapshot", str(snapshot), "--question", UNITRONICS_QUESTION,
+                 "--mode", mode, "--planner", "mock", "--dataset", str(outdir / "train.jsonl")])
+    assert code == 0
+    assert capsys.readouterr().out == cot + UNITRONICS_ANSWER
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\u2028"], ids=["lf", "crlf", "u2028"])
+def test_ask_remote_prints_a_multi_line_cot_on_one_line(snapshot, capsys, monkeypatch,
+                                                        stub_server, newline):
+    # An endpoint reasons step by step, a line each; each line break that
+    # str.splitlines finds prints as one space.
+    handler, base_url = stub_server
+    handler.replies.append((200, chat_reply(
+        f"Step 1: Sys10 is malware.{newline}Step 2: follow uses.\n"
+        "<ENTITY> Sys10 </ENTITY>\n<PATH> uses_attack_pattern </PATH>")))
+    monkeypatch.setenv("TITAN_LLM_BASE_URL", base_url)
+    monkeypatch.setenv("TITAN_LLM_MODEL", "stub-model")
+    code = main(["ask", "--snapshot", str(snapshot), "--planner", "remote",
+                 "--question", "Which techniques does the malware Sys10 use?"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "cot\tStep 1: Sys10 is malware. Step 2: follow uses.\n"
+        "path\t<PATH> uses_attack_pattern </PATH>\n"
+        "answers\t2\n"
+        "  attack-pattern\tProcess Injection\tattack-pattern--0002\n"
+        "  attack-pattern\tSpearphishing Attachment\tattack-pattern--0001\n"
+        "start\t1\tmalware--0001\n"
+        "trace\n"
+        "  step 1\tuses_attack_pattern\tin=1\tout=2\tedges=2\n"
+        "    Sys10 --uses_attack_pattern--> Spearphishing Attachment\n"
+        "    Sys10 --uses_attack_pattern--> Process Injection\n"
+    )
 
 
 TYPE_SEEDED_ROW = {"question": "Which ransomware malware is like Sys10?",

@@ -135,13 +135,14 @@ def test_bundle_error_message(data, message):
     assert str(err.value).startswith(message)
 
 
-def test_graph_rejects_node_with_empty_name():
+def test_graph_rejects_node_with_empty_name(registry):
     # A name of whitespace only folds to nothing, so it is empty too, and a
     # snapshot cannot bring one back.
     for name in ("", "   ", "\t\u3000"):
         with pytest.raises(ValueError, match="^node 'malware--m' has an empty name$"):
             KnowledgeGraph([Node("malware--m", name, EntityKind.MALWARE)], [])
-    text = KnowledgeGraph([Node("malware--m", "M", EntityKind.MALWARE)], []).export_snapshot()
+    text = KnowledgeGraph([Node("malware--m", "M", EntityKind.MALWARE)], [],
+                          registry=registry).export_snapshot()
     with pytest.raises(MalformedBundle, match="^snapshot: node 'malware--m' has an empty name$"):
         KnowledgeGraph.load_snapshot(text.replace('"M"', '" \\t "'))
 
@@ -367,14 +368,13 @@ def test_ingest_bytes_do_not_depend_on_hash_seed(tmp_path):
     assert digests == {SCALE_SNAPSHOT_SHA256}
 
 
-def test_snapshot_round_trip_with_unicode_line_separators():
+def test_snapshot_round_trip_with_unicode_line_separators(registry):
     # JSON leaves U+0085, U+2028 and U+2029 unescaped; they must not end a record.
     nodes = [Node(id="malware--x", name="a\x85b", kind=EntityKind.MALWARE,
                   aliases=("c\u2029d",), description="e\u2028f"),
              Node(id="attack-pattern--y", name="T", kind=EntityKind.ATTACK_PATTERN)]
-    edges = [("malware--x", "uses_attack_pattern", "attack-pattern--y"),
-             ("attack-pattern--y", "used_by_malware", "malware--x")]
-    snapshot = KnowledgeGraph(nodes, edges).export_snapshot()
+    edges = [("malware--x", "uses_attack_pattern", "attack-pattern--y")]
+    snapshot = KnowledgeGraph(nodes, edges, registry=registry).export_snapshot()
     reloaded = KnowledgeGraph.load_snapshot(snapshot)
     assert reloaded.export_snapshot() == snapshot
     assert reloaded.node("malware--x") == nodes[0]
@@ -596,7 +596,6 @@ def test_graph_from_a_one_shot_generator_of_shuffled_repeated_edges(scale_graph,
     canonical = KnowledgeGraph(scale_graph.nodes_by_rank, edges)
     assert list(graph.all_edges()) == list(canonical.all_edges()) == edges
     assert graph.edge_count == canonical.edge_count == len(edges)
-    assert graph.export_snapshot() == canonical.export_snapshot()
     for rel in sorted({sig.name for sig in registry.signatures}) + ["bogus_rel"]:
         for rank in range(graph.node_count):
             assert graph.successor_ranks((rank,), rel) == canonical.successor_ranks((rank,), rel)
@@ -679,6 +678,7 @@ def test_checked_graph_from_shuffled_repeated_forward_edges(scale_graph, registr
     assert list(graph.all_edges()) == edges
     assert graph.edge_count == len(edges) == 2 * len(forward)
     assert graph._adjacency == KnowledgeGraph(scale_graph.nodes_by_rank, edges)._adjacency
+    assert graph.export_snapshot() == scale_graph.export_snapshot()
 
 
 # A malware node that uses a technique, with the reverse edge.
@@ -692,41 +692,25 @@ TWO_EDGES = (("malware--x", "uses_attack_pattern", "attack-pattern--y"),
     ("malware--x", "uses_attack_pattern", "attack-pattern--gone"),
     ("malware--gone", "uses_attack_pattern", "attack-pattern--y"),
 ], ids=["target", "source"])
-def test_edge_to_a_missing_node_is_named(edge):
+def test_edge_to_a_missing_node_is_named(edge, registry):
     message = f"edge ({', '.join(edge)}) references a missing node"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        KnowledgeGraph(TWO_NODES, (e for e in [*TWO_EDGES, edge]))
-    snapshot = KnowledgeGraph(TWO_NODES, TWO_EDGES).export_snapshot() + "EDGE\t" + "\t".join(edge) + "\n"
+        KnowledgeGraph(TWO_NODES, (e for e in [TWO_EDGES[0], edge]), registry=registry)
+    snapshot = (KnowledgeGraph(TWO_NODES, TWO_EDGES[:1], registry=registry).export_snapshot()
+                + "EDGE\t" + "\t".join(edge) + "\n")
     with pytest.raises(MalformedBundle, match=f"^snapshot: {re.escape(message)}$"):
         KnowledgeGraph.load_snapshot(snapshot)
 
 
-# An edge between TWO_NODES that no signature types: used_by_tool ends at a tool.
-BOGUS_EDGE = ("attack-pattern--y", "used_by_tool", "malware--x")
-
-
-@pytest.mark.parametrize("edges, named, half", [
-    ([TWO_EDGES[1]], TWO_EDGES[1], "forward half"),
-    ([TWO_EDGES[0]], TWO_EDGES[0], "reverse"),
-    ([TWO_EDGES[0], BOGUS_EDGE], BOGUS_EDGE, "forward half"),
-    ([*TWO_EDGES, BOGUS_EDGE], BOGUS_EDGE, "forward half"),
-], ids=["reverse-only", "forward-only", "first-of-two", "mistyped"])
-def test_unchecked_graph_a_snapshot_cannot_hold_is_not_exported(edges, named, half):
-    # Without a registry the edges are taken as given, but a snapshot holds
-    # only forward edges, from which a load derives every reverse.
+@pytest.mark.parametrize("edges", [TWO_EDGES, TWO_EDGES[:1], TWO_EDGES[1:]],
+                         ids=["closed", "forward-only", "reverse-only"])
+def test_graph_built_without_a_registry_has_no_snapshot(edges):
+    # Without a registry the edges are taken as given and unchecked, so
+    # nothing says that a load would give them back: export refuses.
     graph = KnowledgeGraph(TWO_NODES, edges)
     assert graph.edge_count == len(edges)
-    message = f"edge ({', '.join(named)}) lacks its {half}: a snapshot cannot hold it"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValueError, match="^a graph built without a registry has no snapshot$"):
         graph.export_snapshot()
-
-
-def test_unchecked_graph_with_an_untyped_forward_edge_is_not_exported():
-    # The load's own check names a forward-named edge that it would refuse.
-    edge = ("malware--x", "uses_tool", "attack-pattern--y")
-    message = f"edge ({', '.join(edge)}): no forward relation 'uses_tool' from kind 'malware'"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        KnowledgeGraph(TWO_NODES, [*TWO_EDGES, edge]).export_snapshot()
 
 
 @pytest.mark.parametrize("bad, lineno", [
@@ -738,8 +722,9 @@ def test_unchecked_graph_with_an_untyped_forward_edge_is_not_exported():
     (["", "EDGE\ta\tb\tc\t"], 6),
 ], ids=["three-fields", "five-fields", "bare", "five-then-three", "three-then-five",
         "trailing-tab"])
-def test_edge_record_with_a_wrong_field_count_names_its_line(bad, lineno):
-    header, *records = KnowledgeGraph(TWO_NODES, TWO_EDGES).export_snapshot().splitlines()
+def test_edge_record_with_a_wrong_field_count_names_its_line(bad, lineno, registry):
+    header, *records = KnowledgeGraph(TWO_NODES, TWO_EDGES[:1],
+                                      registry=registry).export_snapshot().splitlines()
     # Header, two NODE records, the forward EDGE record, then the bad lines.
     text = "\n".join([header, *records, *bad, records[-1]]) + "\n"
     with pytest.raises(MalformedBundle, match=f"^snapshot line {lineno}: unrecognized record$"):

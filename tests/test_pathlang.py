@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from titan_kg.errors import (
     MalformedOperator,
@@ -22,6 +23,7 @@ from titan_kg.pathlang import (
     parse_path,
     profile,
     render_path,
+    split_names,
     validate_program,
 )
 
@@ -137,6 +139,50 @@ def test_segment_with_stray_text_rejected(text, error, message, registry):
     with pytest.raises(error) as err:
         parse_path(text, registry)
     assert type(err.value) is error and str(err.value) == message
+
+
+@pytest.mark.parametrize("text, names", [
+    ("a\tb\nc\u3000d\x85e", ["a", "b", "c", "d", "e"]),
+    (' "APT \t\n\u3000 28"\x85x ', ["APT 28", "x"]),
+    ('"  Sandworm   Team  "', ["Sandworm Team"]),
+    ("", []),
+    (" \t\n", []),
+], ids=["whitespace-kinds", "quoted-run", "quoted-padding", "empty", "blank"])
+def test_split_names(text, names):
+    assert split_names(text) == names
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ('"a', PathSyntaxError, "unterminated quote in '\"a'"),
+    ('x "a b', PathSyntaxError, "unterminated quote in 'x \"a b'"),
+    ('""', MalformedOperator, "empty quoted name"),
+    ('"  "', MalformedOperator, "empty quoted name"),
+    ('""x', MalformedOperator, "empty quoted name"),
+    ('"a"b', PathSyntaxError, "stray quote in '\"a\"b'"),
+    ('a"b', PathSyntaxError, "stray quote in 'a\"b'"),
+    ('a"b "c', PathSyntaxError, "stray quote in 'a\"b \"c'"),
+], ids=["unterminated", "unterminated-later", "empty", "blank", "empty-before-stray",
+        "glued-after-quote", "quote-in-word", "stray-before-unterminated"])
+def test_split_names_rejects(text, error, message):
+    # The first bad name, left to right, is the one reported.
+    with pytest.raises(error) as err:
+        split_names(text)
+    assert type(err.value) is error and str(err.value) == message
+
+
+_SPACE = st.text(" \t\n\u3000\x85\x1c", min_size=1, max_size=3)
+
+
+@given(st.lists(st.tuples(
+    st.text(st.characters(exclude_characters='"'), min_size=1, max_size=8)
+    .filter(lambda name: name.strip() and not any(
+        marker in name for marker in ("<PATH>", "</PATH>", "<SEP>", "→", "->"))),
+    _SPACE), max_size=5), _SPACE)
+def test_split_names_gives_back_joined_names(pairs, lead):
+    # Each name that holds whitespace is quoted; its inner runs collapse.
+    text = lead + "".join((f'"{name}"' if any(c.isspace() for c in name) else name) + space
+                          for name, space in pairs)
+    assert split_names(text) == [" ".join(name.split()) for name, _ in pairs]
 
 
 def test_operator_placement_rules():

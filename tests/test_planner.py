@@ -1,9 +1,6 @@
 import dataclasses
 import gc
-import json
-import threading
 import weakref
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +19,8 @@ from titan_kg.planner import (
     parse_planner_output,
     render_system_prompt,
 )
+
+from conftest import chat_reply
 
 
 # --- parse_planner_output ----------------------------------------------------
@@ -319,45 +318,6 @@ def test_request_validation():
 
 # --- remote planner ----------------------------------------------------------
 
-class _StubHandler(BaseHTTPRequestHandler):
-    replies: list = []
-    requests_seen: list = []
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", "0"))
-        body = json.loads(self.rfile.read(length) or b"{}")
-        type(self).requests_seen.append(body)
-        status, payload = (type(self).replies.pop(0)
-                           if type(self).replies else (200, {}))
-        data = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture()
-def stub_server():
-    handler = _StubHandler
-    handler.replies = []
-    handler.requests_seen = []
-    server = HTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield handler, f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-
-
-def _chat_reply(text):
-    return {"choices": [{"message": {"role": "assistant", "content": text}}]}
-
-
 def _config(base_url, retries=0):
     return EndpointConfig(base_url=base_url, model="stub-model",
                           api_key="stub-key", timeout=5.0,
@@ -366,7 +326,7 @@ def _config(base_url, retries=0):
 
 def test_remote_planner_parses_canned_reply(stub_server, registry):
     handler, base_url = stub_server
-    handler.replies.append((200, _chat_reply(
+    handler.replies.append((200, chat_reply(
         "Step 1: start from the malware. "
         "<ENTITY> Sys10 </ENTITY> "
         "<PATH> uses_attack_pattern <SEP> mitigated_by_course_of_action </PATH>")))
@@ -384,7 +344,7 @@ def test_remote_planner_parses_canned_reply(stub_server, registry):
 
 def test_remote_planner_missing_close_tag(stub_server, registry):
     handler, base_url = stub_server
-    handler.replies.append((200, _chat_reply("<PATH> uses_attack_pattern ...")))
+    handler.replies.append((200, chat_reply("<PATH> uses_attack_pattern ...")))
     planner = RemotePlanner(_config(base_url), registry)
     with pytest.raises(UnparseablePlan):
         planner.plan(PlannerRequest(question="q"))
@@ -405,7 +365,7 @@ def test_remote_planner_reply_without_choices(stub_server, registry):
 ], ids=["null", "list-of-parts"])
 def test_remote_planner_reply_content_not_a_string(stub_server, registry, content, kind):
     handler, base_url = stub_server
-    reply = _chat_reply(content)
+    reply = chat_reply(content)
     handler.replies.append((200, reply))
     planner = RemotePlanner(_config(base_url), registry)
     with pytest.raises(UnparseablePlan) as err:
@@ -418,7 +378,7 @@ def test_remote_planner_reply_content_not_a_string(stub_server, registry, conten
 def test_remote_planner_retries_then_succeeds(stub_server, registry):
     handler, base_url = stub_server
     handler.replies.append((500, {"error": "boom"}))
-    handler.replies.append((200, _chat_reply("<PATH> uses_malware </PATH>")))
+    handler.replies.append((200, chat_reply("<PATH> uses_malware </PATH>")))
     planner = RemotePlanner(_config(base_url, retries=2), registry)
     response = planner.plan(PlannerRequest(question="q"))
     assert response.path is not None
@@ -428,7 +388,7 @@ def test_remote_planner_retries_then_succeeds(stub_server, registry):
 def test_remote_planner_does_not_retry_client_errors(stub_server, registry):
     handler, base_url = stub_server
     handler.replies.append((400, {"error": "bad request"}))
-    handler.replies.append((200, _chat_reply("<PATH> uses_malware </PATH>")))
+    handler.replies.append((200, chat_reply("<PATH> uses_malware </PATH>")))
     planner = RemotePlanner(_config(base_url, retries=2), registry)
     with pytest.raises(PlannerUnavailable):
         planner.plan(PlannerRequest(question="q"))
@@ -438,7 +398,7 @@ def test_remote_planner_does_not_retry_client_errors(stub_server, registry):
 def test_remote_planner_retries_rate_limit(stub_server, registry):
     handler, base_url = stub_server
     handler.replies.append((429, {"error": "slow down"}))
-    handler.replies.append((200, _chat_reply("<PATH> uses_malware </PATH>")))
+    handler.replies.append((200, chat_reply("<PATH> uses_malware </PATH>")))
     planner = RemotePlanner(_config(base_url, retries=2), registry)
     assert planner.plan(PlannerRequest(question="q")).path is not None
     assert len(handler.requests_seen) == 2
