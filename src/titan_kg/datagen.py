@@ -24,6 +24,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from json.encoder import encode_basestring
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -82,15 +83,16 @@ class Sample:
     operators: tuple[str, ...]
 
     def to_json(self) -> str:
-        return json.dumps({
-            "question": self.question,
-            "cot": self.cot,
-            "path": self.path,
-            "start_entities": list(self.start_entities),
-            "answers": list(self.answers),
-            "template_id": self.template_id,
-            "bucket": {"length": self.bucket, "operators": list(self.operators)},
-        }, ensure_ascii=False)
+        """The record's JSONL line: exactly what ``json.dumps(record,
+        ensure_ascii=False)`` writes, strings quoted by its own encoder."""
+        quote = encode_basestring
+        return (f'{{"question": {quote(self.question)}, "cot": {quote(self.cot)}, '
+                f'"path": {quote(self.path)}, '
+                f'"start_entities": [{", ".join(map(quote, self.start_entities))}], '
+                f'"answers": [{", ".join(map(quote, self.answers))}], '
+                f'"template_id": {quote(self.template_id)}, '
+                f'"bucket": {{"length": {quote(self.bucket)}, '
+                f'"operators": [{", ".join(map(quote, self.operators))}]}}}}')
 
     @classmethod
     def from_json(cls, line: str) -> "Sample":
@@ -220,11 +222,23 @@ def synthesize_cot(
     question: str,
     start_entities: tuple[str, ...],
     typed_program: TypedProgram,
+    steps: str | None = None,
 ) -> str:
-    """Deterministic explanation: goal, one sentence per step, final path."""
+    """Deterministic explanation: goal, one sentence per step, final path.
+
+    ``steps`` is :func:`_cot_steps` of the program, where the caller has it.
+    """
     label = typed_program.start_kind.label
     origin = f"the {label} {', '.join(start_entities)}" if start_entities else f"every {label} node"
-    sentences = [f"The question is: {question} The reasoning starts from {origin}."]
+    if steps is None:
+        steps = _cot_steps(typed_program, render_path(typed_program.program, "token"))
+    return f"The question is: {question} The reasoning starts from {origin}. {steps}"
+
+
+def _cot_steps(typed_program: TypedProgram, path: str) -> str:
+    """The CoT after its opening sentence: a sentence per step, then ``path``,
+    the program's token form.  It depends on the program only."""
+    sentences = []
     previous = typed_program.start_kind
     for i, step in enumerate(typed_program.steps, 1):
         kind_after = typed_program.kinds[i - 1]
@@ -242,9 +256,7 @@ def synthesize_cot(
         elif isinstance(step, ExecDifference):
             sentences.append(f"Step {i}: Take the different results across branches.")
         previous = kind_after
-
-    sentences.append("The full reasoning path is: "
-                     + render_path(typed_program.program, "token"))
+    sentences.append(f"The full reasoning path is: {path}")
     return " ".join(sentences)
 
 
@@ -294,38 +306,58 @@ def instantiate_template(
     always reproduce.  A binding that fails, or whose start name re-execution
     would read as another kind, is dropped with a logged reason.
     """
+    # What depends on the template only is worked out once, before the
+    # binding loop: the question as a format string over the placeholders
+    # in text order, the profile and, for a template without select slots,
+    # the program, its token form and its CoT steps.
+    slots = list(template.placeholders)
+    question_format = _PLACEHOLDER.sub(
+        lambda m: f"{{{slots.index(m.group(0))}}}",
+        template.text.replace("{", "{{").replace("}", "}}"))
+    start_at = slots.index(template.start_slot) if template.start_slot else None
+    typed_path = template.typed_path
+    prof = profile(typed_path.program)
+    operators = tuple(sorted(prof.operators))
+    substitute = bool(_select_slots(typed_path.program))
+    if not substitute:
+        path = render_path(typed_path.program, "token")
+        steps = _cot_steps(typed_path, path)
+
     rng = random.Random(_derive_seed(config.rng_seed, template.id))
     samples: list[Sample] = []
     for combo in _candidate_bindings(template, graph, rng, config.max_per_template):
-        binding = {token: graph.node(nid).name
-                   for token, nid in zip(template.placeholders, combo)}
-        question = _PLACEHOLDER.sub(lambda m: binding[m.group(0)], template.text)
-        start_names = (binding[template.start_slot],) if template.start_slot else ()
+        names = [graph.node(nid).name for nid in combo]
+        question = question_format.format(*names)
+        start_names = (names[start_at],) if start_at is not None else ()
         try:
-            program = _substitute_path(template.typed_path.program, binding)
+            program = typed_path.program
+            if substitute:  # a select name may not hold a double quote
+                program = _substitute_path(program, dict(zip(slots, names)))
             typed, result = run_path(graph, registry, program, start_names)
-            if typed.start_kind is not template.typed_path.start_kind:
+            if typed.start_kind is not typed_path.start_kind:
                 raise StartKindMismatch(
                     f"start name {start_names[0]!r} resolves to kind "
                     f"{typed.start_kind.value!r} first")
         except TitanError as exc:
             logger.debug("template %s: binding %s discarded: %s",
-                         template.id, sorted(binding.values()), exc)
+                         template.id, sorted(names), exc)
             continue
 
         answers = tuple(dict.fromkeys(map(attrgetter("name"), result.answers)))
         if not answers and not config.keep_empty:
             continue
-        prof = profile(typed.program)
+        if substitute:
+            path = render_path(typed.program, "token")
+            steps = _cot_steps(typed, path)
         samples.append(Sample(
             question=question,
-            cot=synthesize_cot(question, start_names, typed),
-            path=render_path(typed.program, "token"),
+            cot=synthesize_cot(question, start_names, typed, steps),
+            path=path,
             start_entities=start_names,
             answers=answers,
             template_id=template.id,
             bucket=prof.bucket,
-            operators=tuple(sorted(prof.operators)),
+            operators=operators,
         ))
     return samples
 

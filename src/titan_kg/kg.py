@@ -62,8 +62,10 @@ _COUNTRY_MARKERS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("united states", ("united states", "u.s.")),
 )
 _COUNTRY_OF = {m: tag for tag, markers in _COUNTRY_MARKERS for m in markers}
-_COUNTRY_RE = re.compile(r"(?<!\w)({})(?!\w)".format(
-    "|".join(map(re.escape, sorted(_COUNTRY_OF, key=len, reverse=True)))))
+# Matched in casefolded text whose whitespace runs are not collapsed: the
+# space inside a multiword marker matches any run.
+_COUNTRY_RE = re.compile(r"(?<!\w)({})(?!\w)".format("|".join(
+    r"\s+".join(map(re.escape, m.split())) for m in sorted(_COUNTRY_OF, key=len, reverse=True))))
 
 
 class RawStixObject(NamedTuple):
@@ -205,7 +207,8 @@ def _decode_field(text: str):
 
 def _country_tags(*fields: str) -> set[str]:
     """Tags whose markers occur as whole words in a folded field."""
-    return {_COUNTRY_OF[m] for field in fields for m in _COUNTRY_RE.findall(fold(field))}
+    return {_COUNTRY_OF[" ".join(m.split())]
+            for field in fields for m in _COUNTRY_RE.findall(field.casefold())}
 
 
 @lru_cache(maxsize=256)

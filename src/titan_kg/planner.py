@@ -154,16 +154,20 @@ class MockPlanner:
         self._keys = sorted(self._index)
         # Bit i of a mask stands for self._keys[i].  _masks maps a token to
         # the questions holding it; _size_masks pairs each token-set size,
-        # ascending, with the questions of that size.
-        masks: dict[str, int] = {}
-        by_size: dict[int, int] = {}
+        # ascending, with the questions of that size.  Each mask is filled as
+        # a little-endian bytearray, keyed by its token or its size, then
+        # made an int in one step.
+        width = (len(self._keys) + 7) >> 3
+        rows: dict[str | int, bytearray] = {}
         for i, key in enumerate(self._keys):
-            tokens, bit = set(key.split()), 1 << i
-            by_size[len(tokens)] = by_size.get(len(tokens), 0) | bit
-            for token in tokens:
-                masks[token] = masks.get(token, 0) | bit
-        self._masks = masks
-        self._size_masks = sorted(by_size.items())
+            tokens, at, bit = set(key.split()), i >> 3, 1 << (i & 7)
+            for name in (len(tokens), *tokens):
+                if (row := rows.get(name)) is None:
+                    row = rows[name] = bytearray(width)
+                row[at] |= bit
+        masks = {name: int.from_bytes(rows.pop(name), "little") for name in list(rows)}
+        self._size_masks = sorted((n, m) for n, m in masks.items() if isinstance(n, int))
+        self._masks = {n: m for n, m in masks.items() if isinstance(n, str)}
         self._programs: dict[str, PathProgram] = {}  # path text -> program, parsed once
 
     def _nearest(self, tokens: set[str]) -> int:

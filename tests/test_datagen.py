@@ -21,7 +21,7 @@ from titan_kg.errors import MalformedInput, TemplateSchemaError
 from titan_kg.executor import run_path
 from titan_kg.kg import build_graph, parse_stix_bundle
 from titan_kg.ontology import EntityKind
-from titan_kg.pathlang import parse_path, profile, validate_program
+from titan_kg.pathlang import parse_path, profile, render_path, validate_program
 
 from bruteforce import brute_execute, steps_from_program, tables_from_graph
 from conftest import FIXTURE_BUNDLE
@@ -200,6 +200,18 @@ def test_bound_name_holding_a_placeholder_is_not_substituted_again(registry, cor
         "Which techniques do the malware Evil [malware:2] and Good share?")
 
 
+def test_question_fills_every_occurrence_of_a_placeholder(fixture_graph, registry):
+    # The start slot appears twice and a literal brace pair stays as written.
+    template = load_templates(_template_line(
+        text="Which mitigations {of} [malware] counter what [malware] uses?"), registry)[0]
+    samples = instantiate_template(template, fixture_graph, DatasetConfig(rng_seed=1),
+                                   registry)
+    assert samples
+    for sample in samples:
+        name, = sample.start_entities
+        assert sample.question == f"Which mitigations {{of}} {name} counter what {name} uses?"
+
+
 @pytest.fixture(scope="module")
 def shared_name_graph(registry):
     """The fixture with tool PsExec renamed to Sys10, a malware's name."""
@@ -228,6 +240,14 @@ def test_samples_reexecute_to_recorded_answers(fixture_graph, shared_name_graph,
                                          sample.start_entities)
                 names = tuple(dict.fromkeys(n.name for n in result.answers))
                 assert names == sample.answers, sample.template_id
+                # The text fields are what the re-executed program gives, though
+                # datagen works the template-only parts out once per template.
+                assert sample.cot == synthesize_cot(sample.question, sample.start_entities,
+                                                    typed)
+                assert sample.path == render_path(typed.program, "token")
+                prof = profile(typed.program)
+                assert (sample.bucket, sample.operators) == (prof.bucket,
+                                                             tuple(sorted(prof.operators)))
                 # Independent oracle agrees, from the start nodes of the
                 # path's start kind.
                 start = {nid for name in sample.start_entities

@@ -245,6 +245,26 @@ def test_mock_plan_matches_linear_jaccard_scan_property(registry, corpus, asks):
             _assert_plans_like_linear_scan(planner, samples, question)
 
 
+def _or_built_masks(samples):
+    """The planner's masks, built by OR-ing one bit per posting into ints."""
+    masks, sizes = {}, {}
+    for i, key in enumerate(sorted({fold(s.question) for s in samples})):
+        tokens = set(key.split())
+        sizes[len(tokens)] = sizes.get(len(tokens), 0) | 1 << i
+        for token in tokens:
+            masks[token] = masks.get(token, 0) | 1 << i
+    return masks, sorted(sizes.items())
+
+
+@given(corpus=_CORPORA, order=st.randoms(use_true_random=False))
+def test_mock_masks_match_or_built_oracle(registry, small_dataset, corpus, order):
+    samples = [*small_dataset.train, *small_dataset.test,
+               *(_sample(_question(bits), _PATHS[0]) for bits in corpus)]
+    order.shuffle(samples)
+    planner = MockPlanner(samples, registry)
+    assert (planner._masks, planner._size_masks) == _or_built_masks(samples)
+
+
 def test_mock_empty_index_yields_no_path(registry):
     planner = MockPlanner([], registry)
     with pytest.raises(UnparseablePlan, match="^planner returned no usable path$"):

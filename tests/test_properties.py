@@ -18,7 +18,13 @@ substituted anywhere, so the two share a prefix, a suffix or both.
 
 Ingest's single-regex whole-word country tagging is checked against a
 scan per marker and field on fields glued from marker fragments in mixed
-case, so markers overlap, share letters and touch word characters.
+case, so markers overlap, share letters and touch word characters, and
+from whitespace runs (a tab, a newline, NBSP, U+2028, U+001C), which also
+stand between the words of multiword markers.
+
+A dataset line is checked against ``json.dumps`` of its record on strings of
+quotes, backslashes, control characters, the line separators JSON leaves
+unescaped, non-BMP characters and lone surrogates, and on empty lists.
 
 Ingest is checked on small random bundles whose ids come from one shared
 pool, so objects of two types collide, relationships and data-source refs
@@ -64,6 +70,7 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
+from titan_kg.datagen import Sample
 from titan_kg.errors import (
     MalformedBundle,
     MalformedOperator,
@@ -181,8 +188,12 @@ NEAR_COPIES = st.tuples(st.integers(0, 120).flatmap(
 MARKERS = [m for _, markers in _COUNTRY_MARKERS for m in markers]
 OVERLAPS = {a + b[k:] for a in MARKERS for b in MARKERS
             for k in range(1, min(len(a), len(b))) if a.endswith(b[:k])}
+# Whitespace runs, alone and between the words of multiword markers.
+SPACE_RUNS = ("\t", "\n", "\xa0", "\u2028", "\x1c", " \t\n")
+SPACED = {m.replace(" ", run) for m in MARKERS if " " in m for run in SPACE_RUNS}
 FRAGMENT = st.sampled_from(sorted({*MARKERS, *OVERLAPS, *(m[:len(m) // 2] for m in MARKERS),
-                                   *(m[len(m) // 2:] for m in MARKERS), " ", "x", "_", "."}))
+                                   *(m[len(m) // 2:] for m in MARKERS), *SPACED, *SPACE_RUNS,
+                                   " ", "x", "_", "."}))
 CASES = (str.lower, str.upper, str.title,
          lambda text: text.translate({ord("i"): "\u0130", ord("s"): "\u017f",
                                       ord("k"): "\u212a"}))
@@ -460,6 +471,28 @@ def test_text_metrics_match_oracles_on_near_copies(pair):
 @given(fields=st.lists(COUNTRY_TEXT, max_size=3))
 def test_country_tags_match_marker_scan(fields):
     assert _country_tags(*fields) == set(country_tags(*fields))
+
+
+# Strings for dataset lines: what JSON escapes (quotes, backslashes, control
+# characters), what it leaves raw (U+0085, U+2028, non-BMP characters, lone
+# surrogates) and any other character.
+RECORD_TEXT = st.text(st.sampled_from('"\\\x00\x1f\x7f\b\f\n\r\t\x85\u2028\u2029'
+                                      '\U0001f600\ud800\udfffx ') | st.characters(),
+                      max_size=8)
+RECORD_TEXTS = st.lists(RECORD_TEXT, max_size=3).map(tuple)
+
+
+@example(sample=Sample("", "", "", (), (), "", "", ()))
+@given(sample=st.builds(Sample, RECORD_TEXT, RECORD_TEXT, RECORD_TEXT, RECORD_TEXTS,
+                        RECORD_TEXTS, RECORD_TEXT, RECORD_TEXT, RECORD_TEXTS))
+def test_sample_line_is_what_json_dumps_writes(sample):
+    record = {"question": sample.question, "cot": sample.cot, "path": sample.path,
+              "start_entities": list(sample.start_entities), "answers": list(sample.answers),
+              "template_id": sample.template_id,
+              "bucket": {"length": sample.bucket, "operators": list(sample.operators)}}
+    line = sample.to_json()
+    assert line == json.dumps(record, ensure_ascii=False)
+    assert Sample.from_json(line) == sample
 
 
 # A malware node holding the id of the technique's Windows asset.
